@@ -9,111 +9,27 @@ convex objective over the cone of positive atomic mixtures:
   (normal kernels), with an optional off-grid support refinement.
 
 The solver machinery is generic: any objective implementing the
-:class:`~mixfit.core.ConeObjective` contract can be minimized.
+:class:`~mixfit.core.ConeObjective` contract can be minimized.  The
+top level holds the solver entry points; everything else is imported
+from its module (``mixfit.pipeline``, ``mixfit.lsconvex``, ...).
 """
 
-from .core import (
-    ConeObjective,
-    ConvergenceStall,
-    OptimalityCertificate,
-    SolverConfig,
-    SolverTrace,
-    check_optimality,
-    dir_deriv_measure,
-    fedorov_wynn_step,
-    min_alt_dir_deriv,
-    reoptimize_over_support,
-    solve,
-    support_reduction_step,
-    vertex_exchange_step,
-)
-from .families import (
-    GaussianFamily,
-    MixingMeasure,
-    SignedMixingMeasure,
-    TriangularFamily,
-    combine,
-    kernel_cdf,
-    kernel_eval,
-    kernel_theta_deriv,
-    mixture_cdf,
-    mixture_eval,
-    total_mass,
-)
-from .gridless import (
-    FineTuneTrace,
-    fine_tune,
-    line_search,
-    regula_falsi_step,
-    tau_gradient,
-)
-from .lsconvex import LsModel, ls_start
-from .mldeconv import MlModel, QuadLocalModel, newton_solve, starting_iterate
-from .pipeline import (
-    FitResult,
-    RunReport,
-    build_grid,
-    default_grid_spec,
-    emit_curves,
-    fit,
-    fit_convex_ls,
-    fit_deconv_ml,
-    ingest,
-    read_measure,
-    simulate_sample,
-    write_measure,
-    write_sample,
-)
+from .baselines import dir_deriv_measure, fedorov_wynn_step, vertex_exchange_step
+from .core import SolverConfig, check_optimality, solve
+from .families import MixingMeasure, SignedMixingMeasure, combine
+from .gridless import fine_tune
 
 __all__ = [
-    "ConeObjective",
-    "ConvergenceStall",
-    "FineTuneTrace",
-    "FitResult",
-    "GaussianFamily",
-    "LsModel",
     "MixingMeasure",
-    "MlModel",
-    "OptimalityCertificate",
-    "QuadLocalModel",
-    "RunReport",
     "SignedMixingMeasure",
     "SolverConfig",
-    "SolverTrace",
-    "TriangularFamily",
-    "build_grid",
     "check_optimality",
     "combine",
-    "default_grid_spec",
     "dir_deriv_measure",
-    "emit_curves",
     "fedorov_wynn_step",
     "fine_tune",
-    "fit",
-    "fit_convex_ls",
-    "fit_deconv_ml",
-    "ingest",
-    "kernel_cdf",
-    "kernel_eval",
-    "kernel_theta_deriv",
-    "line_search",
-    "ls_start",
-    "min_alt_dir_deriv",
-    "mixture_cdf",
-    "mixture_eval",
-    "newton_solve",
-    "read_measure",
-    "regula_falsi_step",
-    "reoptimize_over_support",
-    "simulate_sample",
     "solve",
-    "starting_iterate",
-    "support_reduction_step",
-    "tau_gradient",
-    "total_mass",
     "vertex_exchange_step",
-    "write_measure",
-    "write_sample",
 ]
 
 __version__ = "0.1.0"

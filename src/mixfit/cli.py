@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import core, pipeline
 
@@ -55,7 +54,7 @@ def simulate(kind, n, seed, out):
 
 
 @main.command(name="fit")
-@click.argument("model", type=click.Choice(pipeline.MODELS))
+@click.argument("model", type=click.Choice(tuple(pipeline.MODELS)))
 @click.argument("input_path", metavar="INPUT",
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--grid-min", type=float, default=None,
@@ -65,12 +64,11 @@ def simulate(kind, n, seed, out):
 @click.option("--grid-size", type=int, default=None,
               help="Number of grid points (default: model rule).")
 @click.option("--eta", type=float, default=None,
-              help="Certificate tolerance (default: 1e-10 LS, 1e-8 ML).")
+              help="Certificate tolerance (default: model rule).")
 @click.option("--max-iter", type=int, default=10_000,
               help="Outer iteration cap.")
 @click.option("--gridless/--no-gridless", "gridless_flag", default=None,
-              help="Off-grid support refinement (default: on for "
-                   "deconv-ml, off for convex-ls).")
+              help="Off-grid support refinement (default: model rule).")
 @click.option("--gridless-tol", type=float, default=1e-6,
               help="Stop refinement below this location-gradient norm.")
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True,
@@ -80,23 +78,21 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
     """Fit a mixture model to the observations in INPUT.
 
     Writes measure.csv, report.txt, and four diagnostic curve files
-    into --out-dir.  Exits 0 exactly when the run converged.
+    into --out-dir.  Exits 0 exactly when the run converged, which
+    includes a passing certificate.
     """
-    sample = pipeline.ingest(input_path, nonnegative=model == "convex-ls")
+    spec = pipeline.model_spec(model)
+    sample = pipeline.ingest(input_path, nonnegative=spec.nonnegative)
     d_min, d_max, d_size = pipeline.default_grid_spec(model, sample)
     grid_min = d_min if grid_min is None else grid_min
     grid_max = d_max if grid_max is None else grid_max
     grid_size = d_size if grid_size is None else grid_size
-    eta = (1e-10 if model == "convex-ls" else 1e-8) if eta is None else eta
-    gridless_enabled = (model == "deconv-ml") if gridless_flag is None \
-        else gridless_flag
-
-    family = (pipeline.lsconvex.LsModel.family if model == "convex-ls"
-              else pipeline.mldeconv.MlModel.family)
-    grid = pipeline.build_grid(grid_min, grid_max, grid_size, family)
+    grid = pipeline.build_grid(grid_min, grid_max, grid_size, spec.model.family)
     config = core.SolverConfig(
-        grid=grid, eta=eta, max_outer_iter=max_iter,
-        gridless_enabled=gridless_enabled, gridless_tol=gridless_tol)
+        grid=grid, eta=spec.eta if eta is None else eta,
+        max_outer_iter=max_iter,
+        gridless_enabled=spec.gridless if gridless_flag is None else gridless_flag,
+        gridless_tol=gridless_tol)
 
     result = pipeline.fit(model, sample, config)
 
@@ -120,7 +116,8 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
                 type=click.Path(exists=True, dir_okay=False))
 @click.argument("input_path", metavar="INPUT",
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", type=click.Choice(pipeline.MODELS), required=True)
+@click.option("--model", type=click.Choice(tuple(pipeline.MODELS)),
+              required=True)
 @click.option("--tol", type=float, default=1e-8,
               help="Certificate tolerance for both parts.")
 def check(measure_path, input_path, model, tol):
@@ -129,14 +126,12 @@ def check(measure_path, input_path, model, tol):
     Evaluates the cone-optimality certificate on the model's default
     grid.  Exits 0 exactly when the certificate passes.
     """
-    sample = pipeline.ingest(input_path, nonnegative=model == "convex-ls")
+    spec = pipeline.model_spec(model)
+    sample = pipeline.ingest(input_path, nonnegative=spec.nonnegative)
     measure = pipeline.read_measure(measure_path)
-    g_min, g_max, g_size = pipeline.default_grid_spec(model, sample)
-    if model == "convex-ls":
-        m = pipeline.lsconvex.LsModel(sample)
-    else:
-        m = pipeline.mldeconv.MlModel(sample)
-    grid = pipeline.build_grid(g_min, g_max, g_size, m.family)
+    m = spec.model(sample)
+    grid = pipeline.build_grid(*pipeline.default_grid_spec(model, sample),
+                               m.family)
     cert = core.check_optimality(m, measure, grid, tol)
     click.echo(f"min_grid_alt: {cert.min_grid_alt:.17g}")
     click.echo(f"min_grid_raw: {cert.min_grid_raw:.17g}")

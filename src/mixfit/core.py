@@ -13,10 +13,9 @@ a descent direction steeper than a tolerance, which together with
 stationarity on the support is a global optimality certificate for the
 cone problem.
 
-Models plug in through :class:`ConeObjective`.  Two baseline update
-rules (convex-combination and exchange steps) are provided for
-comparison experiments; they operate on the unit-mass hull rather than
-the cone and converge much more slowly.
+Models plug in through :class:`ConeObjective`.  The classical
+unit-mass hull rules the solver is compared with live in
+:mod:`mixfit.baselines`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import MixingMeasure, SignedMixingMeasure, combine
+from .families import MixingMeasure, SignedMixingMeasure
 
 __all__ = [
     "ConeObjective",
@@ -36,16 +35,15 @@ __all__ = [
     "OptimalityCertificate",
     "ConvergenceStall",
     "min_alt_dir_deriv",
-    "support_reduction_step",
     "reoptimize_over_support",
     "solve",
     "check_optimality",
-    "dir_deriv_measure",
-    "fedorov_wynn_step",
-    "vertex_exchange_step",
 ]
 
 logger = logging.getLogger("mixfit.core")
+
+#: Atoms below this weight are dropped after optimization steps.
+PURGE_THRESHOLD = 1e-12
 
 
 class ConvergenceStall(RuntimeError):
@@ -93,15 +91,6 @@ class ConeObjective(ABC):
     def start(self, grid):
         """Initial iterate: a restricted minimizer on a heuristic support."""
 
-    def segment_curvature(self, direction):
-        """Second derivative of ``phi`` along a signed direction measure.
-
-        Quadratic objectives return the exact scalar; models without a
-        cheap closed form return None and callers fall back to a scalar
-        line search.
-        """
-        return None
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -117,23 +106,14 @@ class SolverConfig:
     max_outer_iter : int
         Cap on outer iterations; hitting it returns the best iterate
         with ``converged=False``.
-    purge_threshold : float
-        Atoms below this weight are dropped after optimization steps.
     gridless_enabled : bool
         Whether to run the off-grid support refinement after the grid
         solve.
     gridless_tol : float
         Stop refinement once the location-gradient norm falls below
         this value.
-    gridless_shrink : float
-        Trust-interval shrink factor used when a refinement line search
-        has to retry.
     max_fine_tune_steps : int
         Cap on refinement steps.
-    merge_gap : float
-        Rescue width for refinement, as a fraction of the support span:
-        when a weight reoptimization fails on nearly coincident atoms,
-        atoms closer than this are merged and the solve retried.
     support_tol : float
         Stationarity tolerance on the support used by optimality
         certificates issued while solving.
@@ -142,12 +122,9 @@ class SolverConfig:
     grid: np.ndarray
     eta: float = 1e-8
     max_outer_iter: int = 10_000
-    purge_threshold: float = 1e-12
     gridless_enabled: bool = False
     gridless_tol: float = 1e-6
-    gridless_shrink: float = 0.9
     max_fine_tune_steps: int = 10_000
-    merge_gap: float = 1e-5
     support_tol: float = 1e-8
 
     def __post_init__(self):
@@ -164,8 +141,12 @@ class SolverConfig:
             raise ValueError("eta must be positive")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be at least 1")
-        if not (0.0 < self.gridless_shrink < 1.0):
-            raise ValueError("gridless_shrink must lie in (0, 1)")
+        if not (self.gridless_tol >= 0.0):
+            raise ValueError("gridless_tol must be nonnegative")
+        if self.max_fine_tune_steps < 1:
+            raise ValueError("max_fine_tune_steps must be at least 1")
+        if not (self.support_tol > 0.0):
+            raise ValueError("support_tol must be positive")
 
 
 @dataclass
@@ -252,7 +233,7 @@ def min_alt_dir_deriv(model, measure, grid):
     return float(grid[idx]), float(vals[idx])
 
 
-def _reduce_to_cone(model, support, start_weights, purge_threshold):
+def _reduce_to_cone(model, support, start_weights):
     """Minimize ``phi`` over the cone spanned by ``support``.
 
     ``start_weights`` is a nonnegative weight vector aligned with
@@ -301,7 +282,7 @@ def _reduce_to_cone(model, support, start_weights, purge_threshold):
         else:
             raise RuntimeError("reduction loop failed to terminate; "
                                "inconsistent unrestricted minimizer")
-        tiny = (w > 0.0) & (w < purge_threshold)
+        tiny = (w > 0.0) & (w < PURGE_THRESHOLD)
         if not tiny.any():
             break
         deletions += int(tiny.sum())
@@ -310,31 +291,9 @@ def _reduce_to_cone(model, support, start_weights, purge_threshold):
     return MixingMeasure(S, w), deletions, inner_objs
 
 
-def support_reduction_step(model, support, measure, purge_threshold=1e-12):
-    """One outer step: minimize ``phi`` over the cone on an enlarged support.
-
-    ``support`` is the current support plus the freshly selected
-    vertex; ``measure`` is the current iterate (its atoms must all lie
-    in ``support``).  Returns the restricted minimizer over the cone
-    spanned by ``support``, possibly after deleting atoms.
-    """
-    S = np.asarray(support, dtype=float)
-    if S.ndim != 1 or np.any(np.diff(S) <= 0.0):
-        raise ValueError("support must be strictly increasing")
-    pos = np.searchsorted(S, measure.locations)
-    if (np.any(pos >= S.size)
-            or not np.array_equal(S[np.minimum(pos, S.size - 1)], measure.locations)):
-        raise ValueError("current iterate must be supported inside the step support")
-    w0 = np.zeros(S.size)
-    w0[pos] = measure.weights
-    result, _, _ = _reduce_to_cone(model, S, w0, purge_threshold)
-    return result
-
-
-def reoptimize_over_support(model, measure, purge_threshold=1e-12):
+def reoptimize_over_support(model, measure):
     """Minimize ``phi`` over the cone spanned by the measure's own support."""
-    result, _, _ = _reduce_to_cone(
-        model, measure.locations, measure.weights, purge_threshold)
+    result, _, _ = _reduce_to_cone(model, measure.locations, measure.weights)
     return result
 
 
@@ -380,7 +339,7 @@ def solve(model, config):
             # support has degraded, so reoptimize in place instead of
             # inserting a duplicate.
             f_new, pending_deletions, pending_inner = _reduce_to_cone(
-                model, f.locations, f.weights, config.purge_threshold)
+                model, f.locations, f.weights)
             if model.objective(f_new) >= trace.objective[-1]:
                 logger.warning("no progress reoptimizing over the current support; "
                                "stopping with certificate gap %.3e", -val)
@@ -391,8 +350,7 @@ def solve(model, config):
             pos = np.searchsorted(S, f.locations)
             w0 = np.zeros(S.size)
             w0[pos] = f.weights
-            f, pending_deletions, pending_inner = _reduce_to_cone(
-                model, S, w0, config.purge_threshold)
+            f, pending_deletions, pending_inner = _reduce_to_cone(model, S, w0)
 
     return f, trace
 
@@ -427,111 +385,3 @@ def check_optimality(model, measure, grid, tol, support_tol=None):
         grid_tol=float(tol),
         support_tol=float(support_tol),
     )
-
-
-def dir_deriv_measure(model, direction, measure):
-    """``D_phi(h; f)`` for an atomic signed direction ``h``.
-
-    The derivative is linear in the direction, so it is the weighted
-    sum of the vertex derivatives over the atoms of ``h``.
-    """
-    if direction.size == 0:
-        return 0.0
-    vals = np.asarray(
-        model.dir_deriv_vertex(direction.locations, measure), dtype=float)
-    return float(vals @ direction.weights)
-
-
-def _golden_section(f, lo, hi, tol=1e-10, max_iter=200):
-    """Minimize a scalar unimodal function on [lo, hi] by golden section."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _segment_step(model, f, direction, deriv):
-    """Step length in [0, 1] minimizing ``phi(f + eps * direction)``."""
-    curv = model.segment_curvature(direction)
-    if curv is not None and curv > 0.0:
-        return float(np.clip(-deriv / curv, 0.0, 1.0))
-    def along(eps):
-        return model.objective(combine(f, 1.0, direction, eps))
-    return _golden_section(along, 0.0, 1.0)
-
-
-def fedorov_wynn_step(model, measure, grid):
-    """One classical convex-combination update on the unit-mass hull.
-
-    Picks the grid vertex minimizing ``D_phi(f_theta - f; f)`` and
-    moves to ``(1 - eps) f + eps f_theta`` with the optimal step.
-    Returns the measure unchanged when no vertex improves on ``f``.
-    """
-    if measure.size == 0:
-        raise ValueError("the hull update needs a nonempty unit-mass iterate")
-    grid = np.asarray(grid, dtype=float)
-    dvals = np.asarray(model.dir_deriv_vertex(grid, measure), dtype=float)
-    d_self = dir_deriv_measure(model, measure, measure)
-    rel = dvals - d_self
-    idx = int(np.argmin(rel))
-    if rel[idx] >= 0.0:
-        return measure
-    vertex = MixingMeasure([grid[idx]], [1.0])
-    direction = combine(vertex, 1.0, measure, -1.0)
-    eps = _segment_step(model, measure, direction, float(rel[idx]))
-    if eps <= 0.0:
-        return measure
-    new = combine(measure, 1.0 - eps, vertex, eps)
-    keep = new.weights > 0.0
-    return MixingMeasure(new.locations[keep], new.weights[keep])
-
-
-def vertex_exchange_step(model, measure, grid):
-    """One mass-conserving exchange update on the unit-mass hull.
-
-    Moves weight from the support atom with the largest derivative to
-    the grid vertex with the smallest one.  A full step (``eps = 1``)
-    removes the donor atom entirely.  Mass is conserved exactly.
-    """
-    if measure.size == 0:
-        raise ValueError("the exchange update needs a nonempty unit-mass iterate")
-    grid = np.asarray(grid, dtype=float)
-    dvals = np.asarray(model.dir_deriv_vertex(grid, measure), dtype=float)
-    at_support = np.asarray(
-        model.dir_deriv_vertex(measure.locations, measure), dtype=float)
-    i_hat = int(np.argmin(dvals))
-    i_chk = int(np.argmax(at_support))
-    theta_hat = float(grid[i_hat])
-    theta_chk = float(measure.locations[i_chk])
-    gain = float(dvals[i_hat] - at_support[i_chk])
-    if gain >= 0.0 or theta_hat == theta_chk:
-        return measure
-    mass_chk = float(measure.weights[i_chk])
-    direction = SignedMixingMeasure.from_atoms(
-        [theta_hat, theta_chk], [mass_chk, -mass_chk])
-    eps = _segment_step(model, measure, direction, mass_chk * gain)
-    if eps <= 0.0:
-        return measure
-    # Split the donor weight so the total is conserved bit for bit.
-    stay = mass_chk * (1.0 - eps)
-    moved = mass_chk - stay
-    loc = np.append(np.delete(measure.locations, i_chk), theta_chk)
-    w = np.append(np.delete(measure.weights, i_chk), stay)
-    loc = np.append(loc, theta_hat)
-    w = np.append(w, moved)
-    merged = SignedMixingMeasure.from_atoms(loc, w)
-    keep = merged.weights > 0.0
-    return MixingMeasure(merged.locations[keep], merged.weights[keep])

@@ -4,8 +4,8 @@ A mixture model is described by a family of unit-mass kernels
 ``f_theta`` indexed by a scalar parameter and an atomic mixing measure
 placing weight on finitely many parameter values.  The solvers in this
 package only ever touch mixtures through the operations collected here:
-kernel evaluation, kernel parameter derivatives, kernel distribution
-functions, and linear measure arithmetic.
+the families' kernel, parameter-derivative and distribution-function
+methods, mixture evaluation, and linear measure arithmetic.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ __all__ = [
     "MixingMeasure",
     "TriangularFamily",
     "GaussianFamily",
-    "kernel_eval",
-    "kernel_theta_deriv",
-    "kernel_cdf",
     "mixture_eval",
     "mixture_cdf",
-    "total_mass",
     "combine",
     "merge_atoms",
 ]
@@ -165,11 +161,6 @@ def combine(measure_a, coef_a, measure_b, coef_b):
     return SignedMixingMeasure.from_atoms(loc, w)
 
 
-def total_mass(measure):
-    """Total (signed) mass of an atomic measure."""
-    return measure.total_mass()
-
-
 class TriangularFamily:
     """Triangular densities ``f_theta(x) = 2 (theta - x) / theta**2`` on ``[0, theta)``.
 
@@ -247,21 +238,6 @@ class GaussianFamily:
         x = np.asarray(x, dtype=float)
         out = ndtr(x - theta)
         return out if out.ndim else float(out)
-
-
-def kernel_eval(family, theta, x):
-    """Evaluate ``f_theta(x)``; broadcasts over ``theta`` and ``x``."""
-    return family.kernel(theta, x)
-
-
-def kernel_theta_deriv(family, theta, x):
-    """Evaluate the parameter derivative of ``f_theta`` at ``x``."""
-    return family.theta_deriv(theta, x)
-
-
-def kernel_cdf(family, theta, x):
-    """Evaluate the kernel distribution function at ``x``."""
-    return family.cdf(theta, x)
 
 
 def mixture_eval(family, measure, x):

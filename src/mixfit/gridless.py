@@ -39,6 +39,14 @@ logger = logging.getLogger("mixfit.gridless")
 #: fraction of its initial length.
 _EPS_UNDERFLOW = 1e-14
 
+#: factor the trust interval shrinks by when a line search retries.
+_SHRINK = 0.9
+
+#: rescue width, as a fraction of the support span: when a weight
+#: reoptimization fails on nearly coincident atoms, atoms closer than
+#: this are merged and the reoptimization retried.
+_MERGE_GAP = 1e-5
+
 
 @dataclass
 class FineTuneTrace:
@@ -115,7 +123,7 @@ def _shifted(measure, h, eps):
     return MixingMeasure(measure.locations + eps * h, measure.weights)
 
 
-def line_search(model, measure, h, eps0, shrink=0.9):
+def line_search(model, measure, h, eps0):
     """Step length along a unit descent direction of the locations.
 
     Evaluates the directional derivative ``mu'(eps)`` of
@@ -123,7 +131,7 @@ def line_search(model, measure, h, eps0, shrink=0.9):
     ``eps0`` the full step is taken; otherwise the sign change is
     resolved by regula falsi.  Candidates are only accepted when the
     objective strictly decreases at fixed weights; otherwise the trust
-    radius shrinks by ``shrink`` and the search retries.  Returns the
+    radius shrinks by ``_SHRINK`` and the search retries.  Returns the
     accepted ``eps`` or None when no improving step exists above the
     underflow floor.
     """
@@ -148,7 +156,7 @@ def line_search(model, measure, h, eps0, shrink=0.9):
             cand = _falsi_root(mu_prime, 0.0, top, g0, g_top, f_tol)
         if cand > 0.0 and tau(cand) < 0.0:
             return cand
-        top = shrink * min(cand, top) if cand > 0.0 else shrink * top
+        top = _SHRINK * min(cand, top) if cand > 0.0 else _SHRINK * top
     return None
 
 
@@ -204,8 +212,7 @@ def fine_tune(model, measure, config):
         Converged grid solution.
     config : SolverConfig
         ``gridless_tol`` is the stopping threshold on the location
-        gradient norm; ``max_fine_tune_steps``, ``gridless_shrink`` and
-        ``merge_gap`` control the iteration.
+        gradient norm and ``max_fine_tune_steps`` caps the iteration.
 
     Returns
     -------
@@ -228,7 +235,7 @@ def fine_tune(model, measure, config):
         return f, trace
     domain = getattr(model, "domain", model.family.domain)
     span = f.locations[-1] - f.locations[0] if f.size > 1 else 1.0
-    merge_gap = config.merge_gap * max(span, 1.0)
+    merge_gap = _MERGE_GAP * max(span, 1.0)
     trace.objective.append(model.objective(f))
 
     for _ in range(config.max_fine_tune_steps):
@@ -244,7 +251,7 @@ def fine_tune(model, measure, config):
         if eps0 <= 0.0:
             trace.stop_reason = "no room to move inside the domain"
             break
-        eps = line_search(model, f, h, eps0, config.gridless_shrink)
+        eps = line_search(model, f, h, eps0)
         if eps is None:
             trace.stop_reason = "line search found no improving step"
             break

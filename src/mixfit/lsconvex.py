@@ -34,7 +34,7 @@ from .families import (
     mixture_cdf,
 )
 
-__all__ = ["LsModel", "ls_start"]
+__all__ = ["LsModel"]
 
 logger = logging.getLogger("mixfit.lsconvex")
 
@@ -178,11 +178,25 @@ class LsModel(core.ConeObjective):
 
         The heuristic parameter is ``3 * mean`` when the sample maximum
         lies below it, otherwise the smallest grid point beyond the
-        maximum.  With a grid present the parameter is snapped to the
-        nearest grid point so the solver stays inside the
-        grid-generated cone.
+        maximum (a grid is required in that case).  With a grid present
+        the first choice is snapped to the nearest grid point so the
+        solver stays inside the grid-generated cone.  The weight
+        ``(3/2) Y_n(theta0) / theta0`` is the exact minimizer of ``phi``
+        along the ray through ``f_theta0``.
         """
-        theta0, _ = ls_start(self.x, grid=grid, snap=grid is not None)
+        theta0 = 3.0 * self.mean
+        if grid is not None:
+            grid = np.asarray(grid, dtype=float)
+        if self.xmax >= theta0:
+            if grid is None:
+                raise ValueError(
+                    "sample maximum exceeds 3 * mean; a grid is needed to start")
+            beyond = grid[grid > self.xmax]
+            if beyond.size == 0:
+                raise ValueError("no grid point beyond the sample maximum")
+            theta0 = float(beyond[0])
+        elif grid is not None:
+            theta0 = float(grid[np.argmin(np.abs(grid - theta0))])
         w = 1.5 * self.Y_n(theta0) / theta0
         if w <= 0.0:
             return MixingMeasure.empty()
@@ -219,39 +233,4 @@ class LsModel(core.ConeObjective):
 
     def minimize_over_support(self, measure, config):
         """Weight reoptimization on a fixed support (exact for this model)."""
-        return core.reoptimize_over_support(self, measure, config.purge_threshold)
-
-
-def ls_start(sample, grid=None, snap=False):
-    """Heuristic starting parameter and one-kernel fit for the LS model.
-
-    Returns ``(theta0, measure)``.  ``theta0`` is ``3 * mean(sample)``
-    when the sample maximum is smaller, otherwise the smallest grid
-    point beyond the maximum (a grid is required in that case).  With
-    ``snap=True`` the first branch also lands on the nearest grid
-    point.  The one-kernel weight ``(3/2) Y_n(theta0) / theta0`` is the
-    exact minimizer of ``phi`` along the ray through ``f_theta0``.
-    """
-    x = np.sort(np.asarray(sample, dtype=float).ravel())
-    mean = float(x.mean())
-    xmax = float(x[-1])
-    if xmax < 3.0 * mean:
-        theta0 = 3.0 * mean
-        if snap:
-            if grid is None:
-                raise ValueError("snapping needs a grid")
-            grid = np.asarray(grid, dtype=float)
-            theta0 = float(grid[np.argmin(np.abs(grid - theta0))])
-    else:
-        if grid is None:
-            raise ValueError(
-                "sample maximum exceeds 3 * mean; a grid is needed to start")
-        grid = np.asarray(grid, dtype=float)
-        beyond = grid[grid > xmax]
-        if beyond.size == 0:
-            raise ValueError("no grid point beyond the sample maximum")
-        theta0 = float(beyond[0])
-    yn = float(np.maximum(theta0 - x, 0.0).mean())
-    w = 1.5 * yn / theta0
-    measure = MixingMeasure([theta0], [w]) if w > 0.0 else MixingMeasure.empty()
-    return theta0, measure
+        return core.reoptimize_over_support(self, measure)

@@ -109,7 +109,6 @@ class MlModel:
             grid=measure.locations,
             eta=config.eta,
             max_outer_iter=200,
-            purge_threshold=config.purge_threshold,
             support_tol=config.support_tol,
         )
         result, _ = _newton_loop(self, measure, locked, allow_stall=True)
@@ -339,7 +338,6 @@ def _newton_loop(model, start, config, allow_stall=False):
         eta_q = max(0.1 * config.eta, 1e-2 * gap_q)
         inner_config = core.SolverConfig(
             grid=grid, eta=eta_q, max_outer_iter=config.max_outer_iter,
-            purge_threshold=config.purge_threshold,
             support_tol=config.support_tol)
         candidate, inner_trace = core.solve(quad, inner_config)
         try:
@@ -357,7 +355,7 @@ def _newton_loop(model, start, config, allow_stall=False):
         logger.debug("Newton step %d: objective %.12g -> %.12g, lam %.3g, "
                      "support %d -> %d%s", it, value, new_value, lam,
                      f.size, f_new.size, " (tie)" if tied_last else "")
-        f = f_new.purge(config.purge_threshold)
+        f = f_new.purge(core.PURGE_THRESHOLD)
         if f.size == 0:
             raise core.ConvergenceStall("likelihood iterate lost all atoms")
 

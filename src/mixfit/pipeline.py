@@ -2,9 +2,10 @@
 
 Everything the command line exposes lives here as plain functions so
 the same flows are scriptable: sample simulation, sample ingestion,
-the two model pipelines (least squares convex density, maximum
+one fit path for both models (least squares convex density, maximum
 likelihood Gaussian deconvolution), measure persistence, the text run
-report, and the four diagnostic curve files.
+report, and the four diagnostic curve files.  What differs between the
+models is data in the :data:`MODELS` table.
 
 File formats
 ------------
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +37,9 @@ __all__ = [
     "read_measure",
     "RunReport",
     "FitResult",
-    "fit_convex_ls",
-    "fit_deconv_ml",
+    "ModelSpec",
+    "MODELS",
+    "model_spec",
     "fit",
     "emit_curves",
     "default_grid_spec",
@@ -47,7 +50,6 @@ logger = logging.getLogger("mixfit.pipeline")
 #: resolution of the x-axis for density and distribution curve files
 _CURVE_POINTS = 512
 
-MODELS = ("convex-ls", "deconv-ml")
 SIMULATION_KINDS = ("exponential", "exp-normal-mixture")
 
 
@@ -140,16 +142,70 @@ def read_measure(path):
     return MixingMeasure(loc, w)
 
 
+# -- models --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """What sets one bundled model apart from the other.
+
+    ``model`` is the objective class, built from the sample.  ``eta``
+    and ``gridless`` are the default certificate tolerance and
+    refinement flag.  The default grid is ``grid_size`` points on
+    ``[min x, grid_max_factor * max x]``.  ``nonnegative`` makes
+    :func:`ingest` reject negative data.  ``solve(model, config)``
+    runs the grid stage.  ``mixing_cdf`` and ``density`` are the
+    reference curves of the model's canonical experiment.
+    """
+
+    model: type
+    eta: float
+    gridless: bool
+    grid_max_factor: float
+    grid_size: int
+    nonnegative: bool
+    solve: Callable
+    mixing_cdf: Callable
+    density: Callable
+
+
+# The solvers are looked up in their modules at call time, not bound
+# here, so a replaced module attribute is what a fit runs.
+MODELS = {
+    # Refinement is off by default: the triangular kernel's kink makes
+    # location derivatives only piecewise smooth.  Exponential data as
+    # a convex density correspond to a Gamma(3) mixing distribution
+    # over triangular kernels.
+    "convex-ls": ModelSpec(
+        model=lsconvex.LsModel, eta=1e-10, gridless=False,
+        grid_max_factor=3.0, grid_size=1000, nonnegative=True,
+        solve=lambda model, config: core.solve(model, config),
+        mixing_cdf=lambda theta: stats.gamma.cdf(theta, a=3.0),
+        density=stats.expon.pdf),
+    # Unit exponential locations observed with standard normal noise.
+    "deconv-ml": ModelSpec(
+        model=mldeconv.MlModel, eta=1e-8, gridless=True,
+        grid_max_factor=1.0, grid_size=500, nonnegative=False,
+        solve=lambda model, config: mldeconv.newton_solve(model.x, config),
+        mixing_cdf=stats.expon.cdf,
+        density=lambda x: np.exp(0.5 - x) * ndtr(x - 1.0)),
+}
+
+
+def model_spec(model_kind):
+    """The :data:`MODELS` entry for ``model_kind``."""
+    try:
+        return MODELS[model_kind]
+    except KeyError:
+        raise ValueError(f"unknown model: {model_kind!r}") from None
+
+
 # -- fitting -------------------------------------------------------------
 
 def default_grid_spec(model_kind, sample):
     """Default ``(grid_min, grid_max, grid_size)`` per model."""
+    spec = model_spec(model_kind)
     x = np.asarray(sample, dtype=float)
-    if model_kind == "convex-ls":
-        return float(x.min()), 3.0 * float(x.max()), 1000
-    if model_kind == "deconv-ml":
-        return float(x.min()), float(x.max()), 500
-    raise ValueError(f"unknown model: {model_kind!r}")
+    return float(x.min()), spec.grid_max_factor * float(x.max()), spec.grid_size
 
 
 def build_grid(grid_min, grid_max, grid_size, family):
@@ -187,53 +243,32 @@ class FitResult:
 
     @property
     def converged(self):
-        ok = self.trace.converged
+        """Every stage converged and the final certificate passes."""
+        ok = self.trace.converged and self.certificate.passed
         if self.config.gridless_enabled and self.fine_tune_trace is not None:
             ok = ok and self.fine_tune_trace.converged
         return ok
 
 
-def fit_convex_ls(sample, config):
-    """Least squares convex density fit on a grid, optional refinement.
-
-    Refinement runs when ``config.gridless_enabled`` is set; it is off
-    by default for this model because the triangular kernel's kink
-    makes location derivatives only piecewise smooth.
-    """
-    started = time.perf_counter()
-    model = lsconvex.LsModel(sample)
-    measure, trace = core.solve(model, config)
-    grid_support = measure.size
-    ft_trace = None
-    if config.gridless_enabled and trace.converged:
-        measure, ft_trace = gridless.fine_tune(model, measure, config)
-    cert = core.check_optimality(model, measure, config.grid, config.eta,
-                                 config.support_tol)
-    return FitResult("convex-ls", model, measure, trace, cert, config,
-                     ft_trace, grid_support, time.perf_counter() - started)
-
-
-def fit_deconv_ml(sample, config):
-    """Maximum likelihood Gaussian deconvolution fit, optional refinement."""
-    started = time.perf_counter()
-    model = mldeconv.MlModel(sample)
-    measure, trace = mldeconv.newton_solve(sample, config)
-    grid_support = measure.size
-    ft_trace = None
-    if config.gridless_enabled and trace.converged:
-        measure, ft_trace = gridless.fine_tune(model, measure, config)
-    cert = core.check_optimality(model, measure, config.grid, config.eta,
-                                 config.support_tol)
-    return FitResult("deconv-ml", model, measure, trace, cert, config,
-                     ft_trace, grid_support, time.perf_counter() - started)
-
-
 def fit(model_kind, sample, config):
-    if model_kind == "convex-ls":
-        return fit_convex_ls(sample, config)
-    if model_kind == "deconv-ml":
-        return fit_deconv_ml(sample, config)
-    raise ValueError(f"unknown model: {model_kind!r}")
+    """Fit a bundled model end to end.
+
+    Runs the model's grid solve, refines the support off the grid when
+    ``config.gridless_enabled`` is set and the grid solve converged, and
+    issues the certificate at ``config.eta`` and ``config.support_tol``.
+    """
+    spec = model_spec(model_kind)
+    started = time.perf_counter()
+    model = spec.model(sample)
+    measure, trace = spec.solve(model, config)
+    grid_support = measure.size
+    ft_trace = None
+    if config.gridless_enabled and trace.converged:
+        measure, ft_trace = gridless.fine_tune(model, measure, config)
+    cert = core.check_optimality(model, measure, config.grid, config.eta,
+                                 config.support_tol)
+    return FitResult(model_kind, model, measure, trace, cert, config,
+                     ft_trace, grid_support, time.perf_counter() - started)
 
 
 # -- reports -------------------------------------------------------------
@@ -321,26 +356,6 @@ class RunReport:
             fh.write(self.to_text())
 
 
-# -- reference truths ----------------------------------------------------
-
-def _true_mixing_cdf(model_kind, theta):
-    # Exponential data as a convex density correspond to a Gamma(3)
-    # mixing distribution over triangular kernels; the deconvolution
-    # reference uses a unit exponential mixing distribution.
-    theta = np.asarray(theta, dtype=float)
-    if model_kind == "convex-ls":
-        return stats.gamma.cdf(theta, a=3.0)
-    return stats.expon.cdf(theta)
-
-
-def _true_density(model_kind, x):
-    x = np.asarray(x, dtype=float)
-    if model_kind == "convex-ls":
-        return stats.expon.pdf(x)
-    # exponential location + standard normal noise
-    return np.exp(0.5 - x) * ndtr(x - 1.0)
-
-
 # -- curves --------------------------------------------------------------
 
 def _write_curve(path, header, columns):
@@ -366,6 +381,7 @@ def emit_curves(out_dir, result, sample):
     evaluated exactly on the solve grid, where its sign is guaranteed.
     """
     out_dir = str(out_dir)
+    spec = model_spec(result.model_kind)
     model = result.model
     measure = result.measure
     family = model.family
@@ -379,14 +395,12 @@ def emit_curves(out_dir, result, sample):
     _write_curve(
         f"{out_dir}/curve_mixing_cdf.csv",
         ["theta", "fitted_mixing_cdf", "reference_mixing_cdf"],
-        [theta_axis, measure.cdf(theta_axis),
-         _true_mixing_cdf(result.model_kind, theta_axis)])
+        [theta_axis, measure.cdf(theta_axis), spec.mixing_cdf(theta_axis)])
 
     _write_curve(
         f"{out_dir}/curve_mixture_density.csv",
         ["x", "fitted_density", "true_density"],
-        [xs, mixture_eval(family, measure, xs),
-         _true_density(result.model_kind, xs)])
+        [xs, mixture_eval(family, measure, xs), spec.density(xs)])
 
     _write_curve(
         f"{out_dir}/curve_directional_derivative.csv",

@@ -1,5 +1,6 @@
 """Support reduction machinery: scan, inner reduction, outer loop,
-certificates, and the two classical hull baselines.
+certificates, and the two classical hull baselines of
+:mod:`mixfit.baselines`.
 
 Brute-force oracles: subset enumeration for tiny solves, scripted
 models for the deletion bookkeeping, and epsilon scans for the
@@ -13,23 +14,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mixfit import (
-    ConvergenceStall,
-    MixingMeasure,
-    OptimalityCertificate,
-    SignedMixingMeasure,
-    SolverConfig,
-    SolverTrace,
-    check_optimality,
-    combine,
+from mixfit.baselines import (
     dir_deriv_measure,
     fedorov_wynn_step,
-    min_alt_dir_deriv,
-    solve,
-    support_reduction_step,
     vertex_exchange_step,
 )
-from mixfit.core import _reduce_to_cone, reoptimize_over_support
+from mixfit.core import (
+    ConvergenceStall,
+    OptimalityCertificate,
+    SolverConfig,
+    SolverTrace,
+    _reduce_to_cone,
+    check_optimality,
+    min_alt_dir_deriv,
+    reoptimize_over_support,
+    solve,
+)
+from mixfit.families import MixingMeasure, SignedMixingMeasure, combine
 from mixfit.lsconvex import LsModel
 
 
@@ -88,7 +89,7 @@ class TestInnerReduction:
             (2.0,): [1.2],
         })
         f, deletions, inner = _reduce_to_cone(
-            fake, np.array([1.0, 2.0]), np.array([1.0, 0.0]), 1e-12)
+            fake, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         assert_allclose(f.locations, [2.0])
         assert_allclose(f.weights, [1.2], rtol=1e-15)
         assert deletions == 1
@@ -104,7 +105,7 @@ class TestInnerReduction:
             (2.0,): [0.8],
         })
         f, deletions, _ = _reduce_to_cone(
-            fake, np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0]), 1e-12)
+            fake, np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0]))
         assert_allclose(f.locations, [2.0])
         assert_allclose(f.weights, [0.8])
         assert deletions == 2
@@ -115,22 +116,25 @@ class TestInnerReduction:
             (2.0,): [0.5],
         })
         f, deletions, _ = _reduce_to_cone(
-            fake, np.array([1.0, 2.0]), np.array([0.1, 0.1]), 1e-12)
+            fake, np.array([1.0, 2.0]), np.array([0.1, 0.1]))
         assert_allclose(f.locations, [2.0])
         assert deletions == 1
 
     def test_input_validation(self):
         fake = _ScriptedModel({})
         with pytest.raises(ValueError, match="align"):
-            _reduce_to_cone(fake, np.array([1.0, 2.0]), np.array([1.0]), 1e-12)
+            _reduce_to_cone(fake, np.array([1.0, 2.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="nonnegative"):
-            _reduce_to_cone(fake, np.array([1.0]), np.array([-0.1]), 1e-12)
+            _reduce_to_cone(fake, np.array([1.0]), np.array([-0.1]))
 
 
 class TestReductionStep:
+    """One outer insertion step: reduce on the enlarged support from the
+    current weights, zero at the new vertex (what ``solve`` does)."""
+
     def test_one_knot_from_empty(self):
         m = LsModel(np.array([1.0]))
-        f = support_reduction_step(m, np.array([2.0]), MixingMeasure.empty())
+        f, _, _ = _reduce_to_cone(m, np.array([2.0]), np.zeros(1))
         assert_allclose(f.locations, [2.0])
         assert_allclose(f.weights, [0.75], rtol=1e-14)
 
@@ -140,21 +144,11 @@ class TestReductionStep:
         sup = np.array([1.0, 3.5])
         u = m.unrestricted_min(sup)
         assert np.all(u.weights > 0)  # construction guard
-        cur = MixingMeasure([1.0], [float(u.weights[0])])
-        f = support_reduction_step(m, sup, cur)
+        f, deletions, inner = _reduce_to_cone(
+            m, sup, np.array([float(u.weights[0]), 0.0]))
         assert_allclose(f.locations, u.locations)
         assert_allclose(f.weights, u.weights, rtol=1e-14)
-
-    def test_support_must_increase(self):
-        m = LsModel(np.array([1.0]))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            support_reduction_step(m, np.array([2.0, 1.0]), MixingMeasure.empty())
-
-    def test_iterate_must_live_inside_support(self):
-        m = LsModel(np.array([1.0]))
-        cur = MixingMeasure([1.5], [0.5])
-        with pytest.raises(ValueError, match="supported inside"):
-            support_reduction_step(m, np.array([1.0, 2.0]), cur)
+        assert deletions == 0 and inner == []
 
 
 class TestReoptimize:
@@ -400,8 +394,14 @@ class TestConfigAndTrace:
             SolverConfig(grid=np.array([1.0]), eta=0.0)
         with pytest.raises(ValueError, match="max_outer_iter"):
             SolverConfig(grid=np.array([1.0]), max_outer_iter=0)
-        with pytest.raises(ValueError, match="shrink"):
-            SolverConfig(grid=np.array([1.0]), gridless_shrink=1.0)
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="gridless_tol"):
+                SolverConfig(grid=np.array([1.0]), gridless_tol=bad)
+        for bad in (0.0, -1e-8, np.nan):
+            with pytest.raises(ValueError, match="support_tol"):
+                SolverConfig(grid=np.array([1.0]), support_tol=bad)
+        with pytest.raises(ValueError, match="max_fine_tune_steps"):
+            SolverConfig(grid=np.array([1.0]), max_fine_tune_steps=0)
 
     def test_grid_is_copied_and_read_only(self):
         src = np.array([1.0, 2.0])

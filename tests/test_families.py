@@ -13,20 +13,16 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from mixfit import (
+from mixfit.families import (
     GaussianFamily,
     MixingMeasure,
     SignedMixingMeasure,
     TriangularFamily,
     combine,
-    kernel_cdf,
-    kernel_eval,
-    kernel_theta_deriv,
+    merge_atoms,
     mixture_cdf,
     mixture_eval,
-    total_mass,
 )
-from mixfit.families import merge_atoms
 
 TRI = TriangularFamily()
 GAU = GaussianFamily()
@@ -34,48 +30,48 @@ GAU = GaussianFamily()
 
 class TestKernelValues:
     def test_triangular_pinned(self):
-        assert kernel_eval(TRI, 2.0, 1.0) == 0.5
-        assert kernel_eval(TRI, 1.0, 1.0) == 0.0  # support boundary
-        assert kernel_eval(TRI, 2.0, 0.0) == 1.0  # left endpoint included
-        assert kernel_eval(TRI, 2.0, -0.1) == 0.0
-        assert kernel_eval(TRI, 2.0, 2.5) == 0.0
+        assert TRI.kernel(2.0, 1.0) == 0.5
+        assert TRI.kernel(1.0, 1.0) == 0.0  # support boundary
+        assert TRI.kernel(2.0, 0.0) == 1.0  # left endpoint included
+        assert TRI.kernel(2.0, -0.1) == 0.0
+        assert TRI.kernel(2.0, 2.5) == 0.0
 
     def test_gaussian_pinned(self):
-        assert_allclose(kernel_eval(GAU, 0.0, 0.0), 1.0 / math.sqrt(2 * math.pi),
+        assert_allclose(GAU.kernel(0.0, 0.0), 1.0 / math.sqrt(2 * math.pi),
                         rtol=1e-15)
-        assert_allclose(kernel_eval(GAU, 1.0, 2.0),
+        assert_allclose(GAU.kernel(1.0, 2.0),
                         math.exp(-0.5) / math.sqrt(2 * math.pi), rtol=1e-15)
 
     def test_triangular_domain_error(self):
         with pytest.raises(ValueError):
-            kernel_eval(TRI, 0.0, 0.5)
+            TRI.kernel(0.0, 0.5)
         with pytest.raises(ValueError):
-            kernel_eval(TRI, -1.0, 0.5)
+            TRI.kernel(-1.0, 0.5)
         with pytest.raises(ValueError):
-            kernel_eval(TRI, np.inf, 0.5)
+            TRI.kernel(np.inf, 0.5)
 
     def test_gaussian_domain_error(self):
         with pytest.raises(ValueError):
-            kernel_eval(GAU, np.nan, 0.0)
+            GAU.kernel(np.nan, 0.0)
 
     def test_vectorized_shapes(self):
         theta = np.array([1.0, 2.0, 3.0])
         x = np.array([0.5, 1.5])
-        out = kernel_eval(TRI, theta, x[:, None])
+        out = TRI.kernel(theta, x[:, None])
         assert out.shape == (2, 3)
-        assert isinstance(kernel_eval(TRI, 2.0, 1.0), float)
+        assert isinstance(TRI.kernel(2.0, 1.0), float)
 
 
 class TestKernelIntegrals:
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.7, 5.0])
     def test_triangular_unit_mass(self, theta):
-        val, _ = integrate.quad(lambda x: kernel_eval(TRI, theta, x),
+        val, _ = integrate.quad(lambda x: TRI.kernel(theta, x),
                                 0.0, theta)
         assert_allclose(val, 1.0, atol=1e-8)
 
     @pytest.mark.parametrize("theta", [-2.0, 0.0, 1.3])
     def test_gaussian_unit_mass(self, theta):
-        val, _ = integrate.quad(lambda x: kernel_eval(GAU, theta, x),
+        val, _ = integrate.quad(lambda x: GAU.kernel(theta, x),
                                 theta - 10.0, theta + 10.0)
         assert_allclose(val, 1.0, atol=1e-8)
 
@@ -84,29 +80,29 @@ class TestKernelIntegrals:
         for _ in range(10):
             theta = float(rng.uniform(0.3, 3.0))
             x = float(rng.uniform(0.0, 1.2 * theta))
-            val, _ = integrate.quad(lambda s: kernel_eval(TRI, theta, s),
+            val, _ = integrate.quad(lambda s: TRI.kernel(theta, s),
                                     0.0, min(x, theta))
-            assert_allclose(kernel_cdf(TRI, theta, x), val, atol=1e-9)
+            assert_allclose(TRI.cdf(theta, x), val, atol=1e-9)
         for _ in range(10):
             theta = float(rng.uniform(-2.0, 2.0))
             x = float(rng.uniform(theta - 3.0, theta + 3.0))
-            val, _ = integrate.quad(lambda s: kernel_eval(GAU, theta, s),
+            val, _ = integrate.quad(lambda s: GAU.kernel(theta, s),
                                     theta - 12.0, x)
-            assert_allclose(kernel_cdf(GAU, theta, x), val, atol=1e-9)
+            assert_allclose(GAU.cdf(theta, x), val, atol=1e-9)
 
     def test_triangular_cdf_saturates(self):
-        assert kernel_cdf(TRI, 2.0, -1.0) == 0.0
-        assert kernel_cdf(TRI, 2.0, 2.0) == 1.0
-        assert kernel_cdf(TRI, 2.0, 99.0) == 1.0
+        assert TRI.cdf(2.0, -1.0) == 0.0
+        assert TRI.cdf(2.0, 2.0) == 1.0
+        assert TRI.cdf(2.0, 99.0) == 1.0
 
 
 class TestThetaDeriv:
     def test_pinned(self):
-        assert kernel_theta_deriv(GAU, 0.0, 0.0) == 0.0
-        assert_allclose(kernel_theta_deriv(GAU, 1.0, 2.0),
-                        kernel_eval(GAU, 1.0, 2.0), rtol=1e-15)
-        assert kernel_theta_deriv(TRI, 2.0, 1.0) == 0.0  # (4x-2theta)=0
-        assert kernel_theta_deriv(TRI, 2.0, 3.0) == 0.0  # outside support
+        assert GAU.theta_deriv(0.0, 0.0) == 0.0
+        assert_allclose(GAU.theta_deriv(1.0, 2.0),
+                        GAU.kernel(1.0, 2.0), rtol=1e-15)
+        assert TRI.theta_deriv(2.0, 1.0) == 0.0  # (4x-2theta)=0
+        assert TRI.theta_deriv(2.0, 3.0) == 0.0  # outside support
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -114,15 +110,15 @@ class TestThetaDeriv:
         for _ in range(25):
             theta = float(rng.uniform(0.5, 3.0))
             x = float(rng.uniform(0.0, 0.9 * theta))  # stay off the kink
-            fd = (kernel_eval(TRI, theta + h, x)
-                  - kernel_eval(TRI, theta - h, x)) / (2 * h)
-            assert_allclose(kernel_theta_deriv(TRI, theta, x), fd, rtol=1e-5)
+            fd = (TRI.kernel(theta + h, x)
+                  - TRI.kernel(theta - h, x)) / (2 * h)
+            assert_allclose(TRI.theta_deriv(theta, x), fd, rtol=1e-5)
         for _ in range(25):
             theta = float(rng.uniform(-2.0, 2.0))
             x = float(rng.uniform(theta - 2.5, theta + 2.5))
-            fd = (kernel_eval(GAU, theta + h, x)
-                  - kernel_eval(GAU, theta - h, x)) / (2 * h)
-            assert_allclose(kernel_theta_deriv(GAU, theta, x), fd, rtol=1e-5)
+            fd = (GAU.kernel(theta + h, x)
+                  - GAU.kernel(theta - h, x)) / (2 * h)
+            assert_allclose(GAU.theta_deriv(theta, x), fd, rtol=1e-5)
 
 
 class TestMixtureEval:
@@ -133,7 +129,7 @@ class TestMixtureEval:
 
     def test_single_atom_reduces_to_kernel(self):
         f = MixingMeasure([2.0], [1.0])
-        assert mixture_eval(TRI, f, 1.0) == kernel_eval(TRI, 2.0, 1.0)
+        assert mixture_eval(TRI, f, 1.0) == TRI.kernel(2.0, 1.0)
 
     def test_two_atom_pinned(self):
         f = MixingMeasure([1.0, 2.0], [0.5, 0.5])
@@ -157,9 +153,9 @@ class TestMixtureEval:
 
 class TestMeasures:
     def test_total_mass_pinned(self):
-        assert total_mass(MixingMeasure.empty()) == 0.0
-        assert total_mass(MixingMeasure([1.0, 3.0], [0.25, 0.75])) == 1.0
-        assert total_mass(SignedMixingMeasure([2.0, 4.0], [-0.5, 1.5])) == 1.0
+        assert MixingMeasure.empty().total_mass() == 0.0
+        assert MixingMeasure([1.0, 3.0], [0.25, 0.75]).total_mass() == 1.0
+        assert SignedMixingMeasure([2.0, 4.0], [-0.5, 1.5]).total_mass() == 1.0
 
     def test_positive_weight_enforced(self):
         with pytest.raises(ValueError):

@@ -12,11 +12,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from mixfit import MixingMeasure, SolverConfig, fine_tune, solve
+from mixfit.core import SolverConfig, solve
+from mixfit.families import MixingMeasure
 from mixfit.gridless import (
     _falsi_root,
     _merge_close,
     _trust_radius,
+    fine_tune,
     line_search,
     regula_falsi_step,
     tau_gradient,

@@ -10,9 +10,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from mixfit import MixingMeasure, SignedMixingMeasure, TriangularFamily, combine
-from mixfit.families import mixture_cdf, mixture_eval
-from mixfit.lsconvex import LsModel, ls_start
+from mixfit.families import (
+    MixingMeasure,
+    SignedMixingMeasure,
+    TriangularFamily,
+    combine,
+    mixture_cdf,
+    mixture_eval,
+)
+from mixfit.lsconvex import LsModel
 
 TRI = TriangularFamily()
 
@@ -260,8 +266,7 @@ class TestLocationGradient:
 
 class TestStartingPoint:
     def test_pinned_single_obs(self):
-        theta0, f = ls_start(np.array([1.0]))
-        assert theta0 == 3.0
+        f = LsModel(np.array([1.0])).start()
         assert_allclose(f.locations, [3.0])
         assert_allclose(f.weights, [1.0], rtol=1e-15)
 
@@ -269,26 +274,25 @@ class TestStartingPoint:
         # when x_max < 3 mean, Y_n(3 mean) = 2 mean so the ray weight is 1
         rng = np.random.default_rng(79)
         x = rng.uniform(0.5, 1.5, size=20)
-        theta0, f = ls_start(x)
-        assert_allclose(theta0, 3.0 * x.mean(), rtol=1e-15)
+        f = LsModel(x).start()
+        assert_allclose(f.locations, [3.0 * x.mean()], rtol=1e-15)
         assert_allclose(f.weights, [1.0], rtol=1e-12)
 
     def test_snaps_to_grid(self):
         grid = np.array([0.5, 2.9, 3.4])
-        theta0, f = ls_start(np.array([1.0]), grid=grid, snap=True)
-        assert theta0 == 2.9
+        f = LsModel(np.array([1.0])).start(grid)
         assert f.locations[0] == 2.9
 
     def test_large_max_uses_first_grid_point_beyond(self):
         x = np.array([1.0, 1.0, 1.0, 10.0])  # 3 mean = 9.75 < max
         grid = np.array([5.0, 10.5, 12.0])
-        theta0, f = ls_start(x, grid=grid, snap=True)
-        assert theta0 == 10.5
+        f = LsModel(x).start(grid)
+        assert f.locations[0] == 10.5
 
     def test_large_max_without_grid_raises(self):
         x = np.array([1.0, 1.0, 1.0, 10.0])
         with pytest.raises(ValueError, match="beyond the sample maximum"):
-            ls_start(x, grid=np.array([5.0, 9.0]), snap=True)
+            LsModel(x).start(np.array([5.0, 9.0]))
 
     def test_model_start_method(self):
         m = LsModel(np.array([1.0]))

@@ -12,7 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from mixfit import ConvergenceStall, MixingMeasure, SignedMixingMeasure, SolverConfig, combine
+from mixfit.core import ConvergenceStall, SolverConfig
+from mixfit.families import MixingMeasure, SignedMixingMeasure, combine
 from mixfit.mldeconv import (
     MlModel,
     QuadLocalModel,

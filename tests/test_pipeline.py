@@ -1,0 +1,98 @@
+"""The single fit path: the per-model spec table, the stages ``fit`` runs,
+and what ``converged`` promises."""
+
+import numpy as np
+import pytest
+
+from mixfit import core, gridless, mldeconv, pipeline
+from mixfit.core import SolverConfig
+from mixfit.lsconvex import LsModel
+from mixfit.mldeconv import MlModel
+
+
+def _ls_refined_problem(seed):
+    # one problem of the seeded refinement batch (acceptance criterion 5)
+    x = np.random.default_rng(seed).exponential(size=60)
+    grid = np.linspace(x.min(), 3.0 * x.max(), 50)[1:]
+    return x, SolverConfig(grid=grid, eta=1e-10, gridless_enabled=True,
+                           gridless_tol=1e-6)
+
+
+class TestConverged:
+    def test_failing_certificate_is_not_converged(self):
+        # Both stages stop on their own criteria, but refinement leaves
+        # a grid kernel with a descent direction.
+        x, config = _ls_refined_problem(2)
+        result = pipeline.fit("convex-ls", x, config)
+        assert result.trace.converged
+        assert result.fine_tune_trace.converged
+        assert not result.certificate.passed
+        assert result.certificate.min_grid_alt < -1e-6
+        assert not result.converged
+        report = pipeline.RunReport.from_result(result, x.size)
+        assert not report.converged
+        assert "converged: false" in report.to_text()
+
+
+class TestSpecTable:
+    def test_defaults(self):
+        ls = pipeline.model_spec("convex-ls")
+        ml = pipeline.model_spec("deconv-ml")
+        assert (ls.model, ls.eta, ls.gridless, ls.nonnegative) == \
+            (LsModel, 1e-10, False, True)
+        assert (ml.model, ml.eta, ml.gridless, ml.nonnegative) == \
+            (MlModel, 1e-8, True, False)
+
+    def test_default_grid_rule(self):
+        x = np.array([0.5, 2.0, 1.0])
+        assert pipeline.default_grid_spec("convex-ls", x) == (0.5, 6.0, 1000)
+        assert pipeline.default_grid_spec("deconv-ml", x) == (0.5, 2.0, 500)
+
+    def test_unknown_model_rejected(self):
+        x = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="unknown model"):
+            pipeline.default_grid_spec("kde", x)
+        with pytest.raises(ValueError, match="unknown model"):
+            pipeline.fit("kde", x, SolverConfig(grid=np.array([3.0])))
+
+
+class TestStages:
+    """``fit`` finds each stage by module attribute at call time."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for module, name in ((core, "solve"), (mldeconv, "newton_solve"),
+                             (gridless, "fine_tune")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return seen
+
+    def test_ls_grid_solve_only(self, calls):
+        x = np.random.default_rng(0).exponential(size=30)
+        grid = np.linspace(x.min(), 3.0 * x.max(), 20)[1:]
+        result = pipeline.fit("convex-ls", x, SolverConfig(grid=grid,
+                                                           eta=1e-10))
+        assert calls == ["solve"]
+        assert result.fine_tune_trace is None
+        assert result.converged
+
+    def test_ml_newton_then_refinement(self, calls):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=40) + rng.exponential(size=40)
+        grid = np.linspace(x.min(), x.max(), 20)
+        result = pipeline.fit("deconv-ml", x, SolverConfig(
+            grid=grid, eta=1e-8, gridless_enabled=True))
+        # the likelihood stages run core.solve on their quadratic models
+        assert calls[0] == "newton_solve"
+        assert calls.count("newton_solve") == calls.count("fine_tune") == 1
+        assert calls.index("fine_tune") > calls.index("solve")
+        assert result.grid_support_size >= result.measure.size
+        cert = core.check_optimality(MlModel(x), result.measure, grid, 1e-8,
+                                     1e-8)
+        assert cert == result.certificate
