@@ -7,6 +7,7 @@ per-iteration detail.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import sys
@@ -32,6 +33,17 @@ def _setup_logging():
         stream=sys.stderr)
 
 
+@contextlib.contextmanager
+def _bad_input():
+    """Turn a ``ValueError`` from reading or validating the command's
+    input into a usage error: exit code 2 and the message, no traceback.
+    Exit code 1 stays reserved for runs that did not converge or certify."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 @click.group()
 def main():
     """Mixture estimation by support reduction."""
@@ -47,7 +59,8 @@ def main():
               help="Output sample file (one number per line).")
 def simulate(kind, n, seed, out):
     """Draw a reproducible sample and write it to a file."""
-    sample = pipeline.simulate_sample(kind, n, seed)
+    with _bad_input():
+        sample = pipeline.simulate_sample(kind, n, seed)
     pipeline.write_sample(out, sample,
                           header=(f"kind: {kind}", f"n: {n}", f"seed: {seed}"))
     click.echo(f"wrote {n} observations to {out}")
@@ -82,17 +95,20 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
     includes a passing certificate.
     """
     spec = pipeline.model_spec(model)
-    sample = pipeline.ingest(input_path, nonnegative=spec.nonnegative)
-    d_min, d_max, d_size = pipeline.default_grid_spec(model, sample)
-    grid_min = d_min if grid_min is None else grid_min
-    grid_max = d_max if grid_max is None else grid_max
-    grid_size = d_size if grid_size is None else grid_size
-    grid = pipeline.build_grid(grid_min, grid_max, grid_size, spec.model.family)
-    config = core.SolverConfig(
-        grid=grid, eta=spec.eta if eta is None else eta,
-        max_outer_iter=max_iter,
-        gridless_enabled=spec.gridless if gridless_flag is None else gridless_flag,
-        gridless_tol=gridless_tol)
+    with _bad_input():
+        sample = pipeline.ingest(input_path, nonnegative=spec.nonnegative)
+        d_min, d_max, d_size = pipeline.default_grid_spec(model, sample)
+        grid_min = d_min if grid_min is None else grid_min
+        grid_max = d_max if grid_max is None else grid_max
+        grid_size = d_size if grid_size is None else grid_size
+        grid = pipeline.build_grid(grid_min, grid_max, grid_size,
+                                   spec.model.family)
+        config = core.SolverConfig(
+            grid=grid, eta=spec.eta if eta is None else eta,
+            max_outer_iter=max_iter,
+            gridless_enabled=(spec.gridless if gridless_flag is None
+                              else gridless_flag),
+            gridless_tol=gridless_tol)
 
     result = pipeline.fit(model, sample, config)
 
@@ -127,12 +143,12 @@ def check(measure_path, input_path, model, tol):
     grid.  Exits 0 exactly when the certificate passes.
     """
     spec = pipeline.model_spec(model)
-    sample = pipeline.ingest(input_path, nonnegative=spec.nonnegative)
-    measure = pipeline.read_measure(measure_path)
-    m = spec.model(sample)
-    grid = pipeline.build_grid(*pipeline.default_grid_spec(model, sample),
-                               m.family)
-    cert = core.check_optimality(m, measure, grid, tol)
+    with _bad_input():
+        sample = pipeline.ingest(input_path, nonnegative=spec.nonnegative)
+        measure = pipeline.read_measure(measure_path)
+        grid = pipeline.build_grid(
+            *pipeline.default_grid_spec(model, sample), spec.model.family)
+    cert = core.check_optimality(spec.model(sample), measure, grid, tol)
     click.echo(f"min_grid_alt: {cert.min_grid_alt:.17g}")
     click.echo(f"min_grid_raw: {cert.min_grid_raw:.17g}")
     click.echo(f"argmin_theta: {cert.argmin_theta:.17g}")

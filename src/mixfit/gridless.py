@@ -28,7 +28,6 @@ from .families import MixingMeasure
 __all__ = [
     "FineTuneTrace",
     "tau_gradient",
-    "regula_falsi_step",
     "line_search",
     "fine_tune",
 ]
@@ -77,26 +76,14 @@ def tau_gradient(model, measure):
     return np.asarray(model.location_gradient(measure), dtype=float)
 
 
-def regula_falsi_step(eps_lo, eps_hi, g_lo, g_hi):
-    """Secant zero of a bracketed scalar function.
-
-    Requires ``g_lo < 0 <= g_hi`` (a sign change over the interval).
-    Exact for affine functions; for a symmetric bracket
-    (``g_lo = -g_hi``) it returns the midpoint.
-    """
-    if not (g_lo < 0.0 <= g_hi):
-        raise ValueError("regula falsi needs g_lo < 0 <= g_hi")
-    if not (eps_lo < eps_hi):
-        raise ValueError("regula falsi needs eps_lo < eps_hi")
-    return (eps_lo * g_hi - eps_hi * g_lo) / (g_hi - g_lo)
-
-
 def _falsi_root(fn, eps_lo, eps_hi, g_lo, g_hi, f_tol, max_iter=100):
-    """Drive :func:`regula_falsi_step` to a near-stationary point.
+    """Regula falsi zero of ``fn`` bracketed by ``g_lo < 0 <= g_hi``.
 
-    Stops once ``|fn(eps)| <= f_tol`` or the bracket collapses.  Uses
-    the Illinois weighting on stagnating endpoints so the residual at
-    the returned point actually converges.
+    Each step is the secant zero of the current bracket: exact for an
+    affine ``fn``, the midpoint of a symmetric bracket.  Stops once
+    ``|fn(eps)| <= f_tol`` or the bracket collapses.  Uses the Illinois
+    weighting on stagnating endpoints so the residual at the returned
+    point actually converges.
     """
     lo, hi, glo, ghi = eps_lo, eps_hi, g_lo, g_hi
     eps = hi

@@ -22,6 +22,7 @@ converges at Newton speed.
 
 from __future__ import annotations
 
+import copy
 import logging
 
 import numpy as np
@@ -43,6 +44,36 @@ logger = logging.getLogger("mixfit.mldeconv")
 _MAX_HALVINGS = 60
 
 
+class _Observations:
+    """The sample and at most one grid with its kernel matrix.
+
+    All kernel values at the observations come from this layer; scans
+    over its grid read ``K[i, j] = phi(x_i - grid_j)``, evaluated once.
+    """
+
+    family = GaussianFamily()
+
+    def __init__(self, x, grid=None):
+        self.x = x
+        self.grid = grid
+        self.K = None
+        if grid is not None:
+            self.K = self.kernels(grid)
+            self.K.flags.writeable = False
+
+    def kernels(self, theta):
+        """``phi(x_i - theta)``, observations along the first axis."""
+        theta = np.asarray(theta, dtype=float)
+        if self.K is not None and np.array_equal(theta, self.grid):
+            return self.K
+        return self.family.kernel(
+            theta, self.x.reshape((-1,) + (1,) * theta.ndim))
+
+    def mixture(self, measure):
+        """The mixture density at every observation."""
+        return mixture_eval(self.family, measure, self.x)
+
+
 class MlModel:
     """Relaxed negative log likelihood for Gaussian location mixtures.
 
@@ -54,7 +85,7 @@ class MlModel:
     across the grid.
     """
 
-    family = GaussianFamily()
+    family = _Observations.family
 
     def __init__(self, sample):
         x = np.sort(np.asarray(sample, dtype=float).ravel())
@@ -65,25 +96,22 @@ class MlModel:
         self.x = x
         self.n = x.size
         self.domain = (float(x[0]), float(x[-1]))
-
-    def _mixture_at_obs(self, measure):
-        return np.asarray(mixture_eval(self.family, measure, self.x), dtype=float)
+        self.obs = _Observations(x)
 
     def objective(self, measure):
         """``-(1/n) sum log f(x_i) + mass``; +inf when f vanishes at a point."""
-        fx = self._mixture_at_obs(measure)
+        fx = self.obs.mixture(measure)
         if np.any(fx <= 0.0):
             return np.inf
         return float(-np.mean(np.log(fx)) + measure.total_mass())
 
     def dir_deriv_vertex(self, theta, measure):
         """``1 - (1/n) sum f_theta(x_i) / f(x_i)``."""
-        fx = self._mixture_at_obs(measure)
+        fx = self.obs.mixture(measure)
         if np.any(fx <= 0.0):
             raise ValueError("mixture must be positive at every observation")
-        theta = np.asarray(theta, dtype=float)
-        kern = self.family.kernel(theta, self.x.reshape((-1,) + (1,) * theta.ndim))
-        out = 1.0 - np.tensordot(1.0 / fx, kern, axes=(0, 0)) / self.n
+        out = 1.0 - np.tensordot(1.0 / fx, self.obs.kernels(theta),
+                                 axes=(0, 0)) / self.n
         return out if out.ndim else float(out)
 
     alt_dir_deriv_vertex = dir_deriv_vertex
@@ -92,7 +120,7 @@ class MlModel:
         """Gradient of ``ml`` in the atom locations at fixed weights."""
         if measure.size == 0:
             return np.zeros(0)
-        fx = self._mixture_at_obs(measure)
+        fx = self.obs.mixture(measure)
         if np.any(fx <= 0.0):
             raise ValueError("mixture must be positive at every observation")
         dkern = self.family.theta_deriv(measure.locations, self.x[:, None])
@@ -121,13 +149,13 @@ class QuadLocalModel(core.ConeObjective):
     Parameters
     ----------
     sample : ndarray
-        Observations (any order).
+        Observations (any order), or a Newton loop's observation layer,
+        whose grid then replaces ``grid``.
     center : MixingMeasure
         Expansion point ``g``; must be positive at every observation.
-    grid, grid_kernels : optional
-        A candidate grid together with the precomputed kernel matrix
-        ``K[i, j] = f_grid_j(x_i)``; scans over exactly this grid reuse
-        the cache, anything else is evaluated on the fly.
+    grid : ndarray, optional
+        Candidate grid whose kernels are evaluated once for every scan
+        over exactly this grid; other scans evaluate on the fly.
 
     Notes
     -----
@@ -140,34 +168,30 @@ class QuadLocalModel(core.ConeObjective):
     ``c2(theta) = (1/n) sum (d_i f_theta(x_i))^2``.
     """
 
-    family = GaussianFamily()
+    family = _Observations.family
 
-    def __init__(self, sample, center, grid=None, grid_kernels=None):
-        x = np.asarray(sample, dtype=float).ravel()
-        gx = np.asarray(mixture_eval(self.family, center, x), dtype=float)
+    def __init__(self, sample, center, grid=None):
+        if not isinstance(sample, _Observations):
+            sample = _Observations(np.asarray(sample, dtype=float).ravel(), grid)
+        gx = sample.mixture(center)
         if np.any(gx <= 0.0):
             raise ValueError("expansion mixture must be positive at every observation")
-        self.x = x
-        self.n = x.size
+        self.obs = sample
+        self.x = sample.x
+        self.n = self.x.size
         self.center = center
         self.d = 1.0 / gx
-        self._grid = grid
-        if grid is not None:
-            if grid_kernels is None:
-                grid_kernels = self.family.kernel(grid, x[:, None])
-            self._kd = grid_kernels * self.d[:, None]        # n x G
-            self._c2_grid = np.mean(self._kd**2, axis=0)
-            self._s_grid = np.mean(self._kd, axis=0)
-        else:
-            self._kd = None
+        self._grid_terms = None if sample.K is None else self._weighted(sample.K)
 
-    def _values_at_obs(self, measure):
-        return np.asarray(mixture_eval(self.family, measure, self.x), dtype=float)
+    def _weighted(self, kern):
+        """``d_i f_theta(x_i)`` and its mean square and mean over i."""
+        kd = kern * self.d.reshape((-1,) + (1,) * (kern.ndim - 1))
+        return kd, np.mean(kd**2, axis=0), np.mean(kd, axis=0)
 
     def objective(self, measure):
         if measure.size == 0:
             return 0.0
-        fd = self._values_at_obs(measure) * self.d
+        fd = self.obs.mixture(measure) * self.d
         return float(measure.total_mass() - 2.0 * np.mean(fd)
                      + 0.5 * np.mean(fd**2))
 
@@ -177,22 +201,11 @@ class QuadLocalModel(core.ConeObjective):
         Returns ``(c1, c2)`` with
         ``q(f + eps f_theta) = q(f) + c1 eps + (1/2) c2 eps^2``.
         """
-        theta = np.asarray(theta, dtype=float)
-        use_cache = (self._kd is not None
-                     and theta.shape == self._grid.shape
-                     and np.array_equal(theta, self._grid))
-        if use_cache:
-            kd = self._kd
-            c2 = self._c2_grid
-            s = self._s_grid
-        else:
-            kern = self.family.kernel(
-                theta, self.x.reshape((-1,) + (1,) * theta.ndim))
-            kd = kern * self.d.reshape((-1,) + (1,) * theta.ndim)
-            c2 = np.mean(kd**2, axis=0)
-            s = np.mean(kd, axis=0)
+        kern = self.obs.kernels(theta)
+        kd, c2, s = (self._grid_terms if kern is self.obs.K
+                     else self._weighted(kern))
         if measure.size:
-            fd = self._values_at_obs(measure) * self.d
+            fd = self.obs.mixture(measure) * self.d
             cross = np.tensordot(fd, kd, axes=(0, 0)) / self.n
         else:
             cross = 0.0
@@ -220,7 +233,7 @@ class QuadLocalModel(core.ConeObjective):
         support = np.asarray(support, dtype=float)
         if support.size == 0:
             return SignedMixingMeasure.empty()
-        Y = self.family.kernel(support, self.x[:, None])       # n x p
+        Y = self.obs.kernels(support)                            # n x p
         A = Y * self.d[:, None]
         M = A.T @ A
         rhs = 2.0 * Y.T @ self.d - self.n
@@ -243,7 +256,7 @@ class QuadLocalModel(core.ConeObjective):
         """Exact curvature ``(1/n) sum (d_i h(x_i))^2`` along a direction."""
         if direction.size == 0:
             return 0.0
-        hd = self._values_at_obs(direction) * self.d
+        hd = self.obs.mixture(direction) * self.d
         return float(np.mean(hd**2))
 
 
@@ -294,7 +307,10 @@ def _damped_update(model, current, candidate, current_value):
 def _newton_loop(model, start, config, allow_stall=False):
     """Shared sequential-quadratic iteration for the relaxed likelihood."""
     grid = config.grid
-    kernels = model.family.kernel(grid, model.x[:, None])
+    # A loop-local copy holds the grid's kernel matrix, which the
+    # certificate and every quadratic model read; it dies with the loop.
+    model = copy.copy(model)
+    model.obs = _Observations(model.x, grid)
     f = start
     trace = core.SolverTrace()
     pending = (0, np.nan, ())
@@ -327,7 +343,7 @@ def _newton_loop(model, start, config, allow_stall=False):
             logger.info("Newton iteration cap %d reached, certificate gap %.3e",
                         config.max_outer_iter, cert.gap)
             break
-        quad = QuadLocalModel(model.x, f, grid=grid, grid_kernels=kernels)
+        quad = QuadLocalModel(model.obs, f)
         # Early quadratic subproblems need only a loose solve.  The gap is
         # measured on the quadratic model's own curvature-normalized scale
         # (the scale its scan terminates on; the raw likelihood gap can sit

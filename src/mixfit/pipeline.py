@@ -84,6 +84,18 @@ def write_sample(path, sample, header=()):
             fh.write(f"{value:.17g}\n")
 
 
+def _number(path, lineno, text):
+    """``float(text)``; bad or non-finite text names the file and line."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(
+            f"{path}: line {lineno}: not a number: {text!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"{path}: line {lineno}: non-finite value")
+    return value
+
+
 def ingest(path, nonnegative=False):
     """Read a sample file: one decimal number per line.
 
@@ -97,13 +109,7 @@ def ingest(path, nonnegative=False):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: not a number: {line!r}") from None
-            if not np.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            value = _number(path, lineno, line)
             if nonnegative and value < 0.0:
                 raise ValueError(
                     f"{path}: line {lineno}: negative observation {value!r} "
@@ -137,8 +143,8 @@ def read_measure(path):
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected two fields")
-            loc.append(float(parts[0]))
-            w.append(float(parts[1]))
+            loc.append(_number(path, lineno, parts[0]))
+            w.append(_number(path, lineno, parts[1]))
     return MixingMeasure(loc, w)
 
 

@@ -131,6 +131,19 @@ class TestMeasureRoundTrip:
         with pytest.raises(ValueError, match="header"):
             read_measure(p)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,abc", "line 3: not a number: 'abc'"),
+        ("x,1.0", "line 3: not a number: 'x'"),
+        ("1.0,nan", "line 3: non-finite value"),
+        ("inf,1.0", "line 3: non-finite value"),
+    ])
+    def test_bad_field_names_path_and_line(self, tmp_path, row, message):
+        p = tmp_path / "m.csv"
+        p.write_text(f"theta,weight\n0.5,1.0\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            read_measure(p)
+        assert str(info.value) == f"{p}: {message}"
+
 
 def _report_dict(path):
     out = {}
@@ -231,16 +244,16 @@ class TestFitCommand:
         p.write_text("1.0\n-0.25\n")
         res = _invoke(runner, ["fit", "convex-ls", str(p),
                                "--out-dir", str(tmp_path / "x")])
-        assert res.exit_code != 0
-        assert "negative observation" in str(res.exception)
+        assert res.exit_code == 2
+        assert "negative observation" in res.output
 
     def test_malformed_input_names_line(self, runner, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1.0\nnope\n")
         res = _invoke(runner, ["fit", "convex-ls", str(p),
                                "--out-dir", str(tmp_path / "x")])
-        assert res.exit_code != 0
-        assert "line 2" in str(res.exception)
+        assert res.exit_code == 2
+        assert "line 2" in res.output
 
 
 class TestCheckCommand:
@@ -270,6 +283,38 @@ class TestCheckCommand:
                                "--model", "convex-ls"])
         assert res.exit_code == 1
         assert "passed: false" in res.output
+
+
+class TestInputErrors:
+    """Bad input is a usage error (exit 2, message, no traceback); exit 1
+    means a run that did not converge or certify."""
+
+    @pytest.mark.parametrize("case", ["gridless-tol", "grid-size",
+                                      "simulate-n", "measure-field"])
+    def test_usage_error_without_traceback(self, runner, tmp_path, case):
+        sample = tmp_path / "s.txt"
+        sample.write_text("0.5\n1.0\n2.0\n")
+        out = str(tmp_path / "o")
+        args, message = {
+            "gridless-tol": (["fit", "convex-ls", str(sample), "--gridless",
+                              "--gridless-tol", "-1", "--out-dir", out],
+                             "gridless_tol must be nonnegative"),
+            "grid-size": (["fit", "convex-ls", str(sample), "--grid-size",
+                           "0", "--out-dir", out],
+                          "grid size must be positive"),
+            "simulate-n": (["simulate", "--kind", "exponential", "--n", "0",
+                            "--seed", "0", "--out", str(tmp_path / "n.txt")],
+                           "sample size must be positive"),
+            "measure-field": (["check", str(tmp_path / "m.csv"), str(sample),
+                               "--model", "convex-ls"],
+                              "line 2: not a number: 'abc'"),
+        }[case]
+        (tmp_path / "m.csv").write_text("theta,weight\n1.0,abc\n")
+        res = _invoke(runner, args)
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert "Traceback" not in res.output
+        assert isinstance(res.exception, SystemExit)
 
 
 class TestLogging:

@@ -20,7 +20,6 @@ from mixfit.gridless import (
     _trust_radius,
     fine_tune,
     line_search,
-    regula_falsi_step,
     tau_gradient,
 )
 from mixfit.lsconvex import LsModel
@@ -28,22 +27,26 @@ from mixfit.mldeconv import MlModel, newton_solve
 
 
 class TestRegulaFalsi:
+    """The secant step of ``_falsi_root``; an exact zero ends the search."""
+
     def test_exact_on_affine(self):
-        # g(eps) = 3 eps - 0.6 has its root at 0.2
-        assert_allclose(regula_falsi_step(0.0, 1.0, -0.6, 2.4), 0.2,
-                        rtol=1e-15)
+        # g(eps) = 3 eps - 0.6 has its root at 0.2, hit by the first step
+        calls = []
+
+        def fn(e):
+            calls.append(e)
+            return 3.0 * e - 0.6
+
+        assert_allclose(_falsi_root(fn, 0.0, 1.0, -0.6, 2.4, f_tol=1e-14),
+                        0.2, rtol=1e-15)
+        assert len(calls) == 1
 
     def test_symmetric_bracket_gives_midpoint(self):
-        assert regula_falsi_step(0.0, 1.0, -1.0, 1.0) == 0.5
-        assert regula_falsi_step(2.0, 4.0, -0.3, 0.3) == 3.0
-
-    def test_bracket_validation(self):
-        with pytest.raises(ValueError, match="g_lo"):
-            regula_falsi_step(0.0, 1.0, 0.1, 1.0)
-        with pytest.raises(ValueError, match="g_lo"):
-            regula_falsi_step(0.0, 1.0, -0.5, -0.1)
-        with pytest.raises(ValueError, match="eps_lo"):
-            regula_falsi_step(1.0, 1.0, -0.5, 0.5)
+        # odd about the midpoint, so the first secant zero is exact
+        assert _falsi_root(lambda e: (e - 0.5) ** 3, 0.0, 1.0, -0.125, 0.125,
+                           f_tol=0.0) == 0.5
+        assert _falsi_root(lambda e: 0.3 * (e - 3.0) ** 3, 2.0, 4.0, -0.3,
+                           0.3, f_tol=0.0) == 3.0
 
 
 class TestFalsiRoot:

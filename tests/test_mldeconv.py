@@ -12,8 +12,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
+from mixfit import pipeline
 from mixfit.core import ConvergenceStall, SolverConfig
-from mixfit.families import MixingMeasure, SignedMixingMeasure, combine
+from mixfit.families import (
+    GaussianFamily,
+    MixingMeasure,
+    SignedMixingMeasure,
+    combine,
+)
 from mixfit.mldeconv import (
     MlModel,
     QuadLocalModel,
@@ -262,6 +268,54 @@ class TestNewtonSolve:
                                 start=start)
         assert trace.converged
         assert abs(f.total_mass() - 1.0) <= 1e-6
+
+
+class TestSharedKernelMatrix:
+    """One n x G kernel matrix per Newton loop, and none after it."""
+
+    N, G = 200, 40
+
+    def _problem(self):
+        rng = np.random.default_rng(29)
+        x = np.sort(rng.normal(size=self.N) + rng.exponential(size=self.N))
+        return x, np.linspace(x[0], x[-1], self.G)
+
+    def test_grid_kernels_evaluated_once_per_solve(self, monkeypatch):
+        x, grid = self._problem()
+        original = GaussianFamily.kernel
+        shapes = []
+
+        def counting(self, theta, obs):
+            out = original(self, theta, obs)
+            shapes.append(np.shape(out))
+            return out
+
+        monkeypatch.setattr(GaussianFamily, "kernel", counting)
+        f, trace = newton_solve(x, SolverConfig(grid=grid, eta=1e-8))
+        assert trace.converged and trace.n_iterations >= 3
+        # the certificate scans and every quadratic model share one matrix
+        assert shapes.count((self.N, self.G)) == 1
+
+    def test_fit_result_model_holds_only_sample_vectors(self):
+        x, grid = self._problem()
+        config = SolverConfig(grid=grid, eta=1e-8, gridless_enabled=True)
+        result = pipeline.fit("deconv-ml", x, config)
+        arrays, seen, todo = [], set(), [result.model]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif isinstance(obj, (list, tuple)):
+                todo.extend(obj)
+            elif isinstance(obj, dict):
+                todo.extend(obj.values())
+            elif hasattr(obj, "__dict__"):
+                todo.extend(vars(obj).values())
+        assert arrays
+        assert max(a.size for a in arrays) <= self.N
 
 
 class _RiggedObjective:
