@@ -362,13 +362,17 @@ def check_optimality(model, measure, grid, tol, support_tol=None):
     above ``-tol`` on every grid point; the support part requires the
     raw derivative to vanish (within ``support_tol``, default ``tol``)
     at every atom.  Both conditions together certify a global minimum
-    over the grid-generated cone.
+    over the grid-generated cone.  A model whose rescaled derivative is
+    its raw one is scanned once.
     """
     grid = np.asarray(grid, dtype=float)
     if support_tol is None:
         support_tol = tol
     alt = np.asarray(model.alt_dir_deriv_vertex(grid, measure), dtype=float)
-    raw = np.asarray(model.dir_deriv_vertex(grid, measure), dtype=float)
+    if type(model).alt_dir_deriv_vertex is type(model).dir_deriv_vertex:
+        raw = alt
+    else:
+        raw = np.asarray(model.dir_deriv_vertex(grid, measure), dtype=float)
     idx = int(np.argmin(alt))
     if measure.size:
         at_support = np.abs(np.asarray(

@@ -45,10 +45,11 @@ _MAX_HALVINGS = 60
 
 
 class _Observations:
-    """The sample and at most one grid with its kernel matrix.
+    """The sample and at most one grid with its kernel matrices.
 
     All kernel values at the observations come from this layer; scans
-    over its grid read ``K[i, j] = phi(x_i - grid_j)``, evaluated once.
+    over its grid read ``K[i, j] = phi(x_i - grid_j)``, evaluated once,
+    and curvature scans read its elementwise square ``K2 = K∘K``.
     """
 
     family = GaussianFamily()
@@ -57,9 +58,12 @@ class _Observations:
         self.x = x
         self.grid = grid
         self.K = None
+        self.K2 = None
         if grid is not None:
             self.K = self.kernels(grid)
             self.K.flags.writeable = False
+            self.K2 = self.K * self.K
+            self.K2.flags.writeable = False
 
     def kernels(self, theta):
         """``phi(x_i - theta)``, observations along the first axis."""
@@ -165,7 +169,14 @@ class QuadLocalModel(core.ConeObjective):
 
     whose gradient toward a kernel, ``c1(theta)``, matches the gradient
     of ``ml`` at ``g`` exactly, and whose curvature along a kernel is
-    ``c2(theta) = (1/n) sum (d_i f_theta(x_i))^2``.
+    ``c2(theta) = (1/n) sum (d_i f_theta(x_i))^2``.  On the layer's grid
+    both are matrix-vector products with its kernel matrices,
+
+        c2 = (K∘K)' d^2 / n              once per model,
+        c1 = 1 + K' (d ∘ (f d - 2)) / n  once per scan,
+
+    so the model keeps only vectors of length n and G; off the grid the
+    same sums run over kernels evaluated on the fly.
     """
 
     family = _Observations.family
@@ -181,12 +192,12 @@ class QuadLocalModel(core.ConeObjective):
         self.n = self.x.size
         self.center = center
         self.d = 1.0 / gx
-        self._grid_terms = None if sample.K is None else self._weighted(sample.K)
+        self._grid_c2 = (None if sample.K is None
+                         else self._mean_over_obs(self.d**2, sample.K2))
 
-    def _weighted(self, kern):
-        """``d_i f_theta(x_i)`` and its mean square and mean over i."""
-        kd = kern * self.d.reshape((-1,) + (1,) * (kern.ndim - 1))
-        return kd, np.mean(kd**2, axis=0), np.mean(kd, axis=0)
+    def _mean_over_obs(self, v, kern):
+        """``(1/n) sum_i v_i kern[i]``: a matvec when ``kern`` is a matrix."""
+        return np.tensordot(v, kern, axes=(0, 0)) / self.n
 
     def objective(self, measure):
         if measure.size == 0:
@@ -202,14 +213,10 @@ class QuadLocalModel(core.ConeObjective):
         ``q(f + eps f_theta) = q(f) + c1 eps + (1/2) c2 eps^2``.
         """
         kern = self.obs.kernels(theta)
-        kd, c2, s = (self._grid_terms if kern is self.obs.K
-                     else self._weighted(kern))
-        if measure.size:
-            fd = self.obs.mixture(measure) * self.d
-            cross = np.tensordot(fd, kd, axes=(0, 0)) / self.n
-        else:
-            cross = 0.0
-        c1 = 1.0 - 2.0 * s + cross
+        fd = self.obs.mixture(measure) * self.d if measure.size else 0.0
+        c1 = 1.0 + self._mean_over_obs(self.d * (fd - 2.0), kern)
+        c2 = (self._grid_c2 if kern is self.obs.K
+              else self._mean_over_obs(self.d**2, kern**2))
         if np.ndim(c1):
             return np.asarray(c1), np.asarray(c2)
         return float(c1), float(c2)
@@ -383,8 +390,8 @@ def newton_solve(sample, config, start=None):
 
     Parameters
     ----------
-    sample : array_like
-        Observations.
+    sample : array_like or MlModel
+        Observations, or the likelihood model that already holds them.
     config : core.SolverConfig
         Grid, outer tolerance ``eta`` (certificate threshold on the
         grid), and iteration caps.
@@ -398,7 +405,7 @@ def newton_solve(sample, config, start=None):
         One row per Newton iteration; ``step_size`` holds the damping
         factor.
     """
-    model = MlModel(sample)
+    model = sample if isinstance(sample, MlModel) else MlModel(sample)
     if start is None:
         start = starting_iterate(model.x, config.grid)
     return _newton_loop(model, start, config)

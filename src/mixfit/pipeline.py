@@ -191,7 +191,7 @@ MODELS = {
     "deconv-ml": ModelSpec(
         model=mldeconv.MlModel, eta=1e-8, gridless=True,
         grid_max_factor=1.0, grid_size=500, nonnegative=False,
-        solve=lambda model, config: mldeconv.newton_solve(model.x, config),
+        solve=lambda model, config: mldeconv.newton_solve(model, config),
         mixing_cdf=stats.expon.cdf,
         density=lambda x: np.exp(0.5 - x) * ndtr(x - 1.0)),
 }

@@ -285,6 +285,44 @@ class TestCheckOptimality:
         assert a == b
 
 
+class _CountingModel:
+    """Raw derivative ``theta - 1``; records the size of every scan."""
+
+    def __init__(self):
+        self.scans = []
+
+    def dir_deriv_vertex(self, theta, measure):
+        theta = np.asarray(theta, dtype=float)
+        self.scans.append(theta.size)
+        return theta - 1.0
+
+    alt_dir_deriv_vertex = dir_deriv_vertex
+
+
+class _RescaledCountingModel(_CountingModel):
+    def alt_dir_deriv_vertex(self, theta, measure):
+        return 0.5 * self.dir_deriv_vertex(theta, measure)
+
+
+class TestCertificateScans:
+    GRID = np.array([0.0, 0.5, 2.0, 3.0, 4.0])
+    MEASURE = MixingMeasure([1.0], [1.0])
+
+    def test_one_grid_scan_when_alt_is_raw(self):
+        m = _CountingModel()
+        cert = check_optimality(m, self.MEASURE, self.GRID, 1e-8)
+        assert m.scans.count(self.GRID.size) == 1
+        assert cert.min_grid_raw == cert.min_grid_alt == -1.0
+        assert not cert.passed
+
+    def test_two_grid_scans_when_alt_is_rescaled(self):
+        m = _RescaledCountingModel()
+        cert = check_optimality(m, self.MEASURE, self.GRID, 1e-8)
+        assert m.scans.count(self.GRID.size) == 2
+        assert cert.min_grid_raw == -1.0
+        assert cert.min_grid_alt == -0.5
+
+
 class TestFedorovWynn:
     def test_returns_same_object_at_optimum(self):
         m = LsModel(np.array([1.0]))

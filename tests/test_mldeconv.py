@@ -6,9 +6,12 @@ driver against a box-constrained quasi-Newton oracle on a frozen grid.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
 
@@ -23,6 +26,7 @@ from mixfit.families import (
 from mixfit.mldeconv import (
     MlModel,
     QuadLocalModel,
+    _Observations,
     _damped_update,
     newton_solve,
     starting_iterate,
@@ -199,6 +203,63 @@ class TestQuadModel:
             QuadLocalModel(np.array([0.0]), MixingMeasure.empty())
 
 
+def _product_form(x, center, theta, measure):
+    """``(c1, c2)`` from the explicit n x G product ``d_i f_theta(x_i)``,
+    and a bound on the size of the terms summed into ``c1``."""
+    fam = GaussianFamily()
+    d = 1.0 / (fam.kernel(center.locations, x[:, None]) @ center.weights)
+    kd = fam.kernel(theta, x[:, None]) * d[:, None]
+    fd = (fam.kernel(measure.locations, x[:, None]) @ measure.weights) * d
+    terms = np.abs(kd).mean(axis=0) * (2.0 + np.abs(fd).max(initial=0.0))
+    c1 = 1.0 - 2.0 * kd.mean(axis=0) + fd @ kd / x.size
+    return c1, np.mean(kd**2, axis=0), terms
+
+
+def _atoms(lo, hi, min_size):
+    return st.lists(st.tuples(st.floats(lo, hi), st.floats(0.05, 1.0)),
+                    min_size=min_size, max_size=3).map(
+        lambda atoms: MixingMeasure.from_atoms(*zip(*atoms)) if atoms
+        else MixingMeasure.empty())
+
+
+class TestGridPathAgreement:
+    """The grid layer's matvecs give the layer-free coefficients."""
+
+    def _check(self, x, center, grid, measure):
+        on_grid = QuadLocalModel(x, center, grid=grid)
+        assert on_grid.obs.K is not None
+        free = QuadLocalModel(x, center)
+        a1, a2 = on_grid.quad_coefficients(grid, measure)
+        b1, b2 = free.quad_coefficients(grid, measure)
+        assert_allclose(a1, b1, rtol=1e-12)
+        assert_allclose(a2, b2, rtol=1e-12)
+        # and both match the explicit product, up to its rounding
+        r1, r2, terms = _product_form(x, center, grid, measure)
+        assert_allclose(a1, r1, rtol=1e-12, atol=1e-12 * terms.max())
+        assert_allclose(a2, r2, rtol=1e-12)
+        # at the center the slope is the likelihood's derivative
+        c1, _ = on_grid.quad_coefficients(grid, center)
+        _, _, terms = _product_form(x, center, grid, center)
+        assert_allclose(c1, MlModel(x).dir_deriv_vertex(grid, center),
+                        rtol=1e-12, atol=1e-12 * terms.max())
+
+    @pytest.mark.parametrize("measure", [
+        MixingMeasure.empty(), MixingMeasure([-0.3, 0.4], [0.5, 0.6])])
+    def test_empty_and_nonempty_measure(self, measure):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=25)
+        center = MixingMeasure([-0.5, 0.6], [0.55, 0.5])
+        self._check(x, center, np.linspace(-2.0, 2.0, 13), measure)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12),
+           center=_atoms(-1.0, 1.0, 1),
+           grid=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8),
+           measure=_atoms(-2.0, 2.0, 0))
+    def test_property(self, x, center, grid, measure):
+        self._check(np.array(x), center, np.unique(grid), measure)
+
+
 class TestStartingIterate:
     def test_pinned(self):
         f = starting_iterate(np.array([0.0, 1.0, 2.0]),
@@ -259,6 +320,32 @@ class TestNewtonSolve:
         assert not trace.converged
         assert trace.n_iterations == 1
 
+    def test_accepts_the_model(self):
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=30) + rng.exponential(size=30)
+        config = SolverConfig(grid=np.linspace(x.min(), x.max(), 12), eta=1e-8)
+        f, trace = newton_solve(x, config)
+        g, trace_g = newton_solve(MlModel(x), config)
+        assert trace_g.objective == trace.objective
+        assert_allclose(g.locations, f.locations, rtol=0)
+        assert_allclose(g.weights, f.weights, rtol=0)
+
+    def test_one_model_per_fit(self, monkeypatch):
+        built = []
+        original = MlModel.__init__
+
+        def counting(self, sample):
+            built.append(1)
+            original(self, sample)
+
+        monkeypatch.setattr(MlModel, "__init__", counting)
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=30) + rng.exponential(size=30)
+        pipeline.fit("deconv-ml", x, SolverConfig(
+            grid=np.linspace(x.min(), x.max(), 12), eta=1e-8,
+            gridless_enabled=True))
+        assert len(built) == 1
+
     def test_custom_start(self):
         rng = np.random.default_rng(23)
         x = rng.normal(size=30)
@@ -295,6 +382,40 @@ class TestSharedKernelMatrix:
         assert trace.converged and trace.n_iterations >= 3
         # the certificate scans and every quadratic model share one matrix
         assert shapes.count((self.N, self.G)) == 1
+
+    def test_final_certificate_scans_the_grid_once(self, monkeypatch):
+        x, grid = self._problem()
+        original = GaussianFamily.kernel
+        shapes = []
+
+        def counting(self, theta, obs):
+            out = original(self, theta, obs)
+            shapes.append(np.shape(out))
+            return out
+
+        monkeypatch.setattr(GaussianFamily, "kernel", counting)
+        result = pipeline.fit("deconv-ml", x, SolverConfig(grid=grid, eta=1e-8))
+        assert result.converged
+        # one K inside the Newton loop, one for the certificate of fit
+        assert shapes.count((self.N, self.G)) == 2
+
+    def test_second_quadratic_model_allocates_no_matrix(self):
+        x, grid = self._problem()
+        obs = _Observations(x, grid)
+        center = MixingMeasure([float(grid[10]), float(grid[25])], [0.5, 0.5])
+        assert obs.K2 is not None
+        QuadLocalModel(obs, center)                 # the loop's first model
+        tracemalloc.start()
+        try:
+            quad = QuadLocalModel(obs, center)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.N * self.G * 8
+        quad.quad_coefficients(grid, center)
+        arrays = [v for v in vars(quad).values() if isinstance(v, np.ndarray)]
+        assert arrays
+        assert max(a.size for a in arrays) < self.N * self.G
 
     def test_fit_result_model_holds_only_sample_vectors(self):
         x, grid = self._problem()
