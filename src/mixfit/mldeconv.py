@@ -34,7 +34,6 @@ from .families import (
     MixingMeasure,
     SignedMixingMeasure,
     combine,
-    mixture_eval,
 )
 
 __all__ = ["MlModel", "QuadLocalModel", "newton_solve", "starting_iterate"]
@@ -47,35 +46,43 @@ _MAX_HALVINGS = 60
 class _Observations:
     """The sample and at most one grid with its kernel matrices.
 
-    All kernel values at the observations come from this layer; scans
-    over its grid read ``K[i, j] = phi(x_i - grid_j)``, evaluated once,
-    and curvature scans read its elementwise square ``K2 = K∘K``.
+    All kernel values at the observations come from this layer, with the
+    observations on the last axis.  The grid's kernels are evaluated
+    once and stored atom-major, ``K[j, i] = phi(x_i - grid_j)`` of shape
+    ``G x n``, beside their elementwise square ``K2 = K∘K`` for
+    curvature scans.  Scans over the grid read ``K`` itself; atoms that
+    are all grid points read their rows of ``K``, a contiguous gather;
+    any other atoms are evaluated on the fly.
     """
 
     family = GaussianFamily()
 
     def __init__(self, x, grid=None):
         self.x = x
-        self.grid = grid
+        self.grid = None if grid is None else np.asarray(grid, dtype=float)
         self.K = None
         self.K2 = None
         if grid is not None:
-            self.K = self.kernels(grid)
+            self.K = self.kernels(self.grid)
             self.K.flags.writeable = False
             self.K2 = self.K * self.K
             self.K2.flags.writeable = False
 
     def kernels(self, theta):
-        """``phi(x_i - theta)``, observations along the first axis."""
+        """``phi(x_i - theta)``, observations along the last axis."""
         theta = np.asarray(theta, dtype=float)
-        if self.K is not None and np.array_equal(theta, self.grid):
-            return self.K
-        return self.family.kernel(
-            theta, self.x.reshape((-1,) + (1,) * theta.ndim))
+        if self.K is not None:
+            if np.array_equal(theta, self.grid):
+                return self.K
+            idx = np.minimum(np.searchsorted(self.grid, theta),
+                             self.grid.size - 1)
+            if np.array_equal(self.grid[idx], theta):
+                return self.K[idx]
+        return self.family.kernel(theta[..., None], self.x)
 
     def mixture(self, measure):
         """The mixture density at every observation."""
-        return mixture_eval(self.family, measure, self.x)
+        return measure.weights @ self.kernels(measure.locations)
 
 
 class MlModel:
@@ -114,8 +121,7 @@ class MlModel:
         fx = self.obs.mixture(measure)
         if np.any(fx <= 0.0):
             raise ValueError("mixture must be positive at every observation")
-        out = 1.0 - np.tensordot(1.0 / fx, self.obs.kernels(theta),
-                                 axes=(0, 0)) / self.n
+        out = 1.0 - self.obs.kernels(theta) @ (1.0 / fx) / self.n
         return out if out.ndim else float(out)
 
     alt_dir_deriv_vertex = dir_deriv_vertex
@@ -170,13 +176,14 @@ class QuadLocalModel(core.ConeObjective):
     whose gradient toward a kernel, ``c1(theta)``, matches the gradient
     of ``ml`` at ``g`` exactly, and whose curvature along a kernel is
     ``c2(theta) = (1/n) sum (d_i f_theta(x_i))^2``.  On the layer's grid
-    both are matrix-vector products with its kernel matrices,
+    both are matrix-vector products with its ``G x n`` kernel matrices,
 
-        c2 = (K∘K)' d^2 / n              once per model,
-        c1 = 1 + K' (d ∘ (f d - 2)) / n  once per scan,
+        c2 = (K∘K) d^2 / n              once per model,
+        c1 = 1 + K (d ∘ (f d - 2)) / n  once per scan,
 
-    so the model keeps only vectors of length n and G; off the grid the
-    same sums run over kernels evaluated on the fly.
+    so the model keeps only vectors of length n and G; the same sums run
+    over the rows of ``K`` for grid atoms and over kernels evaluated on
+    the fly elsewhere.
     """
 
     family = _Observations.family
@@ -196,8 +203,8 @@ class QuadLocalModel(core.ConeObjective):
                          else self._mean_over_obs(self.d**2, sample.K2))
 
     def _mean_over_obs(self, v, kern):
-        """``(1/n) sum_i v_i kern[i]``: a matvec when ``kern`` is a matrix."""
-        return np.tensordot(v, kern, axes=(0, 0)) / self.n
+        """``(1/n) sum_i v_i kern[..., i]``: a matvec when ``kern`` is a matrix."""
+        return kern @ v / self.n
 
     def objective(self, measure):
         if measure.size == 0:
@@ -234,16 +241,16 @@ class QuadLocalModel(core.ConeObjective):
         """Solve the normal equations of ``q`` over the given kernels.
 
         Equivalent to a penalized weighted least squares fit with
-        observation weights ``sqrt(n) d_i``: the system is
-        ``(DY)' DY alpha = 2 Y' d - n 1``.
+        observation weights ``sqrt(n) d_i``: with the ``p x n`` kernel
+        rows ``Y`` the system is ``(YD)(YD)' alpha = 2 Y d - n 1``.
         """
         support = np.asarray(support, dtype=float)
         if support.size == 0:
             return SignedMixingMeasure.empty()
-        Y = self.obs.kernels(support)                            # n x p
-        A = Y * self.d[:, None]
-        M = A.T @ A
-        rhs = 2.0 * Y.T @ self.d - self.n
+        Y = self.obs.kernels(support)
+        A = Y * self.d
+        M = A @ A.T
+        rhs = 2.0 * Y @ self.d - self.n
         try:
             c, low = linalg.cho_factor(M)
             alpha = linalg.cho_solve((c, low), rhs)

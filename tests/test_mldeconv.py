@@ -22,6 +22,7 @@ from mixfit.families import (
     MixingMeasure,
     SignedMixingMeasure,
     combine,
+    mixture_eval,
 )
 from mixfit.mldeconv import (
     MlModel,
@@ -233,6 +234,14 @@ class TestGridPathAgreement:
         b1, b2 = free.quad_coefficients(grid, measure)
         assert_allclose(a1, b1, rtol=1e-12)
         assert_allclose(a2, b2, rtol=1e-12)
+        # the normal equations over grid atoms read rows of K; compared
+        # where the system is conditioned well enough that rounding stays
+        # orders of magnitude below the tolerance
+        support = np.unique(grid[[0, grid.size // 2, -1]])
+        yd = free.obs.kernels(support) * free.d
+        if np.linalg.cond(yd @ yd.T) < 1e4:
+            assert_allclose(on_grid.unrestricted_min(support).weights,
+                            free.unrestricted_min(support).weights, rtol=1e-10)
         # and both match the explicit product, up to its rounding
         r1, r2, terms = _product_form(x, center, grid, measure)
         assert_allclose(a1, r1, rtol=1e-12, atol=1e-12 * terms.max())
@@ -258,6 +267,75 @@ class TestGridPathAgreement:
            measure=_atoms(-2.0, 2.0, 0))
     def test_property(self, x, center, grid, measure):
         self._check(np.array(x), center, np.unique(grid), measure)
+
+
+class TestObservations:
+    """Grid atoms read rows of the layer's matrix; other atoms evaluate."""
+
+    X = np.random.default_rng(37).normal(size=30)
+    GRID = np.linspace(-2.0, 2.0, 9)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        original = GaussianFamily.kernel
+        calls = []
+
+        def counting(self, theta, obs):
+            calls.append(np.shape(theta))
+            return original(self, theta, obs)
+
+        monkeypatch.setattr(GaussianFamily, "kernel", counting)
+        return calls
+
+    def test_grid_atoms_read_rows(self, calls):
+        obs = _Observations(self.X, self.GRID)
+        assert obs.K.shape == (self.GRID.size, self.X.size)
+        for theta in (self.GRID[[0, 3, 4, 8]], self.GRID[5], self.GRID):
+            calls.clear()
+            rows = obs.kernels(theta)
+            assert calls == []
+            fresh = GaussianFamily().kernel(theta[..., None], self.X)
+            assert rows.shape == fresh.shape
+            assert np.array_equal(rows, fresh)
+
+    @pytest.mark.parametrize("theta", [
+        [-1.5, 0.1, 1.0],        # one atom off the grid
+        [-2.0, 2.5],             # above the last point: searchsorted gives G
+        [-2.7, 0.0],             # below the first point
+        0.3,                     # a scalar
+    ])
+    def test_other_atoms_are_evaluated(self, calls, theta):
+        obs = _Observations(self.X, self.GRID)
+        calls.clear()
+        out = obs.kernels(theta)
+        assert len(calls) == 1
+        expect = GaussianFamily().kernel(np.asarray(theta)[..., None], self.X)
+        assert out.shape == np.shape(theta) + (self.X.size,)
+        assert np.array_equal(out, expect)
+
+    def test_empty_measure(self):
+        for obs in (_Observations(self.X, self.GRID), _Observations(self.X)):
+            assert obs.kernels(np.empty(0)).shape == (0, self.X.size)
+            assert np.array_equal(obs.mixture(MixingMeasure.empty()),
+                                  np.zeros(self.X.size))
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12),
+           grid=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8,
+                         unique=True),
+           atoms=st.lists(st.tuples(st.one_of(st.integers(0, 7),
+                                              st.floats(-3.0, 3.0)),
+                                    st.floats(0.05, 1.0)), max_size=4))
+    def test_mixture_matches_mixture_eval(self, x, grid, atoms):
+        x, grid = np.array(x), np.sort(grid)
+        # integer picks are grid points, floats are anywhere
+        locations = [float(grid[a % grid.size]) if isinstance(a, int) else a
+                     for a, _ in atoms]
+        measure = (MixingMeasure.from_atoms(locations, [w for _, w in atoms])
+                   if atoms else MixingMeasure.empty())
+        expect = mixture_eval(GaussianFamily(), measure, x)
+        for obs in (_Observations(x, grid), _Observations(x)):
+            assert_allclose(obs.mixture(measure), expect, rtol=1e-12)
 
 
 class TestStartingIterate:
@@ -358,7 +436,7 @@ class TestNewtonSolve:
 
 
 class TestSharedKernelMatrix:
-    """One n x G kernel matrix per Newton loop, and none after it."""
+    """One G x n kernel matrix per Newton loop, and none after it."""
 
     N, G = 200, 40
 
@@ -380,8 +458,9 @@ class TestSharedKernelMatrix:
         monkeypatch.setattr(GaussianFamily, "kernel", counting)
         f, trace = newton_solve(x, SolverConfig(grid=grid, eta=1e-8))
         assert trace.converged and trace.n_iterations >= 3
-        # the certificate scans and every quadratic model share one matrix
-        assert shapes.count((self.N, self.G)) == 1
+        # the certificate scans, every quadratic model and every atom on
+        # the grid read one matrix: no other kernel is evaluated
+        assert shapes == [(self.G, self.N)]
 
     def test_final_certificate_scans_the_grid_once(self, monkeypatch):
         x, grid = self._problem()
@@ -397,7 +476,7 @@ class TestSharedKernelMatrix:
         result = pipeline.fit("deconv-ml", x, SolverConfig(grid=grid, eta=1e-8))
         assert result.converged
         # one K inside the Newton loop, one for the certificate of fit
-        assert shapes.count((self.N, self.G)) == 2
+        assert shapes.count((self.G, self.N)) == 2
 
     def test_second_quadratic_model_allocates_no_matrix(self):
         x, grid = self._problem()
