@@ -15,10 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from mixfit import SolverConfig, check_optimality, solve
+from mixfit import SolverConfig
 from mixfit.families import mixture_eval
-from mixfit.lsconvex import LsModel
-from mixfit.pipeline import FitResult, emit_curves, simulate_sample
+from mixfit.pipeline import emit_curves, fit, simulate_sample
 
 OUT = Path(__file__).parent / "output" / "convex_ls"
 
@@ -27,12 +26,10 @@ def main():
     x = simulate_sample("exponential", 500, seed=7)
     print(f"sample: n={x.size}, mean={x.mean():.4f}, max={x.max():.4f}")
 
-    model = LsModel(x)
     grid = np.linspace(0.0, 3.0 * x.max(), 1000)
-    grid = grid[grid > 0.0]
-    config = SolverConfig(grid=grid, eta=1e-10)
-
-    measure, trace = solve(model, config)
+    config = SolverConfig(grid=grid[grid > 0.0], eta=1e-10)
+    result = fit("convex-ls", x, config)
+    measure, trace = result.measure, result.trace
 
     print(f"\nouter iterations: {trace.n_iterations} "
           f"(converged: {trace.converged})")
@@ -46,8 +43,7 @@ def main():
     for theta, w in zip(measure.locations, measure.weights):
         print(f"  theta={theta:9.5f}  weight={w: .6f}")
 
-    cert = check_optimality(model, measure, grid, config.eta,
-                            config.support_tol)
+    cert = result.certificate
     print(f"\ncertificate: min grid derivative {cert.min_grid_alt:.3e}, "
           f"max |derivative| at atoms {cert.max_abs_support:.3e} "
           f"-> passed={cert.passed}")
@@ -57,11 +53,10 @@ def main():
     print("\ndensity check against exp(-x):")
     print(f"{'x':>5} {'fitted':>10} {'truth':>10}")
     for xi in (0.1, 0.5, 1.0, 2.0, 4.0):
-        fit = mixture_eval(model.family, measure, xi)
-        print(f"{xi:>5.1f} {fit:>10.5f} {np.exp(-xi):>10.5f}")
+        fitted = mixture_eval(result.model.family, measure, xi)
+        print(f"{xi:>5.1f} {fitted:>10.5f} {np.exp(-xi):>10.5f}")
 
     OUT.mkdir(parents=True, exist_ok=True)
-    result = FitResult("convex-ls", model, measure, trace, cert, config)
     emit_curves(OUT, result, x)
     print(f"\ncurve files written to {OUT}/")
 

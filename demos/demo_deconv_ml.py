@@ -14,11 +14,9 @@ Run from the repository root:
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
-from mixfit import SolverConfig, check_optimality, fine_tune
-from mixfit.mldeconv import MlModel, newton_solve
-from mixfit.pipeline import FitResult, emit_curves, simulate_sample
+from mixfit import SolverConfig
+from mixfit.pipeline import MODELS, emit_curves, fit, simulate_sample
 
 OUT = Path(__file__).parent / "output" / "deconv_ml"
 
@@ -27,15 +25,14 @@ def main():
     x = np.sort(simulate_sample("exp-normal-mixture", 500, seed=11))
     print(f"sample: n={x.size}, range [{x[0]:.3f}, {x[-1]:.3f}]")
 
-    model = MlModel(x)
-    grid = np.linspace(x[0], x[-1], 500)
-    config = SolverConfig(grid=grid, eta=1e-8, gridless_enabled=True,
-                          gridless_tol=1e-6)
+    config = SolverConfig(grid=np.linspace(x[0], x[-1], 500), eta=1e-8,
+                          gridless_enabled=True, gridless_tol=1e-6)
+    result = fit("deconv-ml", x, config)
+    measure, trace, ft = result.measure, result.trace, result.fine_tune_trace
 
-    grid_measure, trace = newton_solve(x, config)
     print(f"\ngrid stage: {trace.n_iterations} Newton steps "
           f"(converged: {trace.converged}), "
-          f"{grid_measure.size} atoms, objective "
+          f"{result.grid_support_size} atoms, objective "
           f"{trace.objective[-1]:.10f}")
     print(f"{'iter':>4} {'objective':>16} {'support':>8} {'damping':>8}")
     for i in range(len(trace.objective)):
@@ -44,9 +41,8 @@ def main():
         print(f"{i:>4} {trace.objective[i]:>16.10f} "
               f"{trace.support_size[i]:>8} {lam_txt:>8}")
 
-    measure, ft = fine_tune(model, grid_measure, config)
     print(f"\nrefinement: {ft.steps} steps ({ft.stop_reason}), "
-          f"support {grid_measure.size} -> {measure.size}, "
+          f"support {result.grid_support_size} -> {measure.size}, "
           f"objective {ft.objective[0]:.10f} -> {ft.objective[-1]:.10f}")
 
     print(f"\nfinal atoms, total mass {measure.total_mass():.12f}:")
@@ -55,18 +51,13 @@ def main():
 
     # The true mixing distribution is a unit exponential; compare its
     # distribution function with the fitted one at a few locations.
+    truth = MODELS["deconv-ml"].mixing_cdf
     print("\nmixing distribution check against Exp(1):")
     print(f"{'theta':>6} {'fitted':>10} {'truth':>10}")
     for t in (0.5, 1.0, 2.0, 3.0):
-        print(f"{t:>6.1f} {measure.cdf(t):>10.5f} "
-              f"{stats.expon.cdf(t):>10.5f}")
+        print(f"{t:>6.1f} {measure.cdf(t):>10.5f} {truth(t):>10.5f}")
 
-    cert = check_optimality(model, measure, grid, config.eta,
-                            config.support_tol)
     OUT.mkdir(parents=True, exist_ok=True)
-    result = FitResult("deconv-ml", model, measure, trace, cert, config,
-                       fine_tune_trace=ft,
-                       grid_support_size=grid_measure.size)
     emit_curves(OUT, result, x)
     print(f"\ncurve files written to {OUT}/")
 

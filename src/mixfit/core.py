@@ -159,7 +159,9 @@ class SolverTrace:
     producing this iterate (0 on the first row), the damping factor
     when the model uses damped outer updates (NaN otherwise), and the
     objective values recorded after each inner reduction move that
-    produced this iterate.
+    produced this iterate.  ``certificate`` is the certificate of the
+    returned iterate when the solver issued one (the likelihood's Newton
+    loop does; :func:`solve` leaves it ``None``).
     """
 
     objective: list = field(default_factory=list)
@@ -170,6 +172,7 @@ class SolverTrace:
     step_size: list = field(default_factory=list)
     inner_objectives: list = field(default_factory=list)
     converged: bool = False
+    certificate: OptimalityCertificate | None = None
 
     def append(self, objective, support_size, min_alt_deriv, chosen_theta,
                deletions, step_size=np.nan, inner_objectives=()):

@@ -120,10 +120,6 @@ class SignedMixingMeasure:
         """Sum of atom weights (signed)."""
         return float(np.sum(self.weights))
 
-    def scaled(self, c):
-        """Measure with every weight multiplied by ``c``."""
-        return SignedMixingMeasure(self.locations, c * self.weights)
-
     def purge(self, threshold):
         """Drop atoms whose absolute weight is below ``threshold``."""
         keep = np.abs(self.weights) >= threshold

@@ -149,7 +149,7 @@ def line_search(model, measure, h, eps0):
 
 def _trust_radius(measure, h, domain):
     """Largest safe step: half the smallest atom gap per unit of relative
-    motion, clipped so every shifted location stays inside the domain."""
+    motion, clipped so every shifted location stays in the finite domain."""
     locs = measure.locations
     hmax = float(np.max(np.abs(h)))
     if hmax == 0.0:
@@ -159,13 +159,10 @@ def _trust_radius(measure, h, domain):
         bounds.append(0.5 * float(np.min(np.diff(locs))) / hmax)
     lo, hi = domain
     for loc, hi_dir in zip(locs, h):
-        if hi_dir > 0.0 and np.isfinite(hi):
+        if hi_dir > 0.0:
             bounds.append((hi - loc) / hi_dir)
-        elif hi_dir < 0.0 and np.isfinite(lo):
+        elif hi_dir < 0.0:
             bounds.append((loc - lo) / (-hi_dir))
-    if not bounds:
-        # single unconstrained atom: scale with the location itself
-        bounds.append(max(1.0, abs(float(locs[0]))))
     return max(0.0, min(bounds))
 
 
@@ -194,7 +191,8 @@ def fine_tune(model, measure, config):
     ----------
     model
         Objective with ``location_gradient`` and ``minimize_over_support``
-        hooks (both cone models provide them).
+        hooks and a finite parameter interval ``domain`` the atoms stay
+        inside (both cone models provide them).
     measure : MixingMeasure
         Converged grid solution.
     config : SolverConfig
@@ -220,7 +218,6 @@ def fine_tune(model, measure, config):
         trace.converged = True
         trace.stop_reason = "empty measure"
         return f, trace
-    domain = getattr(model, "domain", model.family.domain)
     span = f.locations[-1] - f.locations[0] if f.size > 1 else 1.0
     merge_gap = _MERGE_GAP * max(span, 1.0)
     trace.objective.append(model.objective(f))
@@ -234,7 +231,7 @@ def fine_tune(model, measure, config):
             trace.stop_reason = "gradient below tolerance"
             break
         h = -grad / norm
-        eps0 = _trust_radius(f, h, domain)
+        eps0 = _trust_radius(f, h, model.domain)
         if eps0 <= 0.0:
             trace.stop_reason = "no room to move inside the domain"
             break

@@ -46,15 +46,14 @@ class LsModel(core.ConeObjective):
     ----------
     sample : array_like
         Observations, all nonnegative.
-    domain_factor : float
-        The parameter domain is ``[x_(1), domain_factor * x_(n)]``.
 
     Attributes
     ----------
     x : ndarray
         Sorted copy of the sample.
     domain : tuple of float
-        Parameter interval the support is confined to.
+        Parameter interval ``[x_(1), 3 x_(n)]`` the support is confined
+        to; the default grid spans it.
     """
 
     family = TriangularFamily()
@@ -63,7 +62,7 @@ class LsModel(core.ConeObjective):
     #: flagged as unreliable.
     cond_warn = 1e12
 
-    def __init__(self, sample, domain_factor=3.0):
+    def __init__(self, sample):
         x = np.sort(np.asarray(sample, dtype=float).ravel())
         if x.size == 0:
             raise ValueError("sample must be nonempty")
@@ -75,7 +74,7 @@ class LsModel(core.ConeObjective):
         self.n = x.size
         self.mean = float(x.mean())
         self.xmax = float(x[-1])
-        self.domain = (float(x[0]), domain_factor * self.xmax)
+        self.domain = (float(x[0]), 3.0 * self.xmax)
         # Prefix sums make Y_n piecewise-linear evaluation O(log n).
         self._cumsum = np.concatenate(([0.0], np.cumsum(x)))
 

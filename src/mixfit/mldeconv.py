@@ -93,7 +93,8 @@ class MlModel:
     Newton loop), and the location gradient for gridless refinement.
     The certificate derivative needs no rescaling here: the kernels
     share a common shape, so the raw derivative is already comparable
-    across the grid.
+    across the grid.  ``domain``, the data range, bounds the default
+    grid and the refined atoms.
     """
 
     family = _Observations.family
@@ -127,14 +128,17 @@ class MlModel:
     alt_dir_deriv_vertex = dir_deriv_vertex
 
     def location_gradient(self, measure):
-        """Gradient of ``ml`` in the atom locations at fixed weights."""
+        """Gradient of ``ml`` in the atom locations at fixed weights; the
+        derivatives ``(x_i - theta) phi(x_i - theta)`` reuse the mixture's
+        ``p x n`` kernel block."""
         if measure.size == 0:
             return np.zeros(0)
-        fx = self.obs.mixture(measure)
+        kern = self.obs.kernels(measure.locations)
+        fx = measure.weights @ kern
         if np.any(fx <= 0.0):
             raise ValueError("mixture must be positive at every observation")
-        dkern = self.family.theta_deriv(measure.locations, self.x[:, None])
-        return -measure.weights * (dkern.T @ (1.0 / fx)) / self.n
+        dkern = (self.x - measure.locations[:, None]) * kern
+        return -measure.weights * (dkern @ (1.0 / fx)) / self.n
 
     def minimize_over_support(self, measure, config):
         """Minimize ``ml`` over the cone spanned by the measure's support.
@@ -389,6 +393,8 @@ def _newton_loop(model, start, config, allow_stall=False):
         if f.size == 0:
             raise core.ConvergenceStall("likelihood iterate lost all atoms")
 
+    # Every exit above leaves ``cert`` describing the returned iterate.
+    trace.certificate = cert
     return f, trace
 
 
@@ -410,7 +416,7 @@ def newton_solve(sample, config, start=None):
     measure : MixingMeasure
     trace : core.SolverTrace
         One row per Newton iteration; ``step_size`` holds the damping
-        factor.
+        factor and ``certificate`` the returned measure's certificate.
     """
     model = sample if isinstance(sample, MlModel) else MlModel(sample)
     if start is None:

@@ -20,11 +20,10 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtr
+from scipy.special import expm1, gammainc, ndtr
 
 from . import core, gridless, lsconvex, mldeconv
 from .families import MixingMeasure, mixture_cdf, mixture_eval
@@ -156,17 +155,16 @@ class ModelSpec:
 
     ``model`` is the objective class, built from the sample.  ``eta``
     and ``gridless`` are the default certificate tolerance and
-    refinement flag.  The default grid is ``grid_size`` points on
-    ``[min x, grid_max_factor * max x]``.  ``nonnegative`` makes
-    :func:`ingest` reject negative data.  ``solve(model, config)``
-    runs the grid stage.  ``mixing_cdf`` and ``density`` are the
-    reference curves of the model's canonical experiment.
+    refinement flag.  The default grid is ``grid_size`` points on the
+    model's ``domain``.  ``nonnegative`` makes :func:`ingest` reject
+    negative data.  ``solve(model, config)`` runs the grid stage.
+    ``mixing_cdf`` and ``density`` are the reference curves of the
+    model's canonical experiment.
     """
 
     model: type
     eta: float
     gridless: bool
-    grid_max_factor: float
     grid_size: int
     nonnegative: bool
     solve: Callable
@@ -175,7 +173,9 @@ class ModelSpec:
 
 
 # The solvers are looked up in their modules at call time, not bound
-# here, so a replaced module attribute is what a fit runs.
+# here, so a replaced module attribute is what a fit runs.  The reference
+# curves use scipy.special: importing scipy.stats would more than double
+# the start-up time of the command line.
 MODELS = {
     # Refinement is off by default: the triangular kernel's kink makes
     # location derivatives only piecewise smooth.  Exponential data as
@@ -183,16 +183,16 @@ MODELS = {
     # over triangular kernels.
     "convex-ls": ModelSpec(
         model=lsconvex.LsModel, eta=1e-10, gridless=False,
-        grid_max_factor=3.0, grid_size=1000, nonnegative=True,
+        grid_size=1000, nonnegative=True,
         solve=lambda model, config: core.solve(model, config),
-        mixing_cdf=lambda theta: stats.gamma.cdf(theta, a=3.0),
-        density=stats.expon.pdf),
+        mixing_cdf=lambda theta: gammainc(3.0, theta),
+        density=lambda x: np.where(x >= 0.0, np.exp(-np.abs(x)), 0.0)),
     # Unit exponential locations observed with standard normal noise.
     "deconv-ml": ModelSpec(
         model=mldeconv.MlModel, eta=1e-8, gridless=True,
-        grid_max_factor=1.0, grid_size=500, nonnegative=False,
+        grid_size=500, nonnegative=False,
         solve=lambda model, config: mldeconv.newton_solve(model, config),
-        mixing_cdf=stats.expon.cdf,
+        mixing_cdf=lambda theta: -expm1(-np.maximum(theta, 0.0)),
         density=lambda x: np.exp(0.5 - x) * ndtr(x - 1.0)),
 }
 
@@ -208,10 +208,9 @@ def model_spec(model_kind):
 # -- fitting -------------------------------------------------------------
 
 def default_grid_spec(model_kind, sample):
-    """Default ``(grid_min, grid_max, grid_size)`` per model."""
+    """Default ``(grid_min, grid_max, grid_size)``: the model's domain."""
     spec = model_spec(model_kind)
-    x = np.asarray(sample, dtype=float)
-    return float(x.min()), spec.grid_max_factor * float(x.max()), spec.grid_size
+    return (*spec.model(sample).domain, spec.grid_size)
 
 
 def build_grid(grid_min, grid_max, grid_size, family):
@@ -251,7 +250,7 @@ class FitResult:
     def converged(self):
         """Every stage converged and the final certificate passes."""
         ok = self.trace.converged and self.certificate.passed
-        if self.config.gridless_enabled and self.fine_tune_trace is not None:
+        if self.fine_tune_trace is not None:
             ok = ok and self.fine_tune_trace.converged
         return ok
 
@@ -261,18 +260,22 @@ def fit(model_kind, sample, config):
 
     Runs the model's grid solve, refines the support off the grid when
     ``config.gridless_enabled`` is set and the grid solve converged, and
-    issues the certificate at ``config.eta`` and ``config.support_tol``.
+    returns the certificate at ``config.eta`` and ``config.support_tol``:
+    the grid stage's own when it issued one and refinement did not run,
+    a fresh one otherwise.
     """
     spec = model_spec(model_kind)
     started = time.perf_counter()
     model = spec.model(sample)
     measure, trace = spec.solve(model, config)
     grid_support = measure.size
-    ft_trace = None
+    cert, ft_trace = trace.certificate, None
     if config.gridless_enabled and trace.converged:
         measure, ft_trace = gridless.fine_tune(model, measure, config)
-    cert = core.check_optimality(model, measure, config.grid, config.eta,
-                                 config.support_tol)
+        cert = None
+    if cert is None:
+        cert = core.check_optimality(model, measure, config.grid, config.eta,
+                                     config.support_tol)
     return FitResult(model_kind, model, measure, trace, cert, config,
                      ft_trace, grid_support, time.perf_counter() - started)
 
@@ -338,13 +341,7 @@ class RunReport:
 
     def to_text(self):
         lines = []
-        for key in ("model", "n_observations", "grid_min", "grid_max",
-                    "grid_size", "eta", "max_iter", "gridless",
-                    "gridless_tol", "converged", "outer_iterations",
-                    "fine_tune_steps", "final_objective", "support_size",
-                    "grid_support_size", "total_mass", "cert_min_grid_alt",
-                    "cert_min_grid_raw", "cert_max_abs_support",
-                    "cert_passed", "wall_time_s"):
+        for key in (f.name for f in fields(self) if f.name != "atoms"):
             value = getattr(self, key)
             if isinstance(value, bool):
                 text = "true" if value else "false"

@@ -2,12 +2,17 @@
 fit outputs, the optimality checker, and logging configuration."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
+import mixfit
 from mixfit.cli import main
 from mixfit.pipeline import (
     ingest,
@@ -332,3 +337,14 @@ class TestLogging:
                                    "--out", str(tmp_path / "s.txt")],
                             env={"MIXFIT_LOG": "trace"})
         assert res.exit_code == 0
+
+
+class TestImportCost:
+    def test_cli_does_not_import_scipy_stats(self):
+        # A fresh interpreter: test_demos imports the demos into this one.
+        src = Path(mixfit.__file__).resolve().parents[1]
+        code = "import sys, mixfit.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

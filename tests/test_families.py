@@ -211,11 +211,6 @@ class TestMeasures:
         h = MixingMeasure([1.0, 2.0], [1e-15, 0.5]).purge(1e-12)
         assert type(h) is MixingMeasure
 
-    def test_scaled(self):
-        f = MixingMeasure([1.0, 2.0], [0.5, 0.5])
-        g = f.scaled(-2.0)
-        assert_allclose(g.weights, [-1.0, -1.0])
-
     def test_measure_cdf_steps(self):
         f = MixingMeasure([1.0, 3.0], [0.25, 0.75])
         assert f.cdf(0.5) == 0.0

@@ -169,12 +169,6 @@ class TestTrustRadius:
         r = _trust_radius(f, np.array([-1.0, 1.0]), (0.5, 3.2))
         assert_allclose(r, 0.2)  # upper edge binds first
 
-    def test_single_unconstrained_atom(self):
-        f = MixingMeasure([5.0], [1.0])
-        assert _trust_radius(f, np.array([1.0]), (-np.inf, np.inf)) == 5.0
-        g = MixingMeasure([0.2], [1.0])
-        assert _trust_radius(g, np.array([1.0]), (-np.inf, np.inf)) == 1.0
-
     def test_zero_direction(self):
         f = MixingMeasure([1.0], [1.0])
         assert _trust_radius(f, np.array([0.0]), (0.0, 2.0)) == 0.0

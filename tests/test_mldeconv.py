@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from scipy import optimize
 
 from mixfit import pipeline
-from mixfit.core import ConvergenceStall, SolverConfig
+from mixfit.core import ConvergenceStall, SolverConfig, check_optimality
 from mixfit.families import (
     GaussianFamily,
     MixingMeasure,
@@ -53,7 +53,7 @@ class TestMlObjective:
         f = MixingMeasure([-0.5, 0.8], [0.6, 0.7])
         base = m.objective(f)
         for c in (0.5, 2.0):
-            lhs = m.objective(f.scaled(c))
+            lhs = m.objective(MixingMeasure(f.locations, c * f.weights))
             rhs = base - math.log(c) + (c - 1.0) * f.total_mass()
             assert_allclose(lhs, rhs, rtol=1e-13)
 
@@ -108,6 +108,23 @@ class TestMlLocationGradient:
             fd = (m.objective(MixingMeasure(up, f.weights))
                   - m.objective(MixingMeasure(dn, f.weights))) / (2 * h)
             assert_allclose(grad[i], fd, rtol=1e-5)
+
+    def test_one_kernel_evaluation_and_no_theta_deriv(self, monkeypatch):
+        calls = []
+        original = GaussianFamily.kernel
+
+        def counting(self, theta, obs):
+            calls.append(np.shape(theta))
+            return original(self, theta, obs)
+
+        def forbidden(self, theta, obs):
+            raise AssertionError("theta_deriv called")
+
+        monkeypatch.setattr(GaussianFamily, "kernel", counting)
+        monkeypatch.setattr(GaussianFamily, "theta_deriv", forbidden)
+        m = MlModel(np.random.default_rng(11).normal(size=20))
+        m.location_gradient(MixingMeasure([-0.7, 0.4, 1.2], [0.3, 0.5, 0.2]))
+        assert calls == [(3, 1)]
 
 
 class TestQuadModel:
@@ -424,6 +441,18 @@ class TestNewtonSolve:
             gridless_enabled=True))
         assert len(built) == 1
 
+    def test_trace_holds_the_certificate_of_the_result(self):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=60) + rng.exponential(size=60)
+        grid = np.linspace(x.min(), x.max(), 25)
+        for cap in (1, 10_000):     # stopped by the cap, then converged
+            config = SolverConfig(grid=grid, eta=1e-8, max_outer_iter=cap,
+                                  support_tol=1e-7)
+            f, trace = newton_solve(x, config)
+            fresh = check_optimality(MlModel(x), f, grid, 1e-8, 1e-7)
+            assert trace.certificate == fresh
+            assert trace.certificate.passed == trace.converged
+
     def test_custom_start(self):
         rng = np.random.default_rng(23)
         x = rng.normal(size=30)
@@ -475,8 +504,10 @@ class TestSharedKernelMatrix:
         monkeypatch.setattr(GaussianFamily, "kernel", counting)
         result = pipeline.fit("deconv-ml", x, SolverConfig(grid=grid, eta=1e-8))
         assert result.converged
-        # one K inside the Newton loop, one for the certificate of fit
-        assert shapes.count((self.G, self.N)) == 2
+        # one K inside the Newton loop; without refinement fit returns
+        # the certificate the loop stopped on
+        assert shapes.count((self.G, self.N)) == 1
+        assert result.certificate is result.trace.certificate
 
     def test_second_quadratic_model_allocates_no_matrix(self):
         x, grid = self._problem()

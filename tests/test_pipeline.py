@@ -48,6 +48,13 @@ class TestSpecTable:
         assert pipeline.default_grid_spec("convex-ls", x) == (0.5, 6.0, 1000)
         assert pipeline.default_grid_spec("deconv-ml", x) == (0.5, 2.0, 500)
 
+    def test_default_grid_is_the_model_domain(self):
+        x = np.random.default_rng(3).exponential(size=25)
+        for kind in pipeline.MODELS:
+            spec = pipeline.model_spec(kind)
+            assert pipeline.default_grid_spec(kind, x) == \
+                (*spec.model(x).domain, spec.grid_size)
+
     def test_unknown_model_rejected(self):
         x = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="unknown model"):
