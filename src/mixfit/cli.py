@@ -146,6 +146,12 @@ def check(measure_path, input_path, model, tol):
     with _bad_input():
         sample = pipeline.ingest(input_path, nonnegative=spec.nonnegative)
         measure = pipeline.read_measure(measure_path)
+        lo, hi = spec.model.family.domain
+        for theta in measure.locations:
+            if not lo < theta < hi:
+                raise ValueError(
+                    f"{measure_path}: atom {float(theta)!r} is outside the "
+                    f"parameter domain ({lo:g}, {hi:g})")
         grid = pipeline.build_grid(
             *pipeline.default_grid_spec(model, sample), spec.model.family)
     cert = core.check_optimality(spec.model(sample), measure, grid, tol)

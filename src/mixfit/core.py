@@ -111,9 +111,8 @@ class SolverConfig:
         solve.
     gridless_tol : float
         Stop refinement once the location-gradient norm falls below
-        this value.
-    max_fine_tune_steps : int
-        Cap on refinement steps.
+        this value.  The step cap is the constant
+        ``gridless._MAX_STEPS``.
     support_tol : float
         Stationarity tolerance on the support used by optimality
         certificates issued while solving.
@@ -124,7 +123,6 @@ class SolverConfig:
     max_outer_iter: int = 10_000
     gridless_enabled: bool = False
     gridless_tol: float = 1e-6
-    max_fine_tune_steps: int = 10_000
     support_tol: float = 1e-8
 
     def __post_init__(self):
@@ -143,8 +141,6 @@ class SolverConfig:
             raise ValueError("max_outer_iter must be at least 1")
         if not (self.gridless_tol >= 0.0):
             raise ValueError("gridless_tol must be nonnegative")
-        if self.max_fine_tune_steps < 1:
-            raise ValueError("max_fine_tune_steps must be at least 1")
         if not (self.support_tol > 0.0):
             raise ValueError("support_tol must be positive")
 

@@ -46,6 +46,9 @@ _SHRINK = 0.9
 #: this are merged and the reoptimization retried.
 _MERGE_GAP = 1e-5
 
+#: cap on refinement steps.
+_MAX_STEPS = 10_000
+
 
 @dataclass
 class FineTuneTrace:
@@ -59,8 +62,6 @@ class FineTuneTrace:
 
     objective: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
-    step_eps: list = field(default_factory=list)
-    support_size: list = field(default_factory=list)
     steps: int = 0
     converged: bool = False
     stop_reason: str = ""
@@ -110,39 +111,37 @@ def _shifted(measure, h, eps):
     return MixingMeasure(measure.locations + eps * h, measure.weights)
 
 
-def line_search(model, measure, h, eps0):
-    """Step length along a unit descent direction of the locations.
+def line_search(model, measure, h, eps0, value, slope):
+    """Step along a unit descent direction of the locations.
 
-    Evaluates the directional derivative ``mu'(eps)`` of
-    ``tau(eps h)``.  If it is still negative at the trust radius
-    ``eps0`` the full step is taken; otherwise the sign change is
-    resolved by regula falsi.  Candidates are only accepted when the
-    objective strictly decreases at fixed weights; otherwise the trust
-    radius shrinks by ``_SHRINK`` and the search retries.  Returns the
-    accepted ``eps`` or None when no improving step exists above the
-    underflow floor.
+    ``value`` is the objective at ``measure`` and ``slope`` the
+    directional derivative ``mu'(0) = h @ grad`` of ``tau(eps h)``
+    there; the caller has computed both.  If ``mu'`` is still negative
+    at the trust radius ``eps0`` the full step is taken; otherwise the
+    sign change is resolved by regula falsi.  Candidates are only
+    accepted when the objective strictly decreases at fixed weights;
+    otherwise the trust radius shrinks by ``_SHRINK`` and the search
+    retries.  Returns the accepted shifted measure and its objective,
+    or None when no improving step exists above the underflow floor.
     """
-    phi0 = model.objective(measure)
-
     def mu_prime(eps):
         return float(h @ tau_gradient(model, _shifted(measure, h, eps)))
 
-    def tau(eps):
-        return model.objective(_shifted(measure, h, eps)) - phi0
-
-    g0 = mu_prime(0.0)
-    if g0 >= 0.0:
+    if slope >= 0.0:
         return None
     top = eps0
-    f_tol = 1e-13 * max(1.0, abs(g0))
+    f_tol = 1e-13 * max(1.0, abs(slope))
     while top > _EPS_UNDERFLOW * eps0:
         g_top = mu_prime(top)
         if g_top < 0.0:
             cand = top
         else:
-            cand = _falsi_root(mu_prime, 0.0, top, g0, g_top, f_tol)
-        if cand > 0.0 and tau(cand) < 0.0:
-            return cand
+            cand = _falsi_root(mu_prime, 0.0, top, slope, g_top, f_tol)
+        if cand > 0.0:
+            shifted = _shifted(measure, h, cand)
+            new = model.objective(shifted)
+            if new < value:
+                return shifted, new
         top = _SHRINK * min(cand, top) if cand > 0.0 else _SHRINK * top
     return None
 
@@ -197,7 +196,7 @@ def fine_tune(model, measure, config):
         Converged grid solution.
     config : SolverConfig
         ``gridless_tol`` is the stopping threshold on the location
-        gradient norm and ``max_fine_tune_steps`` caps the iteration.
+        gradient norm; ``_MAX_STEPS`` caps the iteration.
 
     Returns
     -------
@@ -220,9 +219,10 @@ def fine_tune(model, measure, config):
         return f, trace
     span = f.locations[-1] - f.locations[0] if f.size > 1 else 1.0
     merge_gap = _MERGE_GAP * max(span, 1.0)
-    trace.objective.append(model.objective(f))
+    value = model.objective(f)
+    trace.objective.append(value)
 
-    for _ in range(config.max_fine_tune_steps):
+    for _ in range(_MAX_STEPS):
         grad = tau_gradient(model, f)
         norm = float(np.linalg.norm(grad))
         trace.grad_norm.append(norm)
@@ -235,12 +235,12 @@ def fine_tune(model, measure, config):
         if eps0 <= 0.0:
             trace.stop_reason = "no room to move inside the domain"
             break
-        eps = line_search(model, f, h, eps0)
-        if eps is None:
+        step = line_search(model, f, h, eps0, value, float(h @ grad))
+        if step is None:
             trace.stop_reason = "line search found no improving step"
             break
-        shifted = _shifted(f, h, eps)
-        trace.objective.append(model.objective(shifted))
+        shifted, shifted_value = step
+        trace.objective.append(shifted_value)
         try:
             f = model.minimize_over_support(shifted, config)
         except ValueError:
@@ -255,13 +255,11 @@ def fine_tune(model, measure, config):
         if f.size == 0:
             trace.stop_reason = "all atoms deleted"
             break
-        trace.objective.append(model.objective(f))
-        trace.step_eps.append(eps)
-        trace.support_size.append(f.size)
+        value = model.objective(f)
+        trace.objective.append(value)
         trace.steps += 1
-        logger.debug("refine step %d: |grad| %.3e, eps %.3e, support %d, "
-                     "objective %.12g", trace.steps, norm, eps, f.size,
-                     trace.objective[-1])
+        logger.debug("refine step %d: |grad| %.3e, support %d, "
+                     "objective %.12g", trace.steps, norm, f.size, value)
     else:
         trace.stop_reason = "step cap reached"
 

@@ -295,11 +295,14 @@ class TestInputErrors:
     means a run that did not converge or certify."""
 
     @pytest.mark.parametrize("case", ["gridless-tol", "grid-size",
-                                      "simulate-n", "measure-field"])
+                                      "simulate-n", "measure-field",
+                                      "atom-below-domain", "atom-on-edge"])
     def test_usage_error_without_traceback(self, runner, tmp_path, case):
         sample = tmp_path / "s.txt"
         sample.write_text("0.5\n1.0\n2.0\n")
         out = str(tmp_path / "o")
+        check = ["check", str(tmp_path / "m.csv"), str(sample),
+                 "--model", "convex-ls"]
         args, message = {
             "gridless-tol": (["fit", "convex-ls", str(sample), "--gridless",
                               "--gridless-tol", "-1", "--out-dir", out],
@@ -310,11 +313,16 @@ class TestInputErrors:
             "simulate-n": (["simulate", "--kind", "exponential", "--n", "0",
                             "--seed", "0", "--out", str(tmp_path / "n.txt")],
                            "sample size must be positive"),
-            "measure-field": (["check", str(tmp_path / "m.csv"), str(sample),
-                               "--model", "convex-ls"],
-                              "line 2: not a number: 'abc'"),
+            "measure-field": (check, "line 2: not a number: 'abc'"),
+            # The triangular kernel's parameter lives in (0, inf).
+            "atom-below-domain": (check, "m.csv: atom -1.0 is outside the "
+                                         "parameter domain (0, inf)"),
+            "atom-on-edge": (check, "m.csv: atom 0.0 is outside the "
+                                    "parameter domain (0, inf)"),
         }[case]
-        (tmp_path / "m.csv").write_text("theta,weight\n1.0,abc\n")
+        rows = {"atom-below-domain": "-1.0,0.5\n2.0,0.5\n",
+                "atom-on-edge": "0.0,0.5\n2.0,0.5\n"}.get(case, "1.0,abc\n")
+        (tmp_path / "m.csv").write_text("theta,weight\n" + rows)
         res = _invoke(runner, args)
         assert res.exit_code == 2, res.output
         assert message in res.output

@@ -439,8 +439,6 @@ class TestConfigAndTrace:
         for bad in (0.0, -1e-8, np.nan):
             with pytest.raises(ValueError, match="support_tol"):
                 SolverConfig(grid=np.array([1.0]), support_tol=bad)
-        with pytest.raises(ValueError, match="max_fine_tune_steps"):
-            SolverConfig(grid=np.array([1.0]), max_fine_tune_steps=0)
 
     def test_grid_is_copied_and_read_only(self):
         src = np.array([1.0, 2.0])

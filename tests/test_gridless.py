@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
+from mixfit import gridless
 from mixfit.core import SolverConfig, solve
 from mixfit.families import MixingMeasure
 from mixfit.gridless import (
@@ -93,27 +94,91 @@ class _FlatDeceiver:
         return np.array([-1.0])
 
 
+def _search(model, f, h, eps0):
+    """``line_search`` with the objective and slope at ``f`` that
+    ``fine_tune`` hands it."""
+    return line_search(model, f, h, eps0, model.objective(f),
+                       float(h @ tau_gradient(model, f)))
+
+
+class _Recorder:
+    """Forwards to a cone model and records the (locations, weights) that
+    ``objective`` and ``location_gradient`` see, and the inputs and
+    results of ``minimize_over_support``."""
+
+    def __init__(self, model):
+        self._model = model
+        self.domain = model.domain
+        self.seen = {"objective": [], "location_gradient": []}
+        self.inputs, self.outputs = [], []
+
+    @staticmethod
+    def _key(measure):
+        return measure.locations.tobytes(), measure.weights.tobytes()
+
+    def objective(self, measure):
+        self.seen["objective"].append(self._key(measure))
+        return self._model.objective(measure)
+
+    def location_gradient(self, measure):
+        self.seen["location_gradient"].append(self._key(measure))
+        return self._model.location_gradient(measure)
+
+    def minimize_over_support(self, measure, config):
+        self.inputs.append(measure)
+        self.outputs.append(self._model.minimize_over_support(measure,
+                                                              config))
+        return self.outputs[-1]
+
+
+class _CoalescingPull:
+    """``sum_i w_i (loc_i - v)^2`` at fixed weights, whose weight
+    reoptimization fails on atoms closer than ``gap``, as a rank-deficient
+    solve does."""
+
+    domain = (-10.0, 10.0)
+
+    def __init__(self, v, gap):
+        self.v, self.gap = v, gap
+        self.inputs, self.failed = [], []
+
+    def objective(self, measure):
+        return float(measure.weights @ (measure.locations - self.v) ** 2)
+
+    def location_gradient(self, measure):
+        return 2.0 * measure.weights * (measure.locations - self.v)
+
+    def minimize_over_support(self, measure, config):
+        self.inputs.append(measure)
+        if np.any(np.diff(measure.locations) < self.gap):
+            self.failed.append(measure)
+            raise ValueError("singular normal equations")
+        return measure
+
+
 class TestLineSearch:
     def test_finds_interior_vertex(self):
         model = _OneAtomQuadratic(0.3)
         f = MixingMeasure([0.0], [1.0])
-        eps = line_search(model, f, np.array([1.0]), eps0=1.0)
-        assert_allclose(eps, 0.3, atol=1e-12)
+        shifted, value = _search(model, f, np.array([1.0]), eps0=1.0)
+        assert_allclose(shifted.locations, [0.3], atol=1e-12)
+        assert value == model.objective(shifted)
 
     def test_full_step_when_derivative_stays_negative(self):
         model = _OneAtomQuadratic(0.3)
         f = MixingMeasure([0.0], [1.0])
-        eps = line_search(model, f, np.array([1.0]), eps0=0.2)
-        assert eps == 0.2
+        shifted, value = _search(model, f, np.array([1.0]), eps0=0.2)
+        assert shifted.locations[0] == 0.2
+        assert value == model.objective(shifted)
 
     def test_none_at_stationary_point(self):
         model = _OneAtomQuadratic(0.3)
         f = MixingMeasure([0.3], [1.0])
-        assert line_search(model, f, np.array([1.0]), eps0=1.0) is None
+        assert _search(model, f, np.array([1.0]), eps0=1.0) is None
 
     def test_none_when_no_actual_improvement(self):
         f = MixingMeasure([0.0], [1.0])
-        assert line_search(_FlatDeceiver(), f, np.array([1.0]), eps0=1.0) is None
+        assert _search(_FlatDeceiver(), f, np.array([1.0]), eps0=1.0) is None
 
     def test_accepted_step_strictly_decreases_ls_objective(self):
         rng = np.random.default_rng(3)
@@ -122,10 +187,12 @@ class TestLineSearch:
         f = MixingMeasure([0.8, 2.1], [0.5, 0.4])
         grad = tau_gradient(m, f)
         h = -grad / np.linalg.norm(grad)
-        eps = line_search(m, f, h, eps0=_trust_radius(f, h, m.domain))
-        assert eps is not None
-        shifted = MixingMeasure(f.locations + eps * h, f.weights)
-        assert m.objective(shifted) < m.objective(f)
+        step = _search(m, f, h, eps0=_trust_radius(f, h, m.domain))
+        assert step is not None
+        shifted, value = step
+        assert_allclose(shifted.weights, f.weights, rtol=0)
+        assert value == m.objective(shifted)
+        assert value < m.objective(f)
 
 
 class TestTauGradient:
@@ -206,6 +273,18 @@ def _ls_fit(seed=11, n=50, grid_size=40):
     return model, f, config
 
 
+def _ml_fit():
+    # test_ml_path's problem
+    rng = np.random.default_rng(29)
+    x = np.sort(rng.normal(size=50) + rng.exponential(size=50))
+    grid = np.linspace(x[0], x[-1], 25)
+    config = SolverConfig(grid=grid, eta=1e-8, gridless_enabled=True,
+                          gridless_tol=1e-6)
+    f, trace = newton_solve(x, config)
+    assert trace.converged
+    return MlModel(x), f, config
+
+
 class TestFineTune:
     def test_empty_measure(self):
         model, _, config = _ls_fit()
@@ -250,11 +329,52 @@ class TestFineTune:
         assert np.all(np.diff(f.locations) > 0)
         assert abs(f.total_mass() - 1.0) <= 1e-6
 
-    def test_step_cap(self):
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(gridless, "_MAX_STEPS", 1)
         model, f0, config = _ls_fit(grid_size=12)
-        capped = dataclasses.replace(config, max_fine_tune_steps=1,
-                                     gridless_tol=1e-13)
-        f, trace = fine_tune(model, f0, capped)
+        f, trace = fine_tune(model, f0,
+                             dataclasses.replace(config, gridless_tol=1e-13))
         assert not trace.converged
         assert trace.stop_reason == "step cap reached"
         assert trace.steps == 1
+
+    @pytest.mark.parametrize("kind", ["convex-ls", "deconv-ml"])
+    def test_each_measure_evaluated_once(self, kind):
+        # Every value a step needs comes from one evaluation: the line
+        # search gets the iterate's objective and slope from fine_tune,
+        # and fine_tune's trace takes the accepted step's objective from
+        # the line search.
+        if kind == "convex-ls":
+            model, f0, config = _ls_fit()
+        else:
+            model, f0, config = _ml_fit()
+        rec = _Recorder(model)
+        f, trace = fine_tune(rec, f0, config)
+        assert trace.converged and trace.steps > 0
+        for name, seen in rec.seen.items():
+            assert len(set(seen)) == len(seen), name
+        expected = [model.objective(f0)]
+        for shifted, polished in zip(rec.inputs, rec.outputs):
+            expected += [model.objective(shifted), model.objective(polished)]
+        assert trace.objective == expected
+
+    def test_merge_rescue_keeps_descending(self):
+        # Both atoms are pulled to 0.9 and close in geometrically; once a
+        # shifted pair is closer than the merge gap the reoptimization
+        # fails, the pair merges, and the single atom descends to 0.9.
+        model = _CoalescingPull(0.9, gap=gridless._MERGE_GAP)
+        config = SolverConfig(grid=np.array([0.5]), gridless_tol=1e-8)
+        f, trace = fine_tune(model, MixingMeasure([0.0, 1.0], [1.0, 1.0]),
+                             config)
+        assert len(model.failed) == 1
+        i = model.inputs.index(model.failed[0])
+        merged = model.inputs[i + 1]
+        assert merged.size == 1
+        assert len(model.inputs) > i + 2  # steps on the merged support
+        assert trace.converged
+        assert f.size == 1
+        assert f.weights[0] == 2.0
+        assert_allclose(f.locations, [0.9], atol=1e-8)
+        obj = np.asarray(trace.objective)
+        assert np.all(np.diff(obj) <= 0.0)
+        assert obj[-1] < model.objective(merged)
