@@ -144,6 +144,8 @@ def check(measure_path, input_path, model, tol):
     """
     spec = pipeline.model_spec(model)
     with _bad_input():
+        if not 0.0 < tol < float("inf"):
+            raise ValueError("--tol must be positive and finite")
         sample = pipeline.ingest(input_path, nonnegative=spec.nonnegative)
         measure = pipeline.read_measure(measure_path)
         lo, hi = spec.model.family.domain

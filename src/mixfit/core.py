@@ -135,14 +135,14 @@ class SolverConfig:
             raise ValueError("grid must be strictly increasing")
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
-        if not (self.eta > 0.0):
-            raise ValueError("eta must be positive")
+        if not (0.0 < self.eta < np.inf):
+            raise ValueError("eta must be positive and finite")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be at least 1")
-        if not (self.gridless_tol >= 0.0):
-            raise ValueError("gridless_tol must be nonnegative")
-        if not (self.support_tol > 0.0):
-            raise ValueError("support_tol must be positive")
+        if not (0.0 <= self.gridless_tol < np.inf):
+            raise ValueError("gridless_tol must be nonnegative and finite")
+        if not (0.0 < self.support_tol < np.inf):
+            raise ValueError("support_tol must be positive and finite")
 
 
 @dataclass
@@ -151,31 +151,29 @@ class SolverTrace:
 
     One row per outer iterate: the objective at the iterate, the
     support size, the minimal (rescaled) directional derivative over
-    the grid, the grid argmin, the number of atoms deleted while
-    producing this iterate (0 on the first row), the damping factor
-    when the model uses damped outer updates (NaN otherwise), and the
-    objective values recorded after each inner reduction move that
-    produced this iterate.  ``certificate`` is the certificate of the
-    returned iterate when the solver issued one (the likelihood's Newton
-    loop does; :func:`solve` leaves it ``None``).
+    the grid, the number of atoms deleted while producing this iterate
+    (0 on the first row), the damping factor when the model uses damped
+    outer updates (NaN otherwise), and the objective values recorded
+    after each inner reduction move that produced this iterate.
+    ``certificate`` is the certificate of the returned iterate when the
+    solver issued one (the likelihood's Newton loop does; :func:`solve`
+    leaves it ``None``).
     """
 
     objective: list = field(default_factory=list)
     support_size: list = field(default_factory=list)
     min_alt_deriv: list = field(default_factory=list)
-    chosen_theta: list = field(default_factory=list)
     deletions: list = field(default_factory=list)
     step_size: list = field(default_factory=list)
     inner_objectives: list = field(default_factory=list)
     converged: bool = False
     certificate: OptimalityCertificate | None = None
 
-    def append(self, objective, support_size, min_alt_deriv, chosen_theta,
-               deletions, step_size=np.nan, inner_objectives=()):
+    def append(self, objective, support_size, min_alt_deriv, deletions,
+               step_size=np.nan, inner_objectives=()):
         self.objective.append(float(objective))
         self.support_size.append(int(support_size))
         self.min_alt_deriv.append(float(min_alt_deriv))
-        self.chosen_theta.append(float(chosen_theta))
         self.deletions.append(int(deletions))
         self.step_size.append(float(step_size))
         self.inner_objectives.append(list(inner_objectives))
@@ -320,8 +318,8 @@ def solve(model, config):
 
     for it in range(config.max_outer_iter + 1):
         theta_hat, val = min_alt_dir_deriv(model, f, grid)
-        trace.append(model.objective(f), f.size, val, theta_hat,
-                     pending_deletions, np.nan, pending_inner)
+        trace.append(model.objective(f), f.size, val, pending_deletions,
+                     np.nan, pending_inner)
         if val >= -config.eta:
             trace.converged = True
             logger.info("converged after %d outer iterations, min derivative %.3e",

@@ -189,9 +189,10 @@ def fine_tune(model, measure, config):
     Parameters
     ----------
     model
-        Objective with ``location_gradient`` and ``minimize_over_support``
-        hooks and a finite parameter interval ``domain`` the atoms stay
-        inside (both cone models provide them).
+        Objective with ``location_gradient``, a weight polish
+        ``minimize_over_support`` that returns ``(measure, objective)``,
+        and a finite parameter interval ``domain`` the atoms stay inside
+        (both cone models provide them).
     measure : MixingMeasure
         Converged grid solution.
     config : SolverConfig
@@ -242,7 +243,7 @@ def fine_tune(model, measure, config):
         shifted, shifted_value = step
         trace.objective.append(shifted_value)
         try:
-            f = model.minimize_over_support(shifted, config)
+            f, value = model.minimize_over_support(shifted, config)
         except ValueError:
             # Rank-deficient reoptimization: nearly coincident atoms.
             # Merge them and retry; this is the only step that can move
@@ -250,12 +251,11 @@ def fine_tune(model, measure, config):
             # path rather than the normal route.
             logger.debug("reoptimization rank-deficient, merging atoms "
                          "closer than %.3e", merge_gap)
-            f = model.minimize_over_support(
+            f, value = model.minimize_over_support(
                 _merge_close(shifted, merge_gap), config)
         if f.size == 0:
             trace.stop_reason = "all atoms deleted"
             break
-        value = model.objective(f)
         trace.objective.append(value)
         trace.steps += 1
         logger.debug("refine step %d: |grad| %.3e, support %d, "

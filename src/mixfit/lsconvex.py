@@ -231,5 +231,6 @@ class LsModel(core.ConeObjective):
         return measure.weights * (smooth - empirical)
 
     def minimize_over_support(self, measure, config):
-        """Weight reoptimization on a fixed support (exact for this model)."""
-        return core.reoptimize_over_support(self, measure)
+        """Exact weight polish on the support: ``(measure, objective)``."""
+        f = core.reoptimize_over_support(self, measure)
+        return f, self.objective(f)

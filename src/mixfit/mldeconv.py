@@ -145,7 +145,8 @@ class MlModel:
 
         Runs the damped Newton iteration with the candidate set frozen
         to the support itself; used by gridless refinement after atoms
-        have moved.
+        have moved.  Returns ``(measure, objective)``: the loop's last
+        iterate, certified or not, and the objective the loop evaluated.
         """
         locked = core.SolverConfig(
             grid=measure.locations,
@@ -153,8 +154,8 @@ class MlModel:
             max_outer_iter=200,
             support_tol=config.support_tol,
         )
-        result, _ = _newton_loop(self, measure, locked, allow_stall=True)
-        return result
+        result, trace = _newton_loop(self, measure, locked)
+        return result, trace.objective[-1]
 
 
 class QuadLocalModel(core.ConeObjective):
@@ -322,7 +323,7 @@ def _damped_update(model, current, candidate, current_value):
         f"support size {current.size})")
 
 
-def _newton_loop(model, start, config, allow_stall=False):
+def _newton_loop(model, start, config):
     """Shared sequential-quadratic iteration for the relaxed likelihood."""
     grid = config.grid
     # A loop-local copy holds the grid's kernel matrix, which the
@@ -338,8 +339,7 @@ def _newton_loop(model, start, config, allow_stall=False):
         cert = core.check_optimality(model, f, grid, config.eta,
                                      config.support_tol)
         value = model.objective(f)
-        trace.append(value, f.size, cert.min_grid_alt, cert.argmin_theta,
-                     pending[0], pending[1], pending[2])
+        trace.append(value, f.size, cert.min_grid_alt, *pending)
         if cert.passed:
             trace.converged = True
             logger.info("likelihood certificate passed after %d Newton steps "
@@ -350,13 +350,10 @@ def _newton_loop(model, start, config, allow_stall=False):
             # A flat step is only admissible right before certification;
             # failing the certificate after one means no representable
             # progress remains.
-            msg = ("likelihood iteration stalled at certificate gap "
-                   f"{cert.gap:.3e}: objective flat to {_TIE_TOL} and the "
-                   "certificate still fails")
-            if allow_stall:
-                logger.debug("%s; keeping current iterate", msg)
-                break
-            raise core.ConvergenceStall(msg)
+            logger.info("likelihood iteration stalled at certificate gap "
+                        "%.3e: objective flat to %g and the certificate "
+                        "still fails", cert.gap, _TIE_TOL)
+            break
         if it == config.max_outer_iter:
             logger.info("Newton iteration cap %d reached, certificate gap %.3e",
                         config.max_outer_iter, cert.gap)
@@ -377,13 +374,9 @@ def _newton_loop(model, start, config, allow_stall=False):
         try:
             f_new, new_value, lam, tied_last = _damped_update(
                 model, f, candidate, value)
-        except core.ConvergenceStall:
-            if allow_stall:
-                logger.debug("fixed-support likelihood polish stalled at "
-                             "certificate gap %.3e; keeping current iterate",
-                             cert.gap)
-                break
-            raise
+        except core.ConvergenceStall as exc:
+            logger.info("%s; stopping at certificate gap %.3e", exc, cert.gap)
+            break
         pending = (int(np.sum(inner_trace.deletions)), lam,
                    inner_trace.objective)
         logger.debug("Newton step %d: objective %.12g -> %.12g, lam %.3g, "
@@ -417,6 +410,9 @@ def newton_solve(sample, config, start=None):
     trace : core.SolverTrace
         One row per Newton iteration; ``step_size`` holds the damping
         factor and ``certificate`` the returned measure's certificate.
+        A run that hits the cap or stalls (a damped update without
+        decrease, or a flat step that fails the certificate) returns its
+        iterate with ``converged`` false; only losing every atom raises.
     """
     model = sample if isinstance(sample, MlModel) else MlModel(sample)
     if start is None:

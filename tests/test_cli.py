@@ -296,7 +296,9 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("case", ["gridless-tol", "grid-size",
                                       "simulate-n", "measure-field",
-                                      "atom-below-domain", "atom-on-edge"])
+                                      "atom-below-domain", "atom-on-edge",
+                                      "eta-inf", "check-tol-negative",
+                                      "check-tol-inf"])
     def test_usage_error_without_traceback(self, runner, tmp_path, case):
         sample = tmp_path / "s.txt"
         sample.write_text("0.5\n1.0\n2.0\n")
@@ -319,9 +321,18 @@ class TestInputErrors:
                                          "parameter domain (0, inf)"),
             "atom-on-edge": (check, "m.csv: atom 0.0 is outside the "
                                     "parameter domain (0, inf)"),
+            # An infinite tolerance passes every certificate.
+            "eta-inf": (["fit", "convex-ls", str(sample), "--eta", "inf",
+                         "--out-dir", out], "eta must be positive and finite"),
+            "check-tol-negative": (check + ["--tol", "-1"],
+                                   "--tol must be positive and finite"),
+            "check-tol-inf": (check + ["--tol", "inf"],
+                              "--tol must be positive and finite"),
         }[case]
         rows = {"atom-below-domain": "-1.0,0.5\n2.0,0.5\n",
-                "atom-on-edge": "0.0,0.5\n2.0,0.5\n"}.get(case, "1.0,abc\n")
+                "atom-on-edge": "0.0,0.5\n2.0,0.5\n",
+                "check-tol-negative": "1.0,0.5\n2.0,0.5\n",
+                "check-tol-inf": "1.0,0.5\n2.0,0.5\n"}.get(case, "1.0,abc\n")
         (tmp_path / "m.csv").write_text("theta,weight\n" + rows)
         res = _invoke(runner, args)
         assert res.exit_code == 2, res.output

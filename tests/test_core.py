@@ -429,14 +429,15 @@ class TestConfigAndTrace:
             SolverConfig(grid=np.array([1.0, np.inf]))
 
     def test_scalar_validation(self):
-        with pytest.raises(ValueError, match="eta"):
-            SolverConfig(grid=np.array([1.0]), eta=0.0)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta"):
+                SolverConfig(grid=np.array([1.0]), eta=bad)
         with pytest.raises(ValueError, match="max_outer_iter"):
             SolverConfig(grid=np.array([1.0]), max_outer_iter=0)
-        for bad in (-1.0, np.nan):
+        for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="gridless_tol"):
                 SolverConfig(grid=np.array([1.0]), gridless_tol=bad)
-        for bad in (0.0, -1e-8, np.nan):
+        for bad in (0.0, -1e-8, np.nan, np.inf):
             with pytest.raises(ValueError, match="support_tol"):
                 SolverConfig(grid=np.array([1.0]), support_tol=bad)
 
@@ -451,8 +452,8 @@ class TestConfigAndTrace:
     def test_trace_counts(self):
         tr = SolverTrace()
         assert tr.n_iterations == 0
-        tr.append(1.0, 2, -0.5, 1.5, 0)
-        tr.append(0.5, 3, -0.1, 2.5, 1, inner_objectives=[0.7, 0.6])
+        tr.append(1.0, 2, -0.5, 0)
+        tr.append(0.5, 3, -0.1, 1, inner_objectives=[0.7, 0.6])
         assert tr.n_iterations == 1
         assert tr.inner_objectives[1] == [0.7, 0.6]
         assert math.isnan(tr.step_size[0])

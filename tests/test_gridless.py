@@ -126,9 +126,9 @@ class _Recorder:
 
     def minimize_over_support(self, measure, config):
         self.inputs.append(measure)
-        self.outputs.append(self._model.minimize_over_support(measure,
-                                                              config))
-        return self.outputs[-1]
+        polished, value = self._model.minimize_over_support(measure, config)
+        self.outputs.append(polished)
+        return polished, value
 
 
 class _CoalescingPull:
@@ -153,7 +153,7 @@ class _CoalescingPull:
         if np.any(np.diff(measure.locations) < self.gap):
             self.failed.append(measure)
             raise ValueError("singular normal equations")
-        return measure
+        return measure, self.objective(measure)
 
 
 class TestLineSearch:
@@ -285,6 +285,25 @@ def _ml_fit():
     return MlModel(x), f, config
 
 
+def _fit(kind):
+    return _ls_fit() if kind == "convex-ls" else _ml_fit()
+
+
+class TestWeightPolish:
+    @pytest.mark.parametrize("kind", ["convex-ls", "deconv-ml"])
+    def test_returns_the_objective_of_its_measure(self, kind):
+        # The polish of the first refinement step's shifted support.
+        model, f0, config = _fit(kind)
+        grad = tau_gradient(model, f0)
+        h = -grad / np.linalg.norm(grad)
+        shifted, _ = _search(model, f0, h,
+                             eps0=_trust_radius(f0, h, model.domain))
+        polished, value = model.minimize_over_support(shifted, config)
+        assert polished.size > 0
+        assert value == model.objective(polished)
+        assert value <= model.objective(shifted)
+
+
 class TestFineTune:
     def test_empty_measure(self):
         model, _, config = _ls_fit()
@@ -343,11 +362,8 @@ class TestFineTune:
         # Every value a step needs comes from one evaluation: the line
         # search gets the iterate's objective and slope from fine_tune,
         # and fine_tune's trace takes the accepted step's objective from
-        # the line search.
-        if kind == "convex-ls":
-            model, f0, config = _ls_fit()
-        else:
-            model, f0, config = _ml_fit()
+        # the line search and the polished measure's from the polish.
+        model, f0, config = _fit(kind)
         rec = _Recorder(model)
         f, trace = fine_tune(rec, f0, config)
         assert trace.converged and trace.steps > 0

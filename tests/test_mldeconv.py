@@ -10,12 +10,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from mixfit import pipeline
+from mixfit import mldeconv, pipeline
+from mixfit.cli import main
 from mixfit.core import ConvergenceStall, SolverConfig, check_optimality
 from mixfit.families import (
     GaussianFamily,
@@ -547,6 +549,55 @@ class TestSharedKernelMatrix:
                 todo.extend(vars(obj).values())
         assert arrays
         assert max(a.size for a in arrays) <= self.N
+
+
+class TestGridStageStall:
+    """A damped update that stalls ends the grid stage like the cap does:
+    the current iterate comes back uncertified instead of an exception."""
+
+    @pytest.fixture
+    def stalled(self, monkeypatch):
+        def stall(model, current, candidate, current_value):
+            raise ConvergenceStall("damped likelihood update stalled")
+
+        monkeypatch.setattr(mldeconv, "_damped_update", stall)
+        x = np.random.default_rng(47).normal(size=60) + 1.0
+        return x, SolverConfig(grid=np.linspace(x.min(), x.max(), 25),
+                               eta=1e-8, gridless_enabled=True)
+
+    def test_newton_solve_returns_its_start(self, stalled):
+        x, config = stalled
+        start = starting_iterate(x, config.grid)
+        f, trace = newton_solve(x, config)
+        assert np.array_equal(f.locations, start.locations)
+        assert np.array_equal(f.weights, start.weights)
+        assert not trace.converged
+        assert trace.n_iterations == 0
+        fresh = check_optimality(MlModel(x), start, config.grid, config.eta,
+                                 config.support_tol)
+        assert trace.certificate == fresh
+        assert not fresh.passed
+
+    def test_fit_returns_without_refinement(self, stalled):
+        x, config = stalled
+        result = pipeline.fit("deconv-ml", x, config)
+        assert not result.converged
+        assert not result.certificate.passed
+        assert result.fine_tune_trace is None
+
+    def test_cli_writes_its_files_and_exits_1(self, stalled, tmp_path):
+        x, _ = stalled
+        sample = tmp_path / "s.txt"
+        pipeline.write_sample(sample, x)
+        out = tmp_path / "out"
+        res = CliRunner().invoke(main, ["fit", "deconv-ml", str(sample),
+                                        "--out-dir", str(out)],
+                                 env={"MIXFIT_LOG": "off"})
+        assert res.exit_code == 1, res.output
+        assert "Traceback" not in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert pipeline.read_measure(out / "measure.csv").size == 1
+        assert "converged: false" in (out / "report.txt").read_text()
 
 
 class _RiggedObjective:
