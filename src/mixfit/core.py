@@ -322,12 +322,12 @@ def solve(model, config):
                      np.nan, pending_inner)
         if val >= -config.eta:
             trace.converged = True
-            logger.info("converged after %d outer iterations, min derivative %.3e",
-                        it, val)
+            logger.debug("converged after %d outer iterations, min derivative %.3e",
+                         it, val)
             break
         if it == config.max_outer_iter:
-            logger.info("outer iteration cap %d reached, min derivative %.3e",
-                        config.max_outer_iter, val)
+            logger.debug("outer iteration cap %d reached, min derivative %.3e",
+                         config.max_outer_iter, val)
             break
         logger.debug("iter %d: objective %.12g, support %d, min deriv %.3e at %.6g",
                      it, trace.objective[-1], f.size, val, theta_hat)

@@ -10,10 +10,11 @@ whose gradient components are ``w_i`` times the parameter derivative of
 the vertex directional derivative at ``theta_i``.  Each refinement step
 moves the locations a short distance along ``-grad tau / |grad tau|``,
 chooses the step length by a derivative-based line search (regula falsi
-on the directional derivative of ``tau``), and then reoptimizes the
-weights over the shifted support, which may delete atoms.  The loop
-stops when the location gradient is small, so the final support is
-stationary in both weights and locations.
+on the directional derivative of ``tau``), merges atoms that have come
+closer than a fixed fraction of the model's domain, and then
+reoptimizes the weights over the shifted support, which may delete
+atoms.  The loop stops when the location gradient is small, so the
+final support is stationary in both weights and locations.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ _EPS_UNDERFLOW = 1e-14
 #: factor the trust interval shrinks by when a line search retries.
 _SHRINK = 0.9
 
-#: rescue width, as a fraction of the support span: when a weight
-#: reoptimization fails on nearly coincident atoms, atoms closer than
-#: this are merged and the reoptimization retried.
+#: merge width, as a fraction of the width of the model's domain: atoms
+#: closer than this after a location step are merged before the weight
+#: reoptimization, which cannot resolve nearly coincident atoms.
 _MERGE_GAP = 1e-5
 
 #: cap on refinement steps.
@@ -148,7 +149,8 @@ def line_search(model, measure, h, eps0, value, slope):
 
 def _trust_radius(measure, h, domain):
     """Largest safe step: half the smallest atom gap per unit of relative
-    motion, clipped so every shifted location stays in the finite domain."""
+    motion, clipped so every shifted location stays in the finite domain,
+    and halved if two atoms moving head-on would meet at it."""
     locs = measure.locations
     hmax = float(np.max(np.abs(h)))
     if hmax == 0.0:
@@ -162,7 +164,10 @@ def _trust_radius(measure, h, domain):
             bounds.append((hi - loc) / hi_dir)
         elif hi_dir < 0.0:
             bounds.append((loc - lo) / (-hi_dir))
-    return max(0.0, min(bounds))
+    radius = max(0.0, min(bounds))
+    if np.any(np.diff(locs + radius * h) <= 0.0):
+        radius *= 0.5
+    return radius
 
 
 def _merge_close(measure, gap):
@@ -206,10 +211,13 @@ def fine_tune(model, measure, config):
 
     Notes
     -----
-    The objective never increases: location steps are accepted only on
-    strict decrease at fixed weights, and the weight reoptimization
-    minimizes over a set containing the current iterate.  Atoms can be
-    deleted (or merged when nearly coincident) but never added, so the
+    Location steps are accepted only on strict decrease at fixed
+    weights, and the weight reoptimization minimizes over a set
+    containing its input.  Before it, atoms closer than ``_MERGE_GAP``
+    times the width of ``model.domain`` merge into one atom at their
+    weighted mean location with their summed weight, which moves the
+    mixture, and so the objective, only at second order in the gap.
+    Atoms can be deleted or merged but never added, so the
     refined support is at most as large as the grid solution's.
     """
     trace = FineTuneTrace()
@@ -218,8 +226,8 @@ def fine_tune(model, measure, config):
         trace.converged = True
         trace.stop_reason = "empty measure"
         return f, trace
-    span = f.locations[-1] - f.locations[0] if f.size > 1 else 1.0
-    merge_gap = _MERGE_GAP * max(span, 1.0)
+    lo, hi = model.domain
+    merge_gap = _MERGE_GAP * (hi - lo)
     value = model.objective(f)
     trace.objective.append(value)
 
@@ -242,17 +250,8 @@ def fine_tune(model, measure, config):
             break
         shifted, shifted_value = step
         trace.objective.append(shifted_value)
-        try:
-            f, value = model.minimize_over_support(shifted, config)
-        except ValueError:
-            # Rank-deficient reoptimization: nearly coincident atoms.
-            # Merge them and retry; this is the only step that can move
-            # an atom without a guaranteed descent, so it is a rescue
-            # path rather than the normal route.
-            logger.debug("reoptimization rank-deficient, merging atoms "
-                         "closer than %.3e", merge_gap)
-            f, value = model.minimize_over_support(
-                _merge_close(shifted, merge_gap), config)
+        f, value = model.minimize_over_support(
+            _merge_close(shifted, merge_gap), config)
         if f.size == 0:
             trace.stop_reason = "all atoms deleted"
             break
@@ -262,7 +261,4 @@ def fine_tune(model, measure, config):
                      "objective %.12g", trace.steps, norm, f.size, value)
     else:
         trace.stop_reason = "step cap reached"
-
-    logger.info("refinement stopped after %d steps: %s", trace.steps,
-                trace.stop_reason or "converged")
     return f, trace

@@ -20,9 +20,6 @@ uses its curvature-normalized rescaling ``D * sqrt(3 theta / 4)``.
 
 from __future__ import annotations
 
-import logging
-import warnings
-
 import numpy as np
 from scipy import linalg
 
@@ -35,8 +32,6 @@ from .families import (
 )
 
 __all__ = ["LsModel"]
-
-logger = logging.getLogger("mixfit.lsconvex")
 
 
 class LsModel(core.ConeObjective):
@@ -57,10 +52,6 @@ class LsModel(core.ConeObjective):
     """
 
     family = TriangularFamily()
-
-    #: Gram condition number above which the normal-equation solve is
-    #: flagged as unreliable.
-    cond_warn = 1e12
 
     def __init__(self, sample):
         x = np.sort(np.asarray(sample, dtype=float).ravel())
@@ -158,11 +149,6 @@ class LsModel(core.ConeObjective):
             return SignedMixingMeasure.empty()
         G = self._gram(support)
         b = self._linear_term(support)
-        cond = np.linalg.cond(G)
-        if cond > self.cond_warn:
-            warnings.warn(
-                f"triangular Gram matrix condition number {cond:.2e}; "
-                "nearly coincident knots should be merged", RuntimeWarning)
         try:
             c, low = linalg.cho_factor(G)
             sigma = linalg.cho_solve((c, low), b)

@@ -342,21 +342,21 @@ def _newton_loop(model, start, config):
         trace.append(value, f.size, cert.min_grid_alt, *pending)
         if cert.passed:
             trace.converged = True
-            logger.info("likelihood certificate passed after %d Newton steps "
-                        "(grid min %.3e, support max %.3e)",
-                        it, cert.min_grid_alt, cert.max_abs_support)
+            logger.debug("likelihood certificate passed after %d Newton steps "
+                         "(grid min %.3e, support max %.3e)",
+                         it, cert.min_grid_alt, cert.max_abs_support)
             break
         if tied_last:
             # A flat step is only admissible right before certification;
             # failing the certificate after one means no representable
             # progress remains.
-            logger.info("likelihood iteration stalled at certificate gap "
-                        "%.3e: objective flat to %g and the certificate "
-                        "still fails", cert.gap, _TIE_TOL)
+            logger.debug("likelihood iteration stalled at certificate gap "
+                         "%.3e: objective flat to %g and the certificate "
+                         "still fails", cert.gap, _TIE_TOL)
             break
         if it == config.max_outer_iter:
-            logger.info("Newton iteration cap %d reached, certificate gap %.3e",
-                        config.max_outer_iter, cert.gap)
+            logger.debug("Newton iteration cap %d reached, certificate gap %.3e",
+                         config.max_outer_iter, cert.gap)
             break
         quad = QuadLocalModel(model.obs, f)
         # Early quadratic subproblems need only a loose solve.  The gap is
@@ -375,7 +375,7 @@ def _newton_loop(model, start, config):
             f_new, new_value, lam, tied_last = _damped_update(
                 model, f, candidate, value)
         except core.ConvergenceStall as exc:
-            logger.info("%s; stopping at certificate gap %.3e", exc, cert.gap)
+            logger.debug("%s; stopping at certificate gap %.3e", exc, cert.gap)
             break
         pending = (int(np.sum(inner_trace.deletions)), lam,
                    inner_trace.objective)

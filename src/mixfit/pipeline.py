@@ -262,20 +262,28 @@ def fit(model_kind, sample, config):
     ``config.gridless_enabled`` is set and the grid solve converged, and
     returns the certificate at ``config.eta`` and ``config.support_tol``:
     the grid stage's own when it issued one and refinement did not run,
-    a fresh one otherwise.
+    a fresh one otherwise.  Logs one info line per stage it runs.
     """
     spec = model_spec(model_kind)
     started = time.perf_counter()
     model = spec.model(sample)
     measure, trace = spec.solve(model, config)
+    logger.info("grid stage %s after %d iterations with %d atoms",
+                "converged" if trace.converged else "did not converge",
+                trace.n_iterations, measure.size)
     grid_support = measure.size
     cert, ft_trace = trace.certificate, None
     if config.gridless_enabled and trace.converged:
         measure, ft_trace = gridless.fine_tune(model, measure, config)
+        logger.info("refinement stopped after %d steps with %d atoms: %s",
+                    ft_trace.steps, measure.size, ft_trace.stop_reason)
         cert = None
     if cert is None:
         cert = core.check_optimality(model, measure, config.grid, config.eta,
                                      config.support_tol)
+    logger.info("certificate %s: grid min %.3e, support max %.3e",
+                "passed" if cert.passed else "failed", cert.min_grid_alt,
+                cert.max_abs_support)
     return FitResult(model_kind, model, measure, trace, cert, config,
                      ft_trace, grid_support, time.perf_counter() - started)
 

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from mixfit import gridless
+from mixfit import gridless, pipeline
 from mixfit.core import SolverConfig, solve
 from mixfit.families import MixingMeasure
 from mixfit.gridless import (
@@ -134,7 +134,7 @@ class _Recorder:
 class _CoalescingPull:
     """``sum_i w_i (loc_i - v)^2`` at fixed weights, whose weight
     reoptimization fails on atoms closer than ``gap``, as a rank-deficient
-    solve does."""
+    solve does, and records every measure it receives."""
 
     domain = (-10.0, 10.0)
 
@@ -227,8 +227,15 @@ class TestTauGradient:
 
 class TestTrustRadius:
     def test_gap_bound(self):
+        # Half the gap of 2 is 1.0, where atoms moving head-on at full
+        # speed would meet at 2, so the radius halves.
         f = MixingMeasure([1.0, 3.0], [0.5, 0.5])
         r = _trust_radius(f, np.array([1.0, -1.0]), (0.0, 10.0))
+        assert r == 0.5
+
+    def test_gap_bound_kept_when_no_pair_meets(self):
+        f = MixingMeasure([1.0, 3.0], [0.5, 0.5])
+        r = _trust_radius(f, np.array([1.0, -0.5]), (0.0, 10.0))
         assert r == 1.0  # half the gap of 2
 
     def test_domain_bound(self):
@@ -374,19 +381,22 @@ class TestFineTune:
             expected += [model.objective(shifted), model.objective(polished)]
         assert trace.objective == expected
 
-    def test_merge_rescue_keeps_descending(self):
-        # Both atoms are pulled to 0.9 and close in geometrically; once a
-        # shifted pair is closer than the merge gap the reoptimization
-        # fails, the pair merges, and the single atom descends to 0.9.
-        model = _CoalescingPull(0.9, gap=gridless._MERGE_GAP)
+    def test_merge_keeps_descending(self):
+        # Both atoms are pulled to 0.9 and close in geometrically; the
+        # shifted pair that comes closer than the merge gap (a fraction of
+        # the domain's width) merges before the polish, which never sees
+        # it, and the single atom descends to 0.9.
+        lo, hi = _CoalescingPull.domain
+        model = _CoalescingPull(0.9, gap=gridless._MERGE_GAP * (hi - lo))
         config = SolverConfig(grid=np.array([0.5]), gridless_tol=1e-8)
         f, trace = fine_tune(model, MixingMeasure([0.0, 1.0], [1.0, 1.0]),
                              config)
-        assert len(model.failed) == 1
-        i = model.inputs.index(model.failed[0])
-        merged = model.inputs[i + 1]
-        assert merged.size == 1
-        assert len(model.inputs) > i + 2  # steps on the merged support
+        assert model.failed == []
+        sizes = [m.size for m in model.inputs]
+        i = sizes.index(1)
+        assert sizes == [2] * i + [1] * (len(sizes) - i)  # one merge
+        merged = model.inputs[i]
+        assert len(sizes) > i + 1  # steps on the merged support
         assert trace.converged
         assert f.size == 1
         assert f.weights[0] == 2.0
@@ -394,3 +404,32 @@ class TestFineTune:
         obj = np.asarray(trace.objective)
         assert np.all(np.diff(obj) <= 0.0)
         assert obj[-1] < model.objective(merged)
+
+
+class TestMergeRule:
+    """Atoms that come closer than the merge gap merge before every
+    weight polish, also when the polish would succeed on them."""
+
+    @pytest.mark.parametrize("x", [[-0.5, 0.5], [-0.7, -0.2, 0.2, 0.7]])
+    def test_symmetric_fit_returns_one_atom(self, x):
+        # Two grid atoms meet at 0, where the estimate is one atom of
+        # weight 1: the data sit well inside one noise sd.
+        config = SolverConfig(grid=np.linspace(-1.0, 1.0, 10), eta=1e-8,
+                              gridless_enabled=True)
+        result = pipeline.fit("deconv-ml", np.array(x), config)
+        assert result.grid_support_size == 2
+        assert result.measure.size == 1
+        assert_allclose(result.measure.weights, [1.0], rtol=1e-6)
+        assert_allclose(result.measure.locations, [0.0], atol=1e-8)
+        assert result.certificate.passed
+        assert result.converged
+
+    def test_head_on_atoms_merge(self):
+        model = MlModel(np.array([-0.5, 0.5]))
+        config = SolverConfig(grid=np.linspace(-1.0, 1.0, 10), eta=1e-8)
+        f, trace = fine_tune(model, MixingMeasure([-0.4, 0.4], [0.5, 0.5]),
+                             config)
+        assert f.size == 1
+        assert_allclose(f.weights, [1.0], rtol=1e-6)
+        assert trace.converged
+        assert np.all(np.diff(trace.objective) <= 1e-15)

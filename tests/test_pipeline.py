@@ -1,6 +1,8 @@
 """The single fit path: the per-model spec table, the stages ``fit`` runs,
 and what ``converged`` promises."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,29 @@ class TestStages:
         cert = core.check_optimality(MlModel(x), result.measure, grid, 1e-8,
                                      1e-8)
         assert cert == result.certificate
+
+
+class TestInfoLog:
+    """At info level a fit logs one summary line per stage it ran."""
+
+    @pytest.mark.parametrize("kind, sim, seed", [
+        ("deconv-ml", "exp-normal-mixture", 11),
+        ("convex-ls", "exponential", 1)])
+    def test_one_line_per_stage(self, caplog, kind, sim, seed):
+        # The default fit `mixfit fit` runs on a 500-point sample.
+        x = pipeline.simulate_sample(sim, 500, seed)
+        spec = pipeline.model_spec(kind)
+        grid = pipeline.build_grid(*pipeline.default_grid_spec(kind, x),
+                                   spec.model.family)
+        config = SolverConfig(grid=grid, eta=spec.eta,
+                              gridless_enabled=spec.gridless)
+        caplog.set_level(logging.INFO, logger="mixfit")
+        result = pipeline.fit(kind, x, config)
+        info = [r.getMessage() for r in caplog.records
+                if r.name.startswith("mixfit") and r.levelno == logging.INFO]
+        assert result.converged
+        assert len(info) == (3 if spec.gridless else 2)
+        assert info[0].startswith("grid stage converged")
+        assert info[-1].startswith("certificate passed")
+        if spec.gridless:
+            assert info[1].startswith("refinement stopped")
