@@ -156,7 +156,13 @@ def check(measure_path, input_path, model, tol):
                     f"parameter domain ({lo:g}, {hi:g})")
         grid = pipeline.build_grid(
             *pipeline.default_grid_spec(model, sample), spec.model.family)
-    cert = core.check_optimality(spec.model(sample), measure, grid, tol)
+    try:
+        cert = core.check_optimality(spec.model(sample), measure, grid, tol)
+    except ValueError as exc:
+        # A likelihood mixture that vanishes at an observation has no
+        # certificate: the objective is infinite there, so not optimal.
+        click.echo(f"passed: false ({exc})")
+        sys.exit(1)
     click.echo(f"min_grid_alt: {cert.min_grid_alt:.17g}")
     click.echo(f"min_grid_raw: {cert.min_grid_raw:.17g}")
     click.echo(f"argmin_theta: {cert.argmin_theta:.17g}")

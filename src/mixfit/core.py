@@ -25,6 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .families import MixingMeasure, SignedMixingMeasure
 
@@ -35,6 +36,7 @@ __all__ = [
     "OptimalityCertificate",
     "ConvergenceStall",
     "min_alt_dir_deriv",
+    "cholesky_solve",
     "reoptimize_over_support",
     "solve",
     "check_optimality",
@@ -129,9 +131,9 @@ class SolverConfig:
         grid = np.array(self.grid, dtype=float).ravel()
         if grid.size == 0:
             raise ValueError("grid must be nonempty")
-        if not np.all(np.isfinite(grid)):
+        if not np.isfinite(grid).all():
             raise ValueError("grid values must be finite")
-        if np.any(np.diff(grid) <= 0.0):
+        if (grid[1:] <= grid[:-1]).any():
             raise ValueError("grid must be strictly increasing")
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
@@ -224,10 +226,29 @@ def min_alt_dir_deriv(model, measure, grid):
     result always points at a usable insertion vertex.
     """
     vals = np.asarray(model.alt_dir_deriv_vertex(grid, measure), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise FloatingPointError("directional derivative scan produced non-finite values")
-    idx = int(np.argmin(vals))
+    idx = int(vals.argmin())
     return float(grid[idx]), float(vals[idx])
+
+
+def cholesky_solve(M, b, singular):
+    """Solve ``M x = b`` for a symmetric positive definite ``M``.
+
+    Calls the LAPACK routines that ``scipy.linalg.cho_factor`` and
+    ``cho_solve`` wrap, with their arguments, so ``x`` is theirs bit for
+    bit without their per-call cost.  Non-finite input raises their
+    ``ValueError``; a matrix that is not positive definite raises
+    ``ValueError(singular)``.
+    """
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(M, lower=0, clean=0)
+    if info:
+        raise ValueError(singular)
+    if not (np.isfinite(b).all() and np.isfinite(c).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return dpotrs(c, b, lower=0)[0]
 
 
 def _reduce_to_cone(model, support, start_weights):
@@ -241,11 +262,11 @@ def _reduce_to_cone(model, support, start_weights):
     atom; those atoms are deleted and the process repeats on the
     smaller support.  Returns ``(measure, deletions, inner_objectives)``.
     """
-    S = np.asarray(support, dtype=float).copy()
-    w = np.asarray(start_weights, dtype=float).copy()
+    S = np.array(support, dtype=float)
+    w = np.array(start_weights, dtype=float)
     if S.size != w.size:
         raise ValueError("support and start weights must align")
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise ValueError("start weights must be nonnegative")
     deletions = 0
     inner_objs = []
@@ -257,7 +278,7 @@ def _reduce_to_cone(model, support, start_weights):
                 w = S.copy()
                 break
             u = model.unrestricted_min(S).weights
-            if np.all(u >= 0.0):
+            if (u >= 0.0).all():
                 zero = u == 0.0
                 if zero.any():
                     deletions += int(zero.sum())
@@ -271,7 +292,7 @@ def _reduce_to_cone(model, support, start_weights):
             lam = float(lam_neg.min())
             w = (1.0 - lam) * w + lam * u
             drop = np.zeros(S.size, dtype=bool)
-            drop[np.flatnonzero(neg)[lam_neg <= lam * (1.0 + 1e-12)]] = True
+            drop[neg.nonzero()[0][lam_neg <= lam * (1.0 + 1e-12)]] = True
             drop |= w <= 0.0
             deletions += int(drop.sum())
             S, w = S[~drop], w[~drop]

@@ -40,19 +40,14 @@ def merge_atoms(locations, weights):
         raise ValueError("locations and weights must have the same length")
     if locations.size == 0:
         return locations.copy(), weights.copy()
-    order = np.argsort(locations, kind="stable")
+    order = locations.argsort(kind="stable")
     loc = locations[order]
-    w = weights[order]
     # Group runs of identical locations; exact float equality is the
     # dedup rule, near-duplicates are the caller's business.
     fresh = np.empty(loc.size, dtype=bool)
     fresh[0] = True
     fresh[1:] = loc[1:] != loc[:-1]
-    idx = np.cumsum(fresh) - 1
-    out_loc = loc[fresh]
-    out_w = np.zeros(out_loc.size)
-    np.add.at(out_w, idx, w)
-    return out_loc, out_w
+    return loc[fresh], np.bincount(fresh.cumsum() - 1, weights=weights[order])
 
 
 class SignedMixingMeasure:
@@ -78,13 +73,12 @@ class SignedMixingMeasure:
         weights = np.array(weights, dtype=float).ravel()
         if locations.shape != weights.shape:
             raise ValueError("locations and weights must have the same length")
-        if locations.size:
-            if not np.all(np.isfinite(locations)):
-                raise ValueError("atom locations must be finite")
-            if not np.all(np.isfinite(weights)):
-                raise ValueError("atom weights must be finite")
-            if np.any(np.diff(locations) <= 0.0):
-                raise ValueError("atom locations must be strictly increasing")
+        if not np.isfinite(locations).all():
+            raise ValueError("atom locations must be finite")
+        if not np.isfinite(weights).all():
+            raise ValueError("atom weights must be finite")
+        if (locations[1:] <= locations[:-1]).any():
+            raise ValueError("atom locations must be strictly increasing")
         locations.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "locations", locations)
@@ -143,7 +137,7 @@ class MixingMeasure(SignedMixingMeasure):
 
     def __init__(self, locations, weights):
         super().__init__(locations, weights)
-        if self.weights.size and np.any(self.weights <= 0.0):
+        if (self.weights <= 0.0).any():
             raise ValueError("MixingMeasure weights must be strictly positive")
 
 
@@ -172,7 +166,7 @@ class TriangularFamily:
     @staticmethod
     def _validate_theta(theta):
         theta = np.asarray(theta, dtype=float)
-        if np.any(theta <= 0.0) or not np.all(np.isfinite(theta)):
+        if (theta <= 0.0).any() or not np.isfinite(theta).all():
             raise ValueError("triangular kernel parameter must be positive and finite")
         return theta
 
@@ -194,7 +188,7 @@ class TriangularFamily:
     def cdf(self, theta, x):
         theta = self._validate_theta(theta)
         x = np.asarray(x, dtype=float)
-        z = np.clip(x / theta, 0.0, 1.0)
+        z = np.minimum(np.maximum(x / theta, 0.0), 1.0)
         out = z * (2.0 - z)
         return out if out.ndim else float(out)
 
@@ -212,7 +206,7 @@ class GaussianFamily:
     @staticmethod
     def _validate_theta(theta):
         theta = np.asarray(theta, dtype=float)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise ValueError("gaussian kernel parameter must be finite")
         return theta
 

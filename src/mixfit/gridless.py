@@ -20,6 +20,7 @@ final support is stationary in both weights and locations.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,20 +153,16 @@ def _trust_radius(measure, h, domain):
     motion, clipped so every shifted location stays in the finite domain,
     and halved if two atoms moving head-on would meet at it."""
     locs = measure.locations
-    hmax = float(np.max(np.abs(h)))
+    hmax = float(np.abs(h).max())
     if hmax == 0.0:
         return 0.0
-    bounds = []
-    if locs.size > 1:
-        bounds.append(0.5 * float(np.min(np.diff(locs))) / hmax)
     lo, hi = domain
-    for loc, hi_dir in zip(locs, h):
-        if hi_dir > 0.0:
-            bounds.append((hi - loc) / hi_dir)
-        elif hi_dir < 0.0:
-            bounds.append((loc - lo) / (-hi_dir))
-    radius = max(0.0, min(bounds))
-    if np.any(np.diff(locs + radius * h) <= 0.0):
+    up, down = h > 0.0, h < 0.0
+    radius = max(0.0, float(np.concatenate((
+        0.5 * (locs[1:] - locs[:-1]) / hmax,
+        (hi - locs[up]) / h[up], (locs[down] - lo) / -h[down])).min()))
+    moved = locs + radius * h
+    if (moved[1:] <= moved[:-1]).any():
         radius *= 0.5
     return radius
 
@@ -175,7 +172,7 @@ def _merge_close(measure, gap):
     if measure.size < 2 or gap <= 0.0:
         return measure
     locs, w = measure.locations, measure.weights
-    close = np.diff(locs) < gap
+    close = locs[1:] - locs[:-1] < gap
     if not close.any():
         return measure
     groups = np.concatenate(([0], np.cumsum(~close)))
@@ -233,7 +230,7 @@ def fine_tune(model, measure, config):
 
     for _ in range(_MAX_STEPS):
         grad = tau_gradient(model, f)
-        norm = float(np.linalg.norm(grad))
+        norm = math.sqrt(grad.dot(grad))
         trace.grad_norm.append(norm)
         if norm <= config.gridless_tol:
             trace.converged = True

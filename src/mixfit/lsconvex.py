@@ -21,7 +21,6 @@ uses its curvature-normalized rescaling ``D * sqrt(3 theta / 4)``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from . import core
 from .families import (
@@ -101,7 +100,7 @@ class LsModel(core.ConeObjective):
         """L2 inner product of two triangular kernels."""
         theta_a = np.asarray(theta_a, dtype=float)
         theta_b = np.asarray(theta_b, dtype=float)
-        if np.any(theta_a <= 0.0) or np.any(theta_b <= 0.0):
+        if (theta_a <= 0.0).any() or (theta_b <= 0.0).any():
             raise ValueError("kernel parameters must be positive")
         lo = np.minimum(theta_a, theta_b)
         hi = np.maximum(theta_a, theta_b)
@@ -147,15 +146,9 @@ class LsModel(core.ConeObjective):
         support = np.asarray(support, dtype=float)
         if support.size == 0:
             return SignedMixingMeasure.empty()
-        G = self._gram(support)
-        b = self._linear_term(support)
-        try:
-            c, low = linalg.cho_factor(G)
-            sigma = linalg.cho_solve((c, low), b)
-        except linalg.LinAlgError as exc:
-            raise ValueError(
-                "singular Gram matrix: knots too close to resolve, merge them"
-            ) from exc
+        sigma = core.cholesky_solve(
+            self._gram(support), self._linear_term(support),
+            "singular Gram matrix: knots too close to resolve, merge them")
         return SignedMixingMeasure(support, sigma)
 
     def start(self, grid=None):

@@ -26,7 +26,6 @@ import copy
 import logging
 
 import numpy as np
-from scipy import linalg
 
 from . import core
 from .families import (
@@ -72,11 +71,10 @@ class _Observations:
         """``phi(x_i - theta)``, observations along the last axis."""
         theta = np.asarray(theta, dtype=float)
         if self.K is not None:
-            if np.array_equal(theta, self.grid):
+            if theta.shape == self.grid.shape and (theta == self.grid).all():
                 return self.K
-            idx = np.minimum(np.searchsorted(self.grid, theta),
-                             self.grid.size - 1)
-            if np.array_equal(self.grid[idx], theta):
+            idx = np.minimum(self.grid.searchsorted(theta), self.grid.size - 1)
+            if (self.grid[idx] == theta).all():
                 return self.K[idx]
         return self.family.kernel(theta[..., None], self.x)
 
@@ -113,14 +111,14 @@ class MlModel:
     def objective(self, measure):
         """``-(1/n) sum log f(x_i) + mass``; +inf when f vanishes at a point."""
         fx = self.obs.mixture(measure)
-        if np.any(fx <= 0.0):
+        if (fx <= 0.0).any():
             return np.inf
-        return float(-np.mean(np.log(fx)) + measure.total_mass())
+        return float(-np.log(fx).mean() + measure.total_mass())
 
     def dir_deriv_vertex(self, theta, measure):
         """``1 - (1/n) sum f_theta(x_i) / f(x_i)``."""
         fx = self.obs.mixture(measure)
-        if np.any(fx <= 0.0):
+        if (fx <= 0.0).any():
             raise ValueError("mixture must be positive at every observation")
         out = 1.0 - self.obs.kernels(theta) @ (1.0 / fx) / self.n
         return out if out.ndim else float(out)
@@ -135,7 +133,7 @@ class MlModel:
             return np.zeros(0)
         kern = self.obs.kernels(measure.locations)
         fx = measure.weights @ kern
-        if np.any(fx <= 0.0):
+        if (fx <= 0.0).any():
             raise ValueError("mixture must be positive at every observation")
         dkern = (self.x - measure.locations[:, None]) * kern
         return -measure.weights * (dkern @ (1.0 / fx)) / self.n
@@ -197,7 +195,7 @@ class QuadLocalModel(core.ConeObjective):
         if not isinstance(sample, _Observations):
             sample = _Observations(np.asarray(sample, dtype=float).ravel(), grid)
         gx = sample.mixture(center)
-        if np.any(gx <= 0.0):
+        if (gx <= 0.0).any():
             raise ValueError("expansion mixture must be positive at every observation")
         self.obs = sample
         self.x = sample.x
@@ -215,8 +213,8 @@ class QuadLocalModel(core.ConeObjective):
         if measure.size == 0:
             return 0.0
         fd = self.obs.mixture(measure) * self.d
-        return float(measure.total_mass() - 2.0 * np.mean(fd)
-                     + 0.5 * np.mean(fd**2))
+        return float(measure.total_mass() - 2.0 * fd.mean()
+                     + 0.5 * (fd**2).mean())
 
     def quad_coefficients(self, theta, measure):
         """Slope and curvature of ``q`` along a kernel direction.
@@ -254,15 +252,10 @@ class QuadLocalModel(core.ConeObjective):
             return SignedMixingMeasure.empty()
         Y = self.obs.kernels(support)
         A = Y * self.d
-        M = A @ A.T
-        rhs = 2.0 * Y @ self.d - self.n
-        try:
-            c, low = linalg.cho_factor(M)
-            alpha = linalg.cho_solve((c, low), rhs)
-        except linalg.LinAlgError as exc:
-            raise ValueError(
-                "rank-deficient quadratic subproblem: support points too "
-                "close to resolve, merge them") from exc
+        alpha = core.cholesky_solve(
+            A @ A.T, 2.0 * Y @ self.d - self.n,
+            "rank-deficient quadratic subproblem: support points too "
+            "close to resolve, merge them")
         return SignedMixingMeasure(support, alpha)
 
     def start(self, grid):
@@ -276,7 +269,7 @@ class QuadLocalModel(core.ConeObjective):
         if direction.size == 0:
             return 0.0
         hd = self.obs.mixture(direction) * self.d
-        return float(np.mean(hd**2))
+        return float((hd**2).mean())
 
 
 def starting_iterate(sample, grid):
@@ -365,7 +358,7 @@ def _newton_loop(model, start, config):
         # orders of magnitude above it), and the floor sits below the outer
         # tolerance so the final certificate is not limited by truncation.
         alt0 = np.asarray(quad.alt_dir_deriv_vertex(grid, f))
-        gap_q = max(0.0, -float(np.min(alt0)))
+        gap_q = max(0.0, -float(alt0.min()))
         eta_q = max(0.1 * config.eta, 1e-2 * gap_q)
         inner_config = core.SolverConfig(
             grid=grid, eta=eta_q, max_outer_iter=config.max_outer_iter,

@@ -144,7 +144,10 @@ def read_measure(path):
                 raise ValueError(f"{path}: line {lineno}: expected two fields")
             loc.append(_number(path, lineno, parts[0]))
             w.append(_number(path, lineno, parts[1]))
-    return MixingMeasure(loc, w)
+    try:
+        return MixingMeasure(loc, w)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- models --------------------------------------------------------------

@@ -289,6 +289,31 @@ class TestCheckCommand:
         assert res.exit_code == 1
         assert "passed: false" in res.output
 
+    @pytest.mark.parametrize("rows", ["", "100,1\n"], ids=["empty", "far"])
+    def test_vanishing_likelihood_mixture_fails(self, runner, tmp_path, rows):
+        # The mixture is 0 at some observation: the likelihood is infinite
+        # there, so the measure is not optimal and has no certificate.
+        p = tmp_path / "sample.txt"
+        _invoke(runner, ["simulate", "--kind", "exp-normal-mixture", "--n",
+                         "200", "--seed", "3", "--out", str(p)])
+        (tmp_path / "m.csv").write_text("theta,weight\n" + rows)
+        res = _invoke(runner, ["check", str(tmp_path / "m.csv"), str(p),
+                               "--model", "deconv-ml"])
+        assert res.exit_code == 1
+        assert res.output == ("passed: false (mixture must be positive at "
+                              "every observation)\n")
+        assert isinstance(res.exception, SystemExit)
+
+    def test_empty_ls_measure_prints_certificate(self, runner, tmp_path):
+        p = tmp_path / "sample.txt"
+        p.write_text("0.5\n1.0\n2.0\n")
+        (tmp_path / "m.csv").write_text("theta,weight\n")
+        res = _invoke(runner, ["check", str(tmp_path / "m.csv"), str(p),
+                               "--model", "convex-ls"])
+        assert res.exit_code == 1
+        assert "support_size: 0" in res.output
+        assert "passed: false" in res.output
+
 
 class TestInputErrors:
     """Bad input is a usage error (exit 2, message, no traceback); exit 1
@@ -298,7 +323,8 @@ class TestInputErrors:
                                       "simulate-n", "measure-field",
                                       "atom-below-domain", "atom-on-edge",
                                       "eta-inf", "check-tol-negative",
-                                      "check-tol-inf"])
+                                      "check-tol-inf", "measure-repeated",
+                                      "measure-weight-zero"])
     def test_usage_error_without_traceback(self, runner, tmp_path, case):
         sample = tmp_path / "s.txt"
         sample.write_text("0.5\n1.0\n2.0\n")
@@ -328,11 +354,18 @@ class TestInputErrors:
                                    "--tol must be positive and finite"),
             "check-tol-inf": (check + ["--tol", "inf"],
                               "--tol must be positive and finite"),
+            # Rows that parse but do not form a measure name the file.
+            "measure-repeated": (check, "m.csv: atom locations must be "
+                                        "strictly increasing"),
+            "measure-weight-zero": (check, "m.csv: MixingMeasure weights must "
+                                           "be strictly positive"),
         }[case]
         rows = {"atom-below-domain": "-1.0,0.5\n2.0,0.5\n",
                 "atom-on-edge": "0.0,0.5\n2.0,0.5\n",
                 "check-tol-negative": "1.0,0.5\n2.0,0.5\n",
-                "check-tol-inf": "1.0,0.5\n2.0,0.5\n"}.get(case, "1.0,abc\n")
+                "check-tol-inf": "1.0,0.5\n2.0,0.5\n",
+                "measure-repeated": "1,0.5\n1,0.5\n",
+                "measure-weight-zero": "1.0,0.5\n2.0,0\n"}.get(case, "1.0,abc\n")
         (tmp_path / "m.csv").write_text("theta,weight\n" + rows)
         res = _invoke(runner, args)
         assert res.exit_code == 2, res.output

@@ -12,7 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
+from scipy import linalg
 
 from mixfit.baselines import (
     dir_deriv_measure,
@@ -26,6 +30,7 @@ from mixfit.core import (
     SolverTrace,
     _reduce_to_cone,
     check_optimality,
+    cholesky_solve,
     min_alt_dir_deriv,
     reoptimize_over_support,
     solve,
@@ -417,6 +422,34 @@ class TestVertexExchange:
         m = LsModel(np.array([1.0]))
         with pytest.raises(ValueError):
             vertex_exchange_step(m, MixingMeasure.empty(), np.array([2.0]))
+
+
+def _spd_system(n):
+    """``(M, b)`` with ``M = B B' + I`` for a random ``n x (n + 2)`` ``B``."""
+    entries = st.floats(-1e3, 1e3)
+    return st.tuples(hnp.arrays(float, (n, n + 2), elements=entries),
+                     hnp.arrays(float, n, elements=entries)).map(
+        lambda bb: (bb[0] @ bb[0].T + np.eye(n), bb[1]))
+
+
+class TestCholeskySolve:
+    @settings(max_examples=200, deadline=None)
+    @given(system=st.integers(1, 12).flatmap(_spd_system))
+    def test_bit_identical_to_scipy(self, system):
+        M, b = system
+        expected = linalg.cho_solve(linalg.cho_factor(M), b)
+        assert cholesky_solve(M, b, "singular").tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", ["matrix", "rhs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_raises_scipy_message(self, bad, value):
+        M, b = np.eye(2), np.ones(2)
+        (M if bad == "matrix" else b)[1] = value
+        with pytest.raises(ValueError) as scipy_error:
+            linalg.cho_solve(linalg.cho_factor(M), b)
+        with pytest.raises(ValueError) as ours:
+            cholesky_solve(M, b, "singular")
+        assert str(ours.value) == str(scipy_error.value)
 
 
 class TestConfigAndTrace:
