@@ -309,6 +309,15 @@ def _reduce_to_cone(model, support, start_weights):
     return MixingMeasure(S, w), deletions, inner_objs
 
 
+def _insert_and_reduce(model, measure, theta):
+    """:func:`_reduce_to_cone` on the measure's support and ``theta``,
+    from the measure's weights and zero weight at ``theta``."""
+    S = np.sort(np.append(measure.locations, theta))
+    w0 = np.zeros(S.size)
+    w0[S.searchsorted(measure.locations)] = measure.weights
+    return _reduce_to_cone(model, S, w0)
+
+
 def reoptimize_over_support(model, measure):
     """Minimize ``phi`` over the cone spanned by the measure's own support."""
     result, _, _ = _reduce_to_cone(model, measure.locations, measure.weights)
@@ -364,11 +373,8 @@ def solve(model, config):
                 break
             f = f_new
         else:
-            S = np.sort(np.append(f.locations, theta_hat))
-            pos = np.searchsorted(S, f.locations)
-            w0 = np.zeros(S.size)
-            w0[pos] = f.weights
-            f, pending_deletions, pending_inner = _reduce_to_cone(model, S, w0)
+            f, pending_deletions, pending_inner = _insert_and_reduce(
+                model, f, theta_hat)
 
     return f, trace
 

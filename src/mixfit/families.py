@@ -112,7 +112,7 @@ class SignedMixingMeasure:
 
     def total_mass(self):
         """Sum of atom weights (signed)."""
-        return float(np.sum(self.weights))
+        return float(self.weights.sum())
 
     def purge(self, threshold):
         """Drop atoms whose absolute weight is below ``threshold``."""
@@ -124,8 +124,8 @@ class SignedMixingMeasure:
     def cdf(self, theta):
         """Weight of ``(-inf, theta]``: the mixing distribution function."""
         theta = np.asarray(theta, dtype=float)
-        idx = np.searchsorted(self.locations, theta, side="right")
-        csum = np.concatenate(([0.0], np.cumsum(self.weights)))
+        idx = self.locations.searchsorted(theta, side="right")
+        csum = np.concatenate(([0.0], self.weights.cumsum()))
         out = csum[idx]
         return out if out.ndim else float(out)
 

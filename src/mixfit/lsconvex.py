@@ -32,6 +32,9 @@ from .families import (
 
 __all__ = ["LsModel"]
 
+#: relative location step of the central differences in ``newton_system``.
+_FD_STEP = 1e-6
+
 
 class LsModel(core.ConeObjective):
     """Least squares convex-density objective over triangular mixtures.
@@ -73,7 +76,7 @@ class LsModel(core.ConeObjective):
     def Y_n(self, theta):
         """Integrated empirical distribution ``(1/n) sum (theta - x_i)_+``."""
         theta = np.asarray(theta, dtype=float)
-        k = np.searchsorted(self.x, theta, side="right")
+        k = self.x.searchsorted(theta, side="right")
         out = (k * theta - self._cumsum[k]) / self.n
         return out if out.ndim else float(out)
 
@@ -83,17 +86,24 @@ class LsModel(core.ConeObjective):
         For an atom ``(tau, c)`` the contribution is
         ``c (theta^2 / tau - theta^3 / (3 tau^2))`` when
         ``theta <= tau`` and ``c (theta - tau / 3)`` past the kernel's
-        support.
+        support.  With ``k`` atoms below ``theta`` the sum is
+        ``theta^2 A_k - theta^3 B_k / 3 + theta C_k - E_k / 3``: suffix
+        sums ``A``, ``B`` of ``c / tau``, ``c / tau^2`` and prefix sums
+        ``C``, ``E`` of ``c``, ``c tau``, so no ``G x p`` array is built.
         """
         theta = np.asarray(theta, dtype=float)
         if measure.size == 0:
             out = np.zeros(theta.shape)
             return out if out.ndim else 0.0
-        tau = measure.locations
-        t = theta[..., None]
-        below = t * t / tau - t**3 / (3.0 * tau * tau)
-        above = t - tau / 3.0
-        out = np.where(t <= tau, below, above) @ measure.weights
+        tau, c = measure.locations, measure.weights
+        zero = np.zeros(1)
+        a = c / tau
+        A = np.concatenate((a[::-1].cumsum()[::-1], zero))
+        B = np.concatenate(((a / tau)[::-1].cumsum()[::-1], zero))
+        C = np.concatenate((zero, c.cumsum()))
+        E = np.concatenate((zero, (c * tau).cumsum()))
+        k = tau.searchsorted(theta, side="left")
+        out = theta * (theta * (A[k] - theta * B[k] / 3.0) + C[k]) - E[k] / 3.0
         return out if out.ndim else float(out)
 
     def inner_product(self, theta_a, theta_b):
@@ -205,9 +215,22 @@ class LsModel(core.ConeObjective):
         smooth = (2.0 / theta**2 * mixture_cdf(self.family, measure, theta)
                   - 4.0 / theta**3 * self.H(theta, measure))
         # (1/n) sum_j (4 x_j - 2 theta) / theta^3 over x_j < theta.
-        k = np.searchsorted(self.x, theta, side="left")
+        k = self.x.searchsorted(theta, side="left")
         empirical = (4.0 * self._cumsum[k] - 2.0 * theta * k) / (self.n * theta**3)
         return measure.weights * (smooth - empirical)
+
+    def newton_system(self, measure):
+        """Gradient and Hessian in the locations of the reduced objective,
+        ``phi`` at the exact weights.  With positive weights its gradient
+        is ``location_gradient`` (envelope theorem); the Hessian is central
+        differences of it at the ``unrestricted_min`` weights."""
+        theta = measure.locations
+        shifts = np.diag(_FD_STEP * theta)
+        rows = [self.location_gradient(self.unrestricted_min(theta + s))
+                - self.location_gradient(self.unrestricted_min(theta - s))
+                for s in shifts]
+        hess = np.array(rows) / (2.0 * shifts.diagonal()[:, None])
+        return self.location_gradient(measure), 0.5 * (hess + hess.T)
 
     def minimize_over_support(self, measure, config):
         """Exact weight polish on the support: ``(measure, objective)``."""

@@ -88,7 +88,7 @@ class MlModel:
 
     Exposes the objective, its directional derivatives (used for the
     optimality certificate and as the termination scan of the outer
-    Newton loop), and the location gradient for gridless refinement.
+    Newton loop), and the Newton system for gridless refinement.
     The certificate derivative needs no rescaling here: the kernels
     share a common shape, so the raw derivative is already comparable
     across the grid.  ``domain``, the data range, bounds the default
@@ -126,24 +126,43 @@ class MlModel:
     alt_dir_deriv_vertex = dir_deriv_vertex
 
     def location_gradient(self, measure):
-        """Gradient of ``ml`` in the atom locations at fixed weights; the
-        derivatives ``(x_i - theta) phi(x_i - theta)`` reuse the mixture's
-        ``p x n`` kernel block."""
+        """Gradient of ``ml`` in the atom locations at fixed weights, the
+        location part of :meth:`newton_system`."""
         if measure.size == 0:
             return np.zeros(0)
-        kern = self.obs.kernels(measure.locations)
-        fx = measure.weights @ kern
+        return self.newton_system(measure)[0][:measure.size]
+
+    def newton_system(self, measure):
+        """Gradient and Hessian of ``ml`` in the locations, then the weights.
+
+        With ``r = 1/f(x)``, kernels ``K``, ``D = (x - theta) K`` and
+        ``E = ((x - theta)^2 - 1) K``: ``d/dw_j = 1 - mean(K_j r)``,
+        ``d/dtheta_j = -w_j mean(D_j r)``, ``H_ww = mean(K_j K_k r^2)``,
+        ``H_wtheta = -delta_jk mean(D_j r) + w_k mean(K_j D_k r^2)`` and
+        ``H_thetatheta = -delta_jk w_j mean(E_j r) + w_j w_k mean(D_j D_k r^2)``.
+        """
+        theta, w = measure.locations, measure.weights
+        kern = self.obs.kernels(theta)
+        fx = w @ kern
         if (fx <= 0.0).any():
             raise ValueError("mixture must be positive at every observation")
-        dkern = (self.x - measure.locations[:, None]) * kern
-        return -measure.weights * (dkern @ (1.0 / fx)) / self.n
+        z = self.x - theta[:, None]
+        kr = kern / fx
+        dr = z * kr
+        d_mean = dr.mean(axis=1)
+        h_ww = kr @ kr.T / self.n
+        h_wt = (kr @ dr.T) / self.n * w - np.diag(d_mean)
+        h_tt = (np.outer(w, w) * (dr @ dr.T) / self.n
+                - np.diag(w * ((z * z - 1.0) * kr).mean(axis=1)))
+        grad = np.concatenate((-w * d_mean, 1.0 - kr.mean(axis=1)))
+        return grad, np.block([[h_tt, h_wt.T], [h_wt, h_ww]])
 
     def minimize_over_support(self, measure, config):
         """Minimize ``ml`` over the cone spanned by the measure's support.
 
         Runs the damped Newton iteration with the candidate set frozen
-        to the support itself; used by gridless refinement after atoms
-        have moved.  Returns ``(measure, objective)``: the loop's last
+        to the support itself; it closes gridless refinement.  Returns
+        ``(measure, objective)``: the loop's last
         iterate, certified or not, and the objective the loop evaluated.
         """
         locked = core.SolverConfig(

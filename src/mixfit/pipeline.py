@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import expm1, gammainc, ndtr
@@ -48,6 +48,9 @@ logger = logging.getLogger("mixfit.pipeline")
 
 #: resolution of the x-axis for density and distribution curve files
 _CURVE_POINTS = 512
+
+#: cap on the atoms the refinement stage inserts after its first polish
+_MAX_INSERTIONS = 20
 
 SIMULATION_KINDS = ("exponential", "exp-normal-mixture")
 
@@ -161,8 +164,10 @@ class ModelSpec:
     refinement flag.  The default grid is ``grid_size`` points on the
     model's ``domain``.  ``nonnegative`` makes :func:`ingest` reject
     negative data.  ``solve(model, config)`` runs the grid stage.
-    ``mixing_cdf`` and ``density`` are the reference curves of the
-    model's canonical experiment.
+    Refinement also scans ``scan_points`` points of the ``domain``, and
+    ``insert(model, measure, theta, config)`` re-solves the weights over
+    the atoms and ``theta``.  ``mixing_cdf`` and ``density`` are the
+    reference curves of the model's canonical experiment.
     """
 
     model: type
@@ -171,6 +176,8 @@ class ModelSpec:
     grid_size: int
     nonnegative: bool
     solve: Callable
+    scan_points: int
+    insert: Callable
     mixing_cdf: Callable
     density: Callable
 
@@ -188,6 +195,10 @@ MODELS = {
         model=lsconvex.LsModel, eta=1e-10, gridless=False,
         grid_size=1000, nonnegative=True,
         solve=lambda model, config: core.solve(model, config),
+        # 501 points miss the atoms next to x_(1) the optimum can need.
+        scan_points=4001,
+        insert=lambda model, measure, theta, config: core._insert_and_reduce(
+            model, measure, theta)[0],
         mixing_cdf=lambda theta: gammainc(3.0, theta),
         density=lambda x: np.where(x >= 0.0, np.exp(-np.abs(x)), 0.0)),
     # Unit exponential locations observed with standard normal noise.
@@ -195,6 +206,10 @@ MODELS = {
         model=mldeconv.MlModel, eta=1e-8, gridless=True,
         grid_size=500, nonnegative=False,
         solve=lambda model, config: mldeconv.newton_solve(model, config),
+        scan_points=0,
+        insert=lambda model, measure, theta, config: mldeconv._newton_loop(
+            model, measure, replace(config, grid=np.union1d(
+                measure.locations, theta)))[0],
         mixing_cdf=lambda theta: -expm1(-np.maximum(theta, 0.0)),
         density=lambda x: np.exp(0.5 - x) * ndtr(x - 1.0)),
 }
@@ -261,11 +276,14 @@ class FitResult:
 def fit(model_kind, sample, config):
     """Fit a bundled model end to end.
 
-    Runs the model's grid solve, refines the support off the grid when
-    ``config.gridless_enabled`` is set and the grid solve converged, and
-    returns the certificate at ``config.eta`` and ``config.support_tol``:
-    the grid stage's own when it issued one and refinement did not run,
-    a fresh one otherwise.  Logs one info line per stage it runs.
+    Runs the model's grid solve and, when ``config.gridless_enabled`` is
+    set and the grid solve converged, refinement: a Newton polish, then,
+    while a scan of the grid (for ``convex-ls`` also of 4 001 points of
+    the domain) fails, insertion of its argmin, a weight re-solve and
+    another polish, at most ``_MAX_INSERTIONS`` times.  Returns the
+    certificate at ``config.eta`` and ``config.support_tol`` on the grid:
+    the last stage's own when it issued one, a fresh one otherwise.
+    Logs one info line per stage it runs.
     """
     spec = model_spec(model_kind)
     started = time.perf_counter()
@@ -278,9 +296,28 @@ def fit(model_kind, sample, config):
     cert, ft_trace = trace.certificate, None
     if config.gridless_enabled and trace.converged:
         measure, ft_trace = gridless.fine_tune(model, measure, config)
-        logger.info("refinement stopped after %d steps with %d atoms: %s",
-                    ft_trace.steps, measure.size, ft_trace.stop_reason)
-        cert = None
+        scan = config.grid
+        if spec.scan_points:
+            scan = np.union1d(scan, build_grid(
+                *model.domain, spec.scan_points, model.family))
+        while True:
+            cert = core.check_optimality(model, measure, scan, config.eta,
+                                         config.support_tol)
+            if cert.passed or ft_trace.insertions == _MAX_INSERTIONS:
+                break
+            measure = spec.insert(model, measure, cert.argmin_theta, config)
+            measure, more = gridless.fine_tune(model, measure, config)
+            ft_trace.insertions += 1
+            ft_trace.objective += more.objective
+            ft_trace.grad_norm += more.grad_norm
+            ft_trace.steps += more.steps
+            ft_trace.converged = more.converged
+            ft_trace.stop_reason = more.stop_reason
+        logger.info("refinement stopped after %d steps and %d insertions "
+                    "with %d atoms: %s", ft_trace.steps, ft_trace.insertions,
+                    measure.size, ft_trace.stop_reason)
+        if scan is not config.grid:
+            cert = None
     if cert is None:
         cert = core.check_optimality(model, measure, config.grid, config.eta,
                                      config.support_tol)
@@ -309,6 +346,7 @@ class RunReport:
     converged: bool
     outer_iterations: int
     fine_tune_steps: int
+    insertions: int
     final_objective: float
     support_size: int
     grid_support_size: int
@@ -337,6 +375,7 @@ class RunReport:
             converged=result.converged,
             outer_iterations=result.trace.n_iterations,
             fine_tune_steps=0 if ft is None else ft.steps,
+            insertions=0 if ft is None else ft.insertions,
             final_objective=result.model.objective(result.measure),
             support_size=result.measure.size,
             grid_support_size=result.grid_support_size,

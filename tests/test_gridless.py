@@ -1,8 +1,8 @@
-"""Off-grid location refinement: bracketing scalar solves, trust
-radii, the derivative-based line search, and the alternating loop.
+"""Off-grid refinement: the Newton step, its step limit and
+backtracking line search, and the polish loop.
 
-Scripted one-atom models make the line search behavior exactly
-predictable; the end-to-end paths run on both cone models.
+Scripted models make the line search behavior exactly predictable; the
+end-to-end paths run on both cone models.
 """
 
 import dataclasses
@@ -10,15 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import optimize
 
 from mixfit import gridless, pipeline
-from mixfit.core import SolverConfig, solve
+from mixfit.core import SolverConfig, reoptimize_over_support, solve
 from mixfit.families import MixingMeasure
 from mixfit.gridless import (
-    _falsi_root,
     _merge_close,
-    _trust_radius,
+    _newton_step,
+    _step_limit,
     fine_tune,
     line_search,
     tau_gradient,
@@ -27,51 +26,20 @@ from mixfit.lsconvex import LsModel
 from mixfit.mldeconv import MlModel, newton_solve
 
 
-class TestRegulaFalsi:
-    """The secant step of ``_falsi_root``; an exact zero ends the search."""
+class _Scripted:
+    """Objective of the locations alone, weights held: the polish sees a
+    reduced objective whose weight polish changes nothing."""
 
-    def test_exact_on_affine(self):
-        # g(eps) = 3 eps - 0.6 has its root at 0.2, hit by the first step
-        calls = []
+    domain = (-10.0, 10.0)
 
-        def fn(e):
-            calls.append(e)
-            return 3.0 * e - 0.6
+    def newton_system(self, measure):
+        return self.location_gradient(measure), self.location_hessian(measure)
 
-        assert_allclose(_falsi_root(fn, 0.0, 1.0, -0.6, 2.4, f_tol=1e-14),
-                        0.2, rtol=1e-15)
-        assert len(calls) == 1
-
-    def test_symmetric_bracket_gives_midpoint(self):
-        # odd about the midpoint, so the first secant zero is exact
-        assert _falsi_root(lambda e: (e - 0.5) ** 3, 0.0, 1.0, -0.125, 0.125,
-                           f_tol=0.0) == 0.5
-        assert _falsi_root(lambda e: 0.3 * (e - 3.0) ** 3, 2.0, 4.0, -0.3,
-                           0.3, f_tol=0.0) == 3.0
+    def minimize_over_support(self, measure, config):
+        return measure, self.objective(measure)
 
 
-class TestFalsiRoot:
-    def test_cubic_matches_brentq(self):
-        def fn(e):
-            return (e - 0.4) ** 3 + 0.01 * (e - 0.4)
-
-        root = _falsi_root(fn, 0.0, 1.0, fn(0.0), fn(1.0), f_tol=1e-14)
-        oracle = optimize.brentq(fn, 0.0, 1.0, xtol=1e-15)
-        assert abs(root - oracle) <= 1e-10
-
-    def test_affine_one_iteration(self):
-        calls = []
-
-        def fn(e):
-            calls.append(e)
-            return 2.0 * e - 1.0
-
-        root = _falsi_root(fn, 0.0, 1.0, -1.0, 1.0, f_tol=1e-14)
-        assert root == 0.5
-        assert len(calls) == 1
-
-
-class _OneAtomQuadratic:
+class _OneAtomQuadratic(_Scripted):
     """phi depends only on the single atom location: (loc - v)^2."""
 
     def __init__(self, v):
@@ -83,8 +51,11 @@ class _OneAtomQuadratic:
     def location_gradient(self, measure):
         return np.array([2.0 * (measure.locations[0] - self.v)])
 
+    def location_hessian(self, measure):
+        return np.array([[2.0]])
 
-class _FlatDeceiver:
+
+class _FlatDeceiver(_Scripted):
     """Claims descent but the objective never moves."""
 
     def objective(self, measure):
@@ -93,24 +64,29 @@ class _FlatDeceiver:
     def location_gradient(self, measure):
         return np.array([-1.0])
 
+    def location_hessian(self, measure):
+        return np.array([[1.0]])
 
-def _search(model, f, h, eps0):
-    """``line_search`` with the objective and slope at ``f`` that
-    ``fine_tune`` hands it."""
-    return line_search(model, f, h, eps0, model.objective(f),
-                       float(h @ tau_gradient(model, f)))
+
+def _search(model, f, step=None):
+    """``line_search`` along the Newton step at ``f``, with the objective
+    that ``fine_tune`` hands it."""
+    if step is None:
+        step = _newton_step(*model.newton_system(f))
+    return line_search(model, f, model.objective(f), step,
+                       SolverConfig(grid=np.array([1.0])))
 
 
 class _Recorder:
     """Forwards to a cone model and records the (locations, weights) that
-    ``objective`` and ``location_gradient`` see, and the inputs and
-    results of ``minimize_over_support``."""
+    ``objective`` and ``newton_system`` see, and the results of
+    ``minimize_over_support``."""
 
     def __init__(self, model):
         self._model = model
         self.domain = model.domain
-        self.seen = {"objective": [], "location_gradient": []}
-        self.inputs, self.outputs = [], []
+        self.seen = {"objective": [], "newton_system": []}
+        self.outputs = []
 
     @staticmethod
     def _key(measure):
@@ -120,23 +96,20 @@ class _Recorder:
         self.seen["objective"].append(self._key(measure))
         return self._model.objective(measure)
 
-    def location_gradient(self, measure):
-        self.seen["location_gradient"].append(self._key(measure))
-        return self._model.location_gradient(measure)
+    def newton_system(self, measure):
+        self.seen["newton_system"].append(self._key(measure))
+        return self._model.newton_system(measure)
 
     def minimize_over_support(self, measure, config):
-        self.inputs.append(measure)
         polished, value = self._model.minimize_over_support(measure, config)
         self.outputs.append(polished)
         return polished, value
 
 
-class _CoalescingPull:
-    """``sum_i w_i (loc_i - v)^2`` at fixed weights, whose weight
-    reoptimization fails on atoms closer than ``gap``, as a rank-deficient
-    solve does, and records every measure it receives."""
-
-    domain = (-10.0, 10.0)
+class _CoalescingPull(_Scripted):
+    """``sum_i w_i (loc_i - v)^2`` at fixed weights, whose weight polish
+    fails on atoms closer than ``gap``, as a rank-deficient solve does,
+    and records every measure it receives."""
 
     def __init__(self, v, gap):
         self.v, self.gap = v, gap
@@ -148,6 +121,9 @@ class _CoalescingPull:
     def location_gradient(self, measure):
         return 2.0 * measure.weights * (measure.locations - self.v)
 
+    def location_hessian(self, measure):
+        return np.diag(2.0 * measure.weights)
+
     def minimize_over_support(self, measure, config):
         self.inputs.append(measure)
         if np.any(np.diff(measure.locations) < self.gap):
@@ -156,42 +132,105 @@ class _CoalescingPull:
         return measure, self.objective(measure)
 
 
+class TestNewtonStep:
+    def test_positive_definite_is_plain_newton(self):
+        hess = np.array([[4.0, 1.0], [1.0, 3.0]])
+        grad = np.array([1.0, -2.0])
+        assert_allclose(_newton_step(grad, hess), -np.linalg.solve(hess, grad),
+                        rtol=1e-14)
+
+    def test_negative_curvature_is_turned_around(self):
+        # With eigenvalues 2 and -1 the step uses 2 and 1: still descent.
+        hess = np.diag([2.0, -1.0])
+        grad = np.array([2.0, 3.0])
+        step = _newton_step(grad, hess)
+        assert_allclose(step, [-1.0, -3.0])
+        assert step @ grad < 0.0
+
+    def test_singular_direction_is_floored(self):
+        step = _newton_step(np.array([1.0, 1.0]), np.diag([1.0, 0.0]))
+        assert np.all(np.isfinite(step))
+        assert step @ np.array([1.0, 1.0]) < 0.0
+
+
+class TestStepLimit:
+    def test_gap_bound(self):
+        # Atoms 2 apart closing at speed 2 may close half the gap.
+        f = MixingMeasure([1.0, 3.0], [0.5, 0.5])
+        assert _step_limit(f, np.array([1.0, -1.0])) == 0.5
+
+    def test_separating_atoms_take_the_full_step(self):
+        f = MixingMeasure([1.0, 3.0], [0.5, 0.5])
+        assert _step_limit(f, np.array([-5.0, 5.0])) == 1.0
+        assert _step_limit(f, np.zeros(2)) == 1.0
+
+    def test_weight_bound(self):
+        # The location part is free; the first weight reaches zero at 0.25.
+        f = MixingMeasure([1.0, 3.0], [0.5, 0.5])
+        step = np.array([0.0, 0.0, -2.0, 1.0])
+        assert _step_limit(f, step) == 0.25
+
+
 class TestLineSearch:
     def test_finds_interior_vertex(self):
         model = _OneAtomQuadratic(0.3)
         f = MixingMeasure([0.0], [1.0])
-        shifted, value = _search(model, f, np.array([1.0]), eps0=1.0)
+        shifted, value = _search(model, f)
         assert_allclose(shifted.locations, [0.3], atol=1e-12)
         assert value == model.objective(shifted)
 
-    def test_full_step_when_derivative_stays_negative(self):
+    def test_full_step_when_it_decreases(self):
         model = _OneAtomQuadratic(0.3)
         f = MixingMeasure([0.0], [1.0])
-        shifted, value = _search(model, f, np.array([1.0]), eps0=0.2)
+        shifted, value = _search(model, f, np.array([0.2]))
         assert shifted.locations[0] == 0.2
         assert value == model.objective(shifted)
+
+    def test_halves_until_decrease(self):
+        # A step of 1.0 overshoots to 1.0, worse; half of it lands on 0.5.
+        model = _OneAtomQuadratic(0.3)
+        f = MixingMeasure([0.0], [1.0])
+        shifted, _ = _search(model, f, np.array([1.0]))
+        assert shifted.locations[0] == 0.5
+
+    def test_clipped_into_domain(self):
+        model = _OneAtomQuadratic(20.0)
+        f = MixingMeasure([9.0], [1.0])
+        shifted, _ = _search(model, f)
+        assert shifted.locations[0] == model.domain[1]
 
     def test_none_at_stationary_point(self):
         model = _OneAtomQuadratic(0.3)
         f = MixingMeasure([0.3], [1.0])
-        assert _search(model, f, np.array([1.0]), eps0=1.0) is None
+        assert _search(model, f) is None
 
     def test_none_when_no_actual_improvement(self):
         f = MixingMeasure([0.0], [1.0])
-        assert _search(_FlatDeceiver(), f, np.array([1.0]), eps0=1.0) is None
+        assert _search(_FlatDeceiver(), f) is None
 
     def test_accepted_step_strictly_decreases_ls_objective(self):
+        # Only the locations step; the weights are re-solved exactly.
         rng = np.random.default_rng(3)
-        x = rng.exponential(size=40)
-        m = LsModel(x)
-        f = MixingMeasure([0.8, 2.1], [0.5, 0.4])
-        grad = tau_gradient(m, f)
-        h = -grad / np.linalg.norm(grad)
-        step = _search(m, f, h, eps0=_trust_radius(f, h, m.domain))
+        m = LsModel(rng.exponential(size=40))
+        f = reoptimize_over_support(m, MixingMeasure([0.8, 2.1], [0.5, 0.4]))
+        step = _search(m, f)
         assert step is not None
         shifted, value = step
-        assert_allclose(shifted.weights, f.weights, rtol=0)
+        assert_allclose(shifted.weights,
+                        reoptimize_over_support(m, shifted).weights,
+                        rtol=1e-12)
         assert value == m.objective(shifted)
+        assert value < m.objective(f)
+
+    def test_joint_step_drops_a_vanishing_weight(self):
+        # The step takes the first weight to zero exactly at its limit.
+        rng = np.random.default_rng(4)
+        m = MlModel(rng.normal(size=30))
+        f = MixingMeasure([-2.0, 0.0], [0.1, 0.9])
+        step = np.array([0.0, 0.0, -0.1, 0.1])
+        shifted, value = _search(m, f, step)
+        assert_allclose(shifted.locations, [0.0])
+        assert_allclose(shifted.weights, [1.0])
         assert value < m.objective(f)
 
 
@@ -224,28 +263,16 @@ class TestTauGradient:
         shifted = MixingMeasure(f.locations + eps * h, f.weights)
         assert_allclose(float(h @ tau_gradient(m, shifted)), fd, rtol=1e-5)
 
-
-class TestTrustRadius:
-    def test_gap_bound(self):
-        # Half the gap of 2 is 1.0, where atoms moving head-on at full
-        # speed would meet at 2, so the radius halves.
-        f = MixingMeasure([1.0, 3.0], [0.5, 0.5])
-        r = _trust_radius(f, np.array([1.0, -1.0]), (0.0, 10.0))
-        assert r == 0.5
-
-    def test_gap_bound_kept_when_no_pair_meets(self):
-        f = MixingMeasure([1.0, 3.0], [0.5, 0.5])
-        r = _trust_radius(f, np.array([1.0, -0.5]), (0.0, 10.0))
-        assert r == 1.0  # half the gap of 2
-
-    def test_domain_bound(self):
-        f = MixingMeasure([1.0, 3.0], [0.5, 0.5])
-        r = _trust_radius(f, np.array([-1.0, 1.0]), (0.5, 3.2))
-        assert_allclose(r, 0.2)  # upper edge binds first
-
-    def test_zero_direction(self):
-        f = MixingMeasure([1.0], [1.0])
-        assert _trust_radius(f, np.array([0.0]), (0.0, 2.0)) == 0.0
+    @pytest.mark.parametrize("kind", ["convex-ls", "deconv-ml"])
+    def test_is_the_location_part_of_the_newton_system(self, kind):
+        model, f, _ = _fit(kind)
+        grad, hess = model.newton_system(f)
+        assert grad.size == hess.shape[0] == hess.shape[1]
+        assert grad.size == (2 if kind == "deconv-ml" else 1) * f.size
+        # the same sums, added in another order
+        expected = tau_gradient(model, f)
+        assert_allclose(grad[:f.size], expected,
+                        atol=1e-12 * np.abs(expected).max())
 
 
 class TestMergeClose:
@@ -299,12 +326,9 @@ def _fit(kind):
 class TestWeightPolish:
     @pytest.mark.parametrize("kind", ["convex-ls", "deconv-ml"])
     def test_returns_the_objective_of_its_measure(self, kind):
-        # The polish of the first refinement step's shifted support.
+        # The polish of the support after the first refinement step.
         model, f0, config = _fit(kind)
-        grad = tau_gradient(model, f0)
-        h = -grad / np.linalg.norm(grad)
-        shifted, _ = _search(model, f0, h,
-                             eps0=_trust_radius(f0, h, model.domain))
+        shifted, _ = _search(model, f0)
         polished, value = model.minimize_over_support(shifted, config)
         assert polished.size > 0
         assert value == model.objective(polished)
@@ -367,19 +391,20 @@ class TestFineTune:
     @pytest.mark.parametrize("kind", ["convex-ls", "deconv-ml"])
     def test_each_measure_evaluated_once(self, kind):
         # Every value a step needs comes from one evaluation: the line
-        # search gets the iterate's objective and slope from fine_tune,
-        # and fine_tune's trace takes the accepted step's objective from
-        # the line search and the polished measure's from the polish.
+        # search gets the iterate's objective from fine_tune and hands
+        # back the accepted step's, one Newton system is solved per
+        # iterate, and the closing polish returns its objective.
         model, f0, config = _fit(kind)
         rec = _Recorder(model)
         f, trace = fine_tune(rec, f0, config)
         assert trace.converged and trace.steps > 0
         for name, seen in rec.seen.items():
             assert len(set(seen)) == len(seen), name
-        expected = [model.objective(f0)]
-        for shifted, polished in zip(rec.inputs, rec.outputs):
-            expected += [model.objective(shifted), model.objective(polished)]
-        assert trace.objective == expected
+        assert len(rec.seen["newton_system"]) == trace.steps + 1
+        assert rec.outputs[-1] is f
+        assert trace.objective[0] == model.objective(f0)
+        assert trace.objective[-1] == model.objective(f)
+        assert len(trace.objective) == trace.steps + 2
 
     def test_merge_keeps_descending(self):
         # Both atoms are pulled to 0.9 and close in geometrically; the

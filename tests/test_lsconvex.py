@@ -7,6 +7,8 @@ values on tiny samples.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -69,6 +71,29 @@ class TestCrossMoment:
             oracle, _ = integrate.quad(
                 lambda t: mixture_cdf(TRI, f, t), 0.0, float(theta), limit=200)
             assert_allclose(m.H(float(theta), f), oracle, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(atoms=st.lists(st.tuples(
+               st.floats(0.01, 10.0),
+               # weights far from underflow, where no formula is exact
+               st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 1e-100)),
+                          min_size=1, max_size=12, unique_by=lambda a: a[0]),
+           outside=st.lists(st.floats(1e-3, 20.0), max_size=8))
+    def test_prefix_sums_match_atomwise_formula(self, atoms, outside):
+        # The atom-by-atom branch formula H was computed with before the
+        # prefix sums, kept as the reference: on the atoms themselves, at
+        # points between them and beyond both ends of the support.
+        f = SignedMixingMeasure.from_atoms(*zip(*atoms))
+        tau, c = f.locations, f.weights
+        theta = np.concatenate((tau, 0.5 * tau, 2.0 * tau[-1:], [0.0],
+                                np.asarray(outside)))
+        t = theta[:, None]
+        terms = np.where(t <= tau, t * t / tau - t**3 / (3.0 * tau * tau),
+                         t - tau / 3.0)
+        reference = terms @ c
+        scale = np.abs(terms) @ np.abs(c)
+        H = LsModel(np.array([1.0])).H(theta, f)
+        assert np.all(np.abs(H - reference) <= 1e-13 * scale)
 
     def test_linearity_in_measure(self):
         m = LsModel(np.array([1.0]))
@@ -256,6 +281,28 @@ class TestLocationGradient:
             up = m.objective(MixingMeasure(loc_up, f.weights))
             dn = m.objective(MixingMeasure(loc_dn, f.weights))
             assert_allclose(grad[i], (up - dn) / (2 * h), rtol=1e-4)
+
+    def test_newton_system_is_that_of_the_reduced_objective(self):
+        # psi(theta) = phi at the exact weights of the support theta; its
+        # second differences, with no data point between the probes.
+        rng = np.random.default_rng(73)
+        m = LsModel(rng.exponential(size=30))
+        theta = np.array([0.5, 2.6])
+
+        def psi(t):
+            return m.objective(m.unrestricted_min(t))
+
+        f = m.unrestricted_min(theta)
+        assert np.all(f.weights > 0)  # construction guard
+        grad, hess = m.newton_system(MixingMeasure(theta, f.weights))
+        assert_allclose(grad, m.location_gradient(f), rtol=1e-15)
+        h = 1e-4
+        assert np.all(np.abs(m.x[:, None] - theta) > 2 * h)
+        eye = np.eye(2) * h
+        fd = np.array([[(psi(theta + a + b) - psi(theta + a - b)
+                         - psi(theta - a + b) + psi(theta - a - b)) / (4 * h * h)
+                        for b in eye] for a in eye])
+        assert_allclose(hess, fd, rtol=1e-4, atol=1e-4 * np.abs(fd).max())
 
 
 class TestStartingPoint:

@@ -129,6 +129,40 @@ class TestMlLocationGradient:
         assert calls == [(3, 1)]
 
 
+class TestMlNewtonSystem:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4))
+    def test_matches_central_differences(self, seed, p):
+        # The joint gradient against central differences of the
+        # objective, the Hessian against central differences of the
+        # gradient, in the locations and then the weights.
+        rng = np.random.default_rng(seed)
+        m = MlModel(rng.normal(size=30) + rng.exponential(size=30))
+        theta = np.sort(rng.uniform(-1.0, 3.0, p)) + 0.05 * np.arange(p)
+        z = np.concatenate((theta, rng.uniform(0.1, 1.0, p)))
+
+        def at(v):
+            return MixingMeasure(v[:p], v[p:])
+
+        grad, hess = m.newton_system(at(z))
+        h = 1e-6
+        fd_grad = np.empty(2 * p)
+        fd_hess = np.empty((2 * p, 2 * p))
+        for i in range(2 * p):
+            e = np.zeros(2 * p)
+            e[i] = h
+            fd_grad[i] = (m.objective(at(z + e))
+                          - m.objective(at(z - e))) / (2 * h)
+            fd_hess[i] = (m.newton_system(at(z + e))[0]
+                          - m.newton_system(at(z - e))[0]) / (2 * h)
+        assert_allclose(grad, fd_grad, rtol=1e-6,
+                        atol=1e-6 * np.abs(grad).max())
+        assert_allclose(hess, fd_hess, rtol=1e-6,
+                        atol=1e-6 * np.abs(hess).max())
+        assert_allclose(grad[:p], m.location_gradient(at(z)), rtol=1e-14,
+                        atol=1e-16)
+
+
 class TestQuadModel:
     def _setup(self, seed=13, n=18):
         rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """The single fit path: the per-model spec table, the stages ``fit`` runs,
 and what ``converged`` promises."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -22,18 +23,52 @@ def _ls_refined_problem(seed):
 
 class TestConverged:
     def test_failing_certificate_is_not_converged(self):
-        # Both stages stop on their own criteria, but refinement leaves
-        # a grid kernel with a descent direction.
+        # Every stage stops on its own criterion; a failing certificate
+        # alone makes the fit unconverged.
         x, config = _ls_refined_problem(2)
         result = pipeline.fit("convex-ls", x, config)
+        assert result.converged
+        failing = dataclasses.replace(result.certificate, min_grid_alt=-1e-6)
+        result = dataclasses.replace(result, certificate=failing)
         assert result.trace.converged
         assert result.fine_tune_trace.converged
         assert not result.certificate.passed
-        assert result.certificate.min_grid_alt < -1e-6
         assert not result.converged
         report = pipeline.RunReport.from_result(result, x.size)
         assert not report.converged
         assert "converged: false" in report.to_text()
+
+    def test_no_insertions_leaves_descent_uncertified(self, monkeypatch):
+        # Without re-insertion the polish of criterion-5 seed 2 stops at a
+        # stationary point that a grid kernel still descends from.
+        monkeypatch.setattr(pipeline, "_MAX_INSERTIONS", 0)
+        x, config = _ls_refined_problem(2)
+        result = pipeline.fit("convex-ls", x, config)
+        assert result.fine_tune_trace.insertions == 0
+        assert result.fine_tune_trace.converged
+        assert result.certificate.min_grid_alt < -1e-8
+        assert not result.converged
+
+
+class TestRefinementCertifies:
+    @pytest.mark.parametrize("seed, grid_optimum", [(3, -0.24782),
+                                                    (5, -0.31004)])
+    def test_matches_a_fine_grid_solve(self, seed, grid_optimum):
+        # The optimum needs atoms next to x_(1), far below the 49-point
+        # grid's first point: re-insertion must find them.
+        x, config = _ls_refined_problem(seed)
+        result = pipeline.fit("convex-ls", x, config)
+        assert result.certificate.passed
+        assert result.converged
+        model = LsModel(x)
+        fine = SolverConfig(grid=np.linspace(x.min(), 3.0 * x.max(), 20_000),
+                            eta=1e-10)
+        f, trace = core.solve(model, fine)
+        assert trace.converged
+        best = model.objective(f)
+        assert abs(best - grid_optimum) <= 5e-6
+        value = model.objective(result.measure)
+        assert value <= best + 1e-9 * abs(best)
 
 
 class TestSpecTable:
