@@ -80,14 +80,14 @@ def simulate(kind, n, seed, out):
               help="Certificate tolerance (default: model rule).")
 @click.option("--max-iter", type=int, default=10_000,
               help="Outer iteration cap.")
-@click.option("--gridless/--no-gridless", "gridless_flag", default=None,
-              help="Off-grid support refinement (default: model rule).")
+@click.option("--gridless/--no-gridless", default=True,
+              help="Off-grid support refinement (default: on).")
 @click.option("--gridless-tol", type=float, default=1e-6,
               help="Stop refinement below this location-gradient norm.")
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True,
               help="Directory for measure, report, and curve files.")
 def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
-                max_iter, gridless_flag, gridless_tol, out_dir):
+                max_iter, gridless, gridless_tol, out_dir):
     """Fit a mixture model to the observations in INPUT.
 
     Writes measure.csv, report.txt, and four diagnostic curve files
@@ -105,9 +105,7 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
                                    spec.model.family)
         config = core.SolverConfig(
             grid=grid, eta=spec.eta if eta is None else eta,
-            max_outer_iter=max_iter,
-            gridless_enabled=(spec.gridless if gridless_flag is None
-                              else gridless_flag),
+            max_outer_iter=max_iter, gridless_enabled=gridless,
             gridless_tol=gridless_tol)
 
     result = pipeline.fit(model, sample, config)

@@ -1,11 +1,10 @@
 """Off-grid refinement of a fitted support by a monotone Newton polish.
 
-Each step solves the model's ``newton_system``: the likelihood's covers
-locations and weights jointly, the least squares one the locations
-alone, with the weights re-solved exactly at every trial.  Eigenvalues
-are taken in absolute value.  The step keeps the atoms in order, the
-weights nonnegative and the locations inside ``domain``, merges atoms
-closer than ``_MERGE_GAP`` of its width, and is halved until the
+Each step solves the model's ``newton_system``, the exact gradient and
+Hessian of its objective in the atom locations and weights jointly, with
+eigenvalues taken in absolute value.  The step keeps the atoms in order,
+the weights nonnegative and the locations inside ``domain``, merges
+atoms closer than ``_MERGE_GAP`` of its width, and is halved until the
 objective strictly drops.  The loop stops when the location gradient,
 ``tau_gradient``, is small; one weight polish closes it.  Atoms can be
 deleted or merged but never added.
@@ -84,34 +83,30 @@ def _step_limit(measure, step):
     locs, w, p = measure.locations, measure.weights, measure.size
     closing = step[:p - 1] - step[1:p]
     meet = closing > 0.0
-    limits = [1.0, *(0.5 * np.diff(locs)[meet] / closing[meet])]
-    if step.size > p:
-        shrink = step[p:] < 0.0
-        limits.extend(w[shrink] / -step[p:][shrink])
-    return min(limits)
+    shrink = step[p:] < 0.0
+    return min([1.0, *(0.5 * np.diff(locs)[meet] / closing[meet]),
+                *(w[shrink] / -step[p:][shrink])])
 
 
-def line_search(model, measure, value, step, config):
+def line_search(model, measure, value, step):
     """Halve a Newton step until the objective drops below ``value``.
 
-    A step over locations and weights drops the atoms whose weight
-    reaches zero; a step over the locations alone re-solves the weights
-    with ``minimize_over_support``.  Returns the accepted measure and
-    its objective, or None after ``_MAX_HALVINGS`` halvings.
+    ``step`` covers the locations, then the weights.  Atoms whose weight
+    reaches zero are dropped and atoms that come closer than the merge
+    gap merge; each trial costs one ``model.objective``.  Returns the
+    accepted measure and its objective, or None after ``_MAX_HALVINGS``
+    halvings.
     """
     p = measure.size
     lo, hi = model.domain
     t = _step_limit(measure, step)
     for _ in range(_MAX_HALVINGS):
         locs = np.clip(measure.locations + t * step[:p], lo, hi)
-        w = measure.weights + t * step[p:] if step.size > p else measure.weights
+        w = measure.weights + t * step[p:]
         keep = w > PURGE_THRESHOLD
         trial = _merge_close(MixingMeasure.from_atoms(locs[keep], w[keep]),
                              _MERGE_GAP * (hi - lo))
-        if step.size > p:
-            new = model.objective(trial)
-        else:
-            trial, new = model.minimize_over_support(trial, config)
+        new = model.objective(trial)
         if new < value:
             return trial, new
         t *= 0.5
@@ -133,7 +128,7 @@ def fine_tune(model, measure, config):
     """Polish a grid solution off the grid by monotone Newton steps.
 
     ``model`` provides ``newton_system`` (gradient and Hessian over the
-    locations, then the weights if it covers them), a weight polish
+    locations, then the weights), a weight polish
     ``minimize_over_support`` returning ``(measure, objective)`` and a
     finite parameter interval ``domain``.  The run stops once the
     location gradient norm is at most ``config.gridless_tol`` or after
@@ -158,7 +153,7 @@ def fine_tune(model, measure, config):
             trace.converged = True
             trace.stop_reason = "gradient below tolerance"
             break
-        step = line_search(model, f, value, _newton_step(grad, hess), config)
+        step = line_search(model, f, value, _newton_step(grad, hess))
         if step is None:
             trace.stop_reason = "line search found no improving step"
             break

@@ -23,17 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .families import (
-    MixingMeasure,
-    SignedMixingMeasure,
-    TriangularFamily,
-    mixture_cdf,
-)
+from .families import MixingMeasure, SignedMixingMeasure, TriangularFamily
 
 __all__ = ["LsModel"]
-
-#: relative location step of the central differences in ``newton_system``.
-_FD_STEP = 1e-6
 
 
 class LsModel(core.ConeObjective):
@@ -42,7 +34,7 @@ class LsModel(core.ConeObjective):
     Parameters
     ----------
     sample : array_like
-        Observations, all nonnegative.
+        Observations, all positive.
 
     Attributes
     ----------
@@ -61,8 +53,13 @@ class LsModel(core.ConeObjective):
             raise ValueError("sample must be nonempty")
         if not np.all(np.isfinite(x)):
             raise ValueError("sample values must be finite")
-        if x[0] < 0.0:
-            raise ValueError("the convex-density model needs nonnegative data")
+        if x[0] <= 0.0:
+            # An atom of weight 3 m / (2 n) at theta below the other
+            # observations, m of them at 0, scores -1.5 m^2 / (n^2 theta).
+            raise ValueError(
+                "the convex-density model needs positive data: with an "
+                "observation at 0 the least squares criterion is unbounded "
+                "below as an atom approaches 0")
         self.x = x
         self.n = x.size
         self.mean = float(x.mean())
@@ -200,37 +197,46 @@ class LsModel(core.ConeObjective):
     # -- gridless support ------------------------------------------------
 
     def location_gradient(self, measure):
-        """Gradient of ``phi`` in the atom locations at fixed weights.
-
-        Component ``i`` equals
-        ``w_i * d/dtheta D_phi(f_theta; f) | theta_i`` with ``f`` the
-        mixture itself:
-        ``(2/theta^2) F_f(theta) - (4/theta^3) H(theta; f)`` for the
-        smooth part and the empirical sum of kernel parameter
-        derivatives for the data part.
-        """
+        """Gradient of ``phi`` in the atom locations at fixed weights, the
+        location part of :meth:`newton_system`."""
         if measure.size == 0:
             return np.zeros(0)
-        theta = measure.locations
-        smooth = (2.0 / theta**2 * mixture_cdf(self.family, measure, theta)
-                  - 4.0 / theta**3 * self.H(theta, measure))
-        # (1/n) sum_j (4 x_j - 2 theta) / theta^3 over x_j < theta.
-        k = self.x.searchsorted(theta, side="left")
-        empirical = (4.0 * self._cumsum[k] - 2.0 * theta * k) / (self.n * theta**3)
-        return measure.weights * (smooth - empirical)
+        return self.newton_system(measure)[0][:measure.size]
 
     def newton_system(self, measure):
-        """Gradient and Hessian in the locations of the reduced objective,
-        ``phi`` at the exact weights.  With positive weights its gradient
-        is ``location_gradient`` (envelope theorem); the Hessian is central
-        differences of it at the ``unrestricted_min`` weights."""
-        theta = measure.locations
-        shifts = np.diag(_FD_STEP * theta)
-        rows = [self.location_gradient(self.unrestricted_min(theta + s))
-                - self.location_gradient(self.unrestricted_min(theta - s))
-                for s in shifts]
-        hess = np.array(rows) / (2.0 * shifts.diagonal()[:, None])
-        return self.location_gradient(measure), 0.5 * (hess + hess.T)
+        """Gradient and Hessian of ``phi`` in the locations, then the weights.
+
+        ``phi = 1/2 w' G(theta) w - b(theta)' w`` with ``G`` the Gram
+        matrix and ``b`` the linear term.  With ``P_jk = dG_jk/dtheta_j``
+        (``-2/(3 theta_k^2)`` for ``theta_j <= theta_k``, else
+        ``(4 theta_k/3 - 2 theta_j)/theta_j^3``),
+        ``Q_jk = 4/(3 max(theta_j, theta_k)^3)``,
+        ``R_jk = 4 (theta_j - theta_k)/theta_j^4`` for ``theta_j > theta_k``
+        and 0 otherwise, and, with ``k`` observations below an atom
+        summing to ``S``, ``b' = (4 S - 2 theta k)/(n theta^3)`` and
+        ``b'' = (4 theta k - 12 S)/(n theta^4)``, the gradient is
+        ``[w (P w - b'), G w - b]``, ``H_thetatheta = (w w') Q +
+        diag(w (R w - b''))``, ``H_thetaw = diag(w) P + diag(P w - b')``
+        and ``H_ww = G``; ``w (...)`` and ``(w w') Q`` are elementwise.
+        The jumps of ``F_n`` at the data are ignored.
+        """
+        theta, w = measure.locations, measure.weights
+        col = theta[:, None]
+        above = col > theta
+        P = np.where(above, (4.0 * theta / 3.0 - 2.0 * col) / col**3,
+                     -2.0 / (3.0 * theta**2))
+        Q = 4.0 / (3.0 * np.maximum(col, theta)**3)
+        R = np.where(above, 4.0 * (col - theta) / col**4, 0.0)
+        G = self._gram(theta)
+        k = self.x.searchsorted(theta, side="left")
+        S = self._cumsum[k]
+        db = (4.0 * S - 2.0 * theta * k) / (self.n * theta**3)
+        d2b = (4.0 * theta * k - 12.0 * S) / (self.n * theta**4)
+        pw = P @ w - db
+        grad = np.concatenate((w * pw, G @ w - self._linear_term(theta)))
+        h_tt = np.outer(w, w) * Q + np.diag(w * (R @ w - d2b))
+        h_tw = w[:, None] * P + np.diag(pw)
+        return grad, np.block([[h_tt, h_tw], [h_tw.T, G]])
 
     def minimize_over_support(self, measure, config):
         """Exact weight polish on the support: ``(measure, objective)``."""

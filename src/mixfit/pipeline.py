@@ -160,19 +160,18 @@ class ModelSpec:
     """What sets one bundled model apart from the other.
 
     ``model`` is the objective class, built from the sample.  ``eta``
-    and ``gridless`` are the default certificate tolerance and
-    refinement flag.  The default grid is ``grid_size`` points on the
-    model's ``domain``.  ``nonnegative`` makes :func:`ingest` reject
-    negative data.  ``solve(model, config)`` runs the grid stage.
-    Refinement also scans ``scan_points`` points of the ``domain``, and
-    ``insert(model, measure, theta, config)`` re-solves the weights over
-    the atoms and ``theta``.  ``mixing_cdf`` and ``density`` are the
-    reference curves of the model's canonical experiment.
+    is the default certificate tolerance.  The default grid is
+    ``grid_size`` points on the model's ``domain``.  ``nonnegative``
+    makes :func:`ingest` reject negative data.  ``solve(model, config)``
+    runs the grid stage.  Refinement also scans ``scan_points`` points
+    of the ``domain``, and ``insert(model, measure, theta, config)``
+    re-solves the weights over the atoms and ``theta``.  ``mixing_cdf``
+    and ``density`` are the reference curves of the model's canonical
+    experiment.
     """
 
     model: type
     eta: float
-    gridless: bool
     grid_size: int
     nonnegative: bool
     solve: Callable
@@ -187,12 +186,10 @@ class ModelSpec:
 # curves use scipy.special: importing scipy.stats would more than double
 # the start-up time of the command line.
 MODELS = {
-    # Refinement is off by default: the triangular kernel's kink makes
-    # location derivatives only piecewise smooth.  Exponential data as
-    # a convex density correspond to a Gamma(3) mixing distribution
-    # over triangular kernels.
+    # Exponential data as a convex density correspond to a Gamma(3)
+    # mixing distribution over triangular kernels.
     "convex-ls": ModelSpec(
-        model=lsconvex.LsModel, eta=1e-10, gridless=False,
+        model=lsconvex.LsModel, eta=1e-10,
         grid_size=1000, nonnegative=True,
         solve=lambda model, config: core.solve(model, config),
         # 501 points miss the atoms next to x_(1) the optimum can need.
@@ -203,7 +200,7 @@ MODELS = {
         density=lambda x: np.where(x >= 0.0, np.exp(-np.abs(x)), 0.0)),
     # Unit exponential locations observed with standard normal noise.
     "deconv-ml": ModelSpec(
-        model=mldeconv.MlModel, eta=1e-8, gridless=True,
+        model=mldeconv.MlModel, eta=1e-8,
         grid_size=500, nonnegative=False,
         solve=lambda model, config: mldeconv.newton_solve(model, config),
         scan_points=0,

@@ -252,6 +252,16 @@ class TestFitCommand:
         assert res.exit_code == 2
         assert "negative observation" in res.output
 
+    def test_zero_observation_rejected_for_convex_ls(self, runner, tmp_path):
+        p = tmp_path / "zero.txt"
+        p.write_text("0\n0.4\n1.3\n2.2\n")
+        res = _invoke(runner, ["fit", "convex-ls", str(p),
+                               "--out-dir", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert "unbounded below" in res.output
+        assert "Traceback" not in res.output
+        assert isinstance(res.exception, SystemExit)
+
     def test_malformed_input_names_line(self, runner, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1.0\nnope\n")

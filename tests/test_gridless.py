@@ -27,13 +27,18 @@ from mixfit.mldeconv import MlModel, newton_solve
 
 
 class _Scripted:
-    """Objective of the locations alone, weights held: the polish sees a
-    reduced objective whose weight polish changes nothing."""
+    """Objective of the locations alone, weights held: its joint system has
+    a zero weight gradient and an identity weight block, so no step moves
+    a weight, and its weight polish changes nothing."""
 
     domain = (-10.0, 10.0)
 
     def newton_system(self, measure):
-        return self.location_gradient(measure), self.location_hessian(measure)
+        p = measure.size
+        hess = np.eye(2 * p)
+        hess[:p, :p] = self.location_hessian(measure)
+        return np.concatenate((self.location_gradient(measure),
+                               np.zeros(p))), hess
 
     def minimize_over_support(self, measure, config):
         return measure, self.objective(measure)
@@ -73,8 +78,7 @@ def _search(model, f, step=None):
     that ``fine_tune`` hands it."""
     if step is None:
         step = _newton_step(*model.newton_system(f))
-    return line_search(model, f, model.objective(f), step,
-                       SolverConfig(grid=np.array([1.0])))
+    return line_search(model, f, model.objective(f), step)
 
 
 class _Recorder:
@@ -107,15 +111,19 @@ class _Recorder:
 
 
 class _CoalescingPull(_Scripted):
-    """``sum_i w_i (loc_i - v)^2`` at fixed weights, whose weight polish
-    fails on atoms closer than ``gap``, as a rank-deficient solve does,
-    and records every measure it receives."""
+    """``sum_i w_i (loc_i - v)^2`` at fixed weights, whose objective fails
+    on atoms closer than ``gap``, as a rank-deficient solve does, and
+    records every measure it receives."""
 
     def __init__(self, v, gap):
         self.v, self.gap = v, gap
         self.inputs, self.failed = [], []
 
     def objective(self, measure):
+        self.inputs.append(measure)
+        if np.any(np.diff(measure.locations) < self.gap):
+            self.failed.append(measure)
+            raise ValueError("singular normal equations")
         return float(measure.weights @ (measure.locations - self.v) ** 2)
 
     def location_gradient(self, measure):
@@ -123,13 +131,6 @@ class _CoalescingPull(_Scripted):
 
     def location_hessian(self, measure):
         return np.diag(2.0 * measure.weights)
-
-    def minimize_over_support(self, measure, config):
-        self.inputs.append(measure)
-        if np.any(np.diff(measure.locations) < self.gap):
-            self.failed.append(measure)
-            raise ValueError("singular normal equations")
-        return measure, self.objective(measure)
 
 
 class TestNewtonStep:
@@ -182,7 +183,7 @@ class TestLineSearch:
     def test_full_step_when_it_decreases(self):
         model = _OneAtomQuadratic(0.3)
         f = MixingMeasure([0.0], [1.0])
-        shifted, value = _search(model, f, np.array([0.2]))
+        shifted, value = _search(model, f, np.array([0.2, 0.0]))
         assert shifted.locations[0] == 0.2
         assert value == model.objective(shifted)
 
@@ -190,7 +191,7 @@ class TestLineSearch:
         # A step of 1.0 overshoots to 1.0, worse; half of it lands on 0.5.
         model = _OneAtomQuadratic(0.3)
         f = MixingMeasure([0.0], [1.0])
-        shifted, _ = _search(model, f, np.array([1.0]))
+        shifted, _ = _search(model, f, np.array([1.0, 0.0]))
         assert shifted.locations[0] == 0.5
 
     def test_clipped_into_domain(self):
@@ -209,16 +210,17 @@ class TestLineSearch:
         assert _search(_FlatDeceiver(), f) is None
 
     def test_accepted_step_strictly_decreases_ls_objective(self):
-        # Only the locations step; the weights are re-solved exactly.
+        # The locations and the weights step together, from the exact
+        # weights of the starting support.
         rng = np.random.default_rng(3)
         m = LsModel(rng.exponential(size=40))
         f = reoptimize_over_support(m, MixingMeasure([0.8, 2.1], [0.5, 0.4]))
         step = _search(m, f)
         assert step is not None
         shifted, value = step
-        assert_allclose(shifted.weights,
-                        reoptimize_over_support(m, shifted).weights,
-                        rtol=1e-12)
+        assert shifted.size == f.size
+        assert np.all(shifted.locations != f.locations)
+        assert np.all(shifted.weights != f.weights)
         assert value == m.objective(shifted)
         assert value < m.objective(f)
 
@@ -268,7 +270,7 @@ class TestTauGradient:
         model, f, _ = _fit(kind)
         grad, hess = model.newton_system(f)
         assert grad.size == hess.shape[0] == hess.shape[1]
-        assert grad.size == (2 if kind == "deconv-ml" else 1) * f.size
+        assert grad.size == 2 * f.size
         # the same sums, added in another order
         expected = tau_gradient(model, f)
         assert_allclose(grad[:f.size], expected,
@@ -409,8 +411,8 @@ class TestFineTune:
     def test_merge_keeps_descending(self):
         # Both atoms are pulled to 0.9 and close in geometrically; the
         # shifted pair that comes closer than the merge gap (a fraction of
-        # the domain's width) merges before the polish, which never sees
-        # it, and the single atom descends to 0.9.
+        # the domain's width) merges before the objective, which never
+        # sees it, and the single atom descends to 0.9.
         lo, hi = _CoalescingPull.domain
         model = _CoalescingPull(0.9, gap=gridless._MERGE_GAP * (hi - lo))
         config = SolverConfig(grid=np.array([0.5]), gridless_tol=1e-8)

@@ -7,7 +7,7 @@ values on tiny samples.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
@@ -283,8 +283,10 @@ class TestLocationGradient:
             assert_allclose(grad[i], (up - dn) / (2 * h), rtol=1e-4)
 
     def test_newton_system_is_that_of_the_reduced_objective(self):
-        # psi(theta) = phi at the exact weights of the support theta; its
-        # second differences, with no data point between the probes.
+        # psi(theta) = phi at the exact weights of the support theta.  At
+        # those weights the joint weight gradient vanishes, the location
+        # gradient is psi's and the Schur complement of the weight block
+        # is psi's Hessian: differences with no data point between probes.
         rng = np.random.default_rng(73)
         m = LsModel(rng.exponential(size=30))
         theta = np.array([0.5, 2.6])
@@ -295,14 +297,68 @@ class TestLocationGradient:
         f = m.unrestricted_min(theta)
         assert np.all(f.weights > 0)  # construction guard
         grad, hess = m.newton_system(MixingMeasure(theta, f.weights))
-        assert_allclose(grad, m.location_gradient(f), rtol=1e-15)
+        assert hess.shape == (4, 4)
         h = 1e-4
         assert np.all(np.abs(m.x[:, None] - theta) > 2 * h)
         eye = np.eye(2) * h
+        assert_allclose(grad[2:], 0.0, atol=1e-14)
+        assert_allclose(grad[:2], [(psi(theta + a) - psi(theta - a)) / (2 * h)
+                                   for a in eye], rtol=1e-5)
+        h_tw = hess[:2, 2:]
+        reduced = hess[:2, :2] - h_tw @ np.linalg.solve(hess[2:, 2:], h_tw.T)
         fd = np.array([[(psi(theta + a + b) - psi(theta + a - b)
                          - psi(theta - a + b) + psi(theta - a - b)) / (4 * h * h)
                         for b in eye] for a in eye])
-        assert_allclose(hess, fd, rtol=1e-4, atol=1e-4 * np.abs(fd).max())
+        assert_allclose(reduced, fd, rtol=1e-4, atol=1e-4 * np.abs(fd).max())
+
+
+class TestLsNewtonSystem:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4))
+    def test_matches_central_differences(self, seed, p):
+        # The joint gradient against central differences of the
+        # objective, the Hessian against central differences of the
+        # gradient, in the locations and then the weights; the location
+        # part also against its mixture-cdf form.
+        rng = np.random.default_rng(seed)
+        m = LsModel(rng.exponential(size=30))
+        theta = np.sort(rng.uniform(0.1, 4.0, p)) + 0.05 * np.arange(p)
+        z = np.concatenate((theta, rng.uniform(0.1, 1.0, p)))
+        h = 1e-6
+        # The gradient jumps where an atom crosses an observation.
+        assume(np.abs(m.x[:, None] - theta).min() > 2 * h)
+
+        def at(v):
+            return MixingMeasure(v[:p], v[p:])
+
+        grad, hess = m.newton_system(at(z))
+        assert grad.shape == (2 * p,) and hess.shape == (2 * p, 2 * p)
+        fd_grad = np.empty(2 * p)
+        fd_hess = np.empty((2 * p, 2 * p))
+        for i in range(2 * p):
+            e = np.zeros(2 * p)
+            e[i] = h
+            fd_grad[i] = (m.objective(at(z + e))
+                          - m.objective(at(z - e))) / (2 * h)
+            fd_hess[i] = (m.newton_system(at(z + e))[0]
+                          - m.newton_system(at(z - e))[0]) / (2 * h)
+        assert_allclose(grad, fd_grad, rtol=1e-6,
+                        atol=1e-6 * np.abs(grad).max())
+        assert_allclose(hess, fd_hess, rtol=1e-6,
+                        atol=1e-6 * np.abs(hess).max())
+        # w_j d/dtheta D_phi(f_theta; f) at theta_j: (2/theta^2) F_f
+        # - (4/theta^3) H(theta; f) minus the empirical sum of kernel
+        # parameter derivatives (1/n) sum (4 x_i - 2 theta)/theta^3.
+        f = at(z)
+        below = m.x < theta[:, None]
+        empirical = ((4.0 * m.x - 2.0 * theta[:, None]) * below).sum(axis=1)
+        reference = f.weights * (
+            2.0 / theta**2 * mixture_cdf(TRI, f, theta)
+            - 4.0 / theta**3 * m.H(theta, f)
+            - empirical / (m.n * theta**3))
+        assert_allclose(grad[:p], reference, rtol=1e-12,
+                        atol=1e-12 * np.abs(reference).max())
+        assert_allclose(m.location_gradient(f), grad[:p], rtol=0, atol=0)
 
 
 class TestStartingPoint:
@@ -346,6 +402,13 @@ class TestModelValidation:
     def test_negative_data_rejected(self):
         with pytest.raises(ValueError):
             LsModel(np.array([0.5, -0.1]))
+
+    def test_zero_observation_rejected(self):
+        # phi is unbounded below: an atom of weight 3 m / (2 n) at theta
+        # below the positive data, m of them at 0, scores
+        # -1.5 m^2 / (n^2 theta).
+        with pytest.raises(ValueError, match="unbounded below"):
+            LsModel(np.array([0.0, 0.4, 1.3, 2.2]))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):

@@ -70,15 +70,24 @@ class TestRefinementCertifies:
         value = model.objective(result.measure)
         assert value <= best + 1e-9 * abs(best)
 
+    def test_zero_observation_is_a_clear_error(self):
+        # Rounding puts observations at 0, where the least squares
+        # criterion is unbounded below; refinement used to chase an atom
+        # toward 0 until the linear algebra failed.
+        x = np.round(np.random.default_rng(0).exponential(size=200), 1)
+        assert x.min() == 0.0
+        grid = np.linspace(0.1, 3.0 * x.max(), 100)
+        with pytest.raises(ValueError, match="unbounded below"):
+            pipeline.fit("convex-ls", x, SolverConfig(
+                grid=grid, eta=1e-10, gridless_enabled=True))
+
 
 class TestSpecTable:
     def test_defaults(self):
         ls = pipeline.model_spec("convex-ls")
         ml = pipeline.model_spec("deconv-ml")
-        assert (ls.model, ls.eta, ls.gridless, ls.nonnegative) == \
-            (LsModel, 1e-10, False, True)
-        assert (ml.model, ml.eta, ml.gridless, ml.nonnegative) == \
-            (MlModel, 1e-8, True, False)
+        assert (ls.model, ls.eta, ls.nonnegative) == (LsModel, 1e-10, True)
+        assert (ml.model, ml.eta, ml.nonnegative) == (MlModel, 1e-8, False)
 
     def test_default_grid_rule(self):
         x = np.array([0.5, 2.0, 1.0])
@@ -154,15 +163,13 @@ class TestInfoLog:
         spec = pipeline.model_spec(kind)
         grid = pipeline.build_grid(*pipeline.default_grid_spec(kind, x),
                                    spec.model.family)
-        config = SolverConfig(grid=grid, eta=spec.eta,
-                              gridless_enabled=spec.gridless)
+        config = SolverConfig(grid=grid, eta=spec.eta, gridless_enabled=True)
         caplog.set_level(logging.INFO, logger="mixfit")
         result = pipeline.fit(kind, x, config)
         info = [r.getMessage() for r in caplog.records
                 if r.name.startswith("mixfit") and r.levelno == logging.INFO]
         assert result.converged
-        assert len(info) == (3 if spec.gridless else 2)
+        assert len(info) == 3
         assert info[0].startswith("grid stage converged")
-        assert info[-1].startswith("certificate passed")
-        if spec.gridless:
-            assert info[1].startswith("refinement stopped")
+        assert info[1].startswith("refinement stopped")
+        assert info[2].startswith("certificate passed")
