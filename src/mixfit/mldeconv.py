@@ -49,9 +49,15 @@ class _Observations:
     observations on the last axis.  The grid's kernels are evaluated
     once and stored atom-major, ``K[j, i] = phi(x_i - grid_j)`` of shape
     ``G x n``, beside their elementwise square ``K2 = K∘K`` for
-    curvature scans.  Scans over the grid read ``K`` itself; atoms that
-    are all grid points read their rows of ``K``, a contiguous gather;
-    any other atoms are evaluated on the fly.
+    curvature scans.  :meth:`grid_index` finds atoms on the grid: scans
+    over the whole grid read ``K`` itself, atoms that are all grid
+    points read their rows of ``K``, a contiguous gather, and any other
+    atoms are evaluated on the fly.
+
+    The layer keeps the last mixture it evaluated, and on a grid also
+    that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid.
+    Within one Newton step the certificate's scan, the objective and
+    the quadratic model read that one mixture and that one matvec.
     """
 
     family = GaussianFamily()
@@ -61,26 +67,58 @@ class _Observations:
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
         self.K = None
         self.K2 = None
+        self._last = (None, None, None)     # measure, f(x), K (1/f) / n
         if grid is not None:
             self.K = self.kernels(self.grid)
             self.K.flags.writeable = False
             self.K2 = self.K * self.K
             self.K2.flags.writeable = False
 
+    def grid_index(self, theta):
+        """Rows of ``K`` that hold the kernels at ``theta``, or None.
+
+        The whole grid maps to ``slice(None)``.  None when there is no
+        grid or some atom is off it.
+        """
+        if self.K is None:
+            return None
+        theta = np.asarray(theta, dtype=float)
+        if theta is self.grid or (theta.shape == self.grid.shape
+                                  and (theta == self.grid).all()):
+            return slice(None)
+        idx = np.minimum(self.grid.searchsorted(theta), self.grid.size - 1)
+        return idx if (self.grid[idx] == theta).all() else None
+
     def kernels(self, theta):
         """``phi(x_i - theta)``, observations along the last axis."""
         theta = np.asarray(theta, dtype=float)
-        if self.K is not None:
-            if theta.shape == self.grid.shape and (theta == self.grid).all():
-                return self.K
-            idx = np.minimum(self.grid.searchsorted(theta), self.grid.size - 1)
-            if (self.grid[idx] == theta).all():
-                return self.K[idx]
-        return self.family.kernel(theta[..., None], self.x)
+        idx = self.grid_index(theta)
+        if idx is None:
+            return self.family.kernel(theta[..., None], self.x)
+        return self.K[idx]
 
     def mixture(self, measure):
         """The mixture density at every observation."""
-        return measure.weights @ self.kernels(measure.locations)
+        if measure is not self._last[0]:
+            fx = measure.weights @ self.kernels(measure.locations)
+            fx.flags.writeable = False
+            self._last = (measure, fx, None)
+        return self._last[1]
+
+    def ratio_mean(self, theta, measure):
+        """``(1/n) sum_i phi(x_i - theta) / f(x_i)`` for the measure's mixture.
+
+        The vector over the whole grid is kept with the last mixture.
+        Raises when the mixture vanishes at an observation.
+        """
+        fx = self.mixture(measure)
+        if (fx <= 0.0).any():
+            raise ValueError("mixture must be positive at every observation")
+        if not isinstance(self.grid_index(theta), slice):
+            return self.kernels(theta) @ (1.0 / fx) / self.x.size
+        if self._last[2] is None:
+            self._last = (measure, fx, self.K @ (1.0 / fx) / self.x.size)
+        return self._last[2]
 
 
 class MlModel:
@@ -117,10 +155,7 @@ class MlModel:
 
     def dir_deriv_vertex(self, theta, measure):
         """``1 - (1/n) sum f_theta(x_i) / f(x_i)``."""
-        fx = self.obs.mixture(measure)
-        if (fx <= 0.0).any():
-            raise ValueError("mixture must be positive at every observation")
-        out = 1.0 - self.obs.kernels(theta) @ (1.0 / fx) / self.n
+        out = 1.0 - self.obs.ratio_mean(theta, measure)
         return out if out.ndim else float(out)
 
     alt_dir_deriv_vertex = dir_deriv_vertex
@@ -197,15 +232,26 @@ class QuadLocalModel(core.ConeObjective):
 
     whose gradient toward a kernel, ``c1(theta)``, matches the gradient
     of ``ml`` at ``g`` exactly, and whose curvature along a kernel is
-    ``c2(theta) = (1/n) sum (d_i f_theta(x_i))^2``.  On the layer's grid
-    both are matrix-vector products with its ``G x n`` kernel matrices,
+    ``c2(theta) = (1/n) sum (d_i f_theta(x_i))^2``.  On a grid the model
+    depends on the sample only through the vectors and the matrix
 
-        c2 = (K∘K) d^2 / n              once per model,
-        c1 = 1 + K (d ∘ (f d - 2)) / n  once per scan,
+        b  = K d / n                  the layer's matvec at the center,
+        c2 = (K∘K) d^2 / n            once per model,
+        M  = K diag(d^2) K' / n       the weighted Gram matrix of the grid.
 
-    so the model keeps only vectors of length n and G; the same sums run
-    over the rows of ``K`` for grid atoms and over kernels evaluated on
-    the fly elsewhere.
+    ``M`` is kept as a store of the rows of the grid atoms that entered
+    the model's support, each formed by one pass over ``K`` the first
+    time it is needed (all missing rows of one call in one product);
+    it never holds the whole ``G x G`` matrix.  For a measure ``f = sum
+    w_j f_{theta_j}`` on grid atoms ``S`` every call of the solver then
+    costs O(G p) or O(p^2) and reads nothing of length n:
+
+        c1 = 1 - 2 b + M[:, S] w,   q(f) = sum w - 2 w'b_S + w'M_SS w / 2,
+
+    the normal equations are ``M_SS alpha = 2 b_S - 1``, and the
+    curvature along a direction ``h`` is ``h'M_SS h``.  Measures with an
+    atom off the grid, and models without a grid, run the same sums over
+    the n observations, with kernels evaluated on the fly.
     """
 
     family = _Observations.family
@@ -221,16 +267,42 @@ class QuadLocalModel(core.ConeObjective):
         self.n = self.x.size
         self.center = center
         self.d = 1.0 / gx
-        self._grid_c2 = (None if sample.K is None
-                         else self._mean_over_obs(self.d**2, sample.K2))
+        self._d2 = self.d**2
+        if sample.K is not None:
+            self._b = sample.ratio_mean(sample.grid, center)
+            self._c2 = self._mean_over_obs(self._d2, sample.K2)
+            # grid index -> row of the store, -1 until that row is formed
+            self._slot = np.full(sample.grid.size, -1)
+            self._gram = np.empty((0, sample.grid.size))
 
     def _mean_over_obs(self, v, kern):
         """``(1/n) sum_i v_i kern[..., i]``: a matvec when ``kern`` is a matrix."""
         return kern @ v / self.n
 
+    def _gram_rows(self, at):
+        """Rows ``M[at]`` of the weighted Gram matrix, forming missing ones."""
+        slots = self._slot[at]
+        missing = slots < 0
+        if missing.any():
+            new = np.arange(self._slot.size)[at][missing]
+            self._slot[new] = np.arange(len(self._gram), len(self._gram) + new.size)
+            self._gram = np.concatenate((self._gram, self._weighted_gram(new)))
+            slots = self._slot[at]
+        return self._gram[slots]
+
+    def _weighted_gram(self, new):
+        """``K[new] diag(d^2) K' / n``: one pass over ``K`` for any count."""
+        K = self.obs.K
+        return (K[new] * self._d2) @ K.T / self.n
+
     def objective(self, measure):
         if measure.size == 0:
             return 0.0
+        w = measure.weights
+        at = self.obs.grid_index(measure.locations)
+        if at is not None:
+            return float(w.sum() - 2.0 * (w @ self._b[at])
+                         + 0.5 * (w @ self._gram_rows(at)[:, at] @ w))
         fd = self.obs.mixture(measure) * self.d
         return float(measure.total_mass() - 2.0 * fd.mean()
                      + 0.5 * (fd**2).mean())
@@ -241,11 +313,18 @@ class QuadLocalModel(core.ConeObjective):
         Returns ``(c1, c2)`` with
         ``q(f + eps f_theta) = q(f) + c1 eps + (1/2) c2 eps^2``.
         """
-        kern = self.obs.kernels(theta)
-        fd = self.obs.mixture(measure) * self.d if measure.size else 0.0
-        c1 = 1.0 + self._mean_over_obs(self.d * (fd - 2.0), kern)
-        c2 = (self._grid_c2 if kern is self.obs.K
-              else self._mean_over_obs(self.d**2, kern**2))
+        theta = np.asarray(theta, dtype=float)
+        idx = self.obs.grid_index(theta)
+        at = None if idx is None else self.obs.grid_index(measure.locations)
+        if at is not None:
+            c1 = (1.0 - 2.0 * self._b[idx]
+                  + measure.weights @ self._gram_rows(at)[:, idx])
+        else:
+            kern = self.obs.kernels(theta)
+            fd = self.obs.mixture(measure) * self.d if measure.size else 0.0
+            c1 = 1.0 + self._mean_over_obs(self.d * (fd - 2.0), kern)
+        c2 = (self._c2[idx] if idx is not None
+              else self._mean_over_obs(self._d2, kern**2))
         if np.ndim(c1):
             return np.asarray(c1), np.asarray(c2)
         return float(c1), float(c2)
@@ -264,15 +343,21 @@ class QuadLocalModel(core.ConeObjective):
 
         Equivalent to a penalized weighted least squares fit with
         observation weights ``sqrt(n) d_i``: with the ``p x n`` kernel
-        rows ``Y`` the system is ``(YD)(YD)' alpha = 2 Y d - n 1``.
+        rows ``Y`` the system is ``(YD)(YD)' alpha = 2 Y d - n 1``, which
+        is ``M_SS alpha = 2 b_S - 1`` on grid atoms.
         """
         support = np.asarray(support, dtype=float)
         if support.size == 0:
             return SignedMixingMeasure.empty()
-        Y = self.obs.kernels(support)
-        A = Y * self.d
+        at = self.obs.grid_index(support)
+        if at is not None:
+            gram, rhs = self._gram_rows(at)[:, at], 2.0 * self._b[at] - 1.0
+        else:
+            Y = self.obs.kernels(support)
+            A = Y * self.d
+            gram, rhs = A @ A.T, 2.0 * Y @ self.d - self.n
         alpha = core.cholesky_solve(
-            A @ A.T, 2.0 * Y @ self.d - self.n,
+            gram, rhs,
             "rank-deficient quadratic subproblem: support points too "
             "close to resolve, merge them")
         return SignedMixingMeasure(support, alpha)
@@ -287,6 +372,10 @@ class QuadLocalModel(core.ConeObjective):
         """Exact curvature ``(1/n) sum (d_i h(x_i))^2`` along a direction."""
         if direction.size == 0:
             return 0.0
+        at = self.obs.grid_index(direction.locations)
+        if at is not None:
+            h = direction.weights
+            return float(h @ self._gram_rows(at)[:, at] @ h)
         hd = self.obs.mixture(direction) * self.d
         return float((hd**2).mean())
 
@@ -340,6 +429,9 @@ def _newton_loop(model, start, config):
     grid = config.grid
     # A loop-local copy holds the grid's kernel matrix, which the
     # certificate and every quadratic model read; it dies with the loop.
+    # Its layer keeps the iterate's mixture and grid matvec K (1/f) / n:
+    # the certificate's scan forms them, and the objective and the
+    # quadratic model at the same iterate read them (d = 1/f there).
     model = copy.copy(model)
     model.obs = _Observations(model.x, grid)
     f = start
@@ -376,6 +468,8 @@ def _newton_loop(model, start, config):
         # (the scale its scan terminates on; the raw likelihood gap can sit
         # orders of magnitude above it), and the floor sits below the outer
         # tolerance so the final certificate is not limited by truncation.
+        # At the center this scan reads the model's b and the Gram rows of
+        # the iterate's atoms, which the warm start then reuses.
         alt0 = np.asarray(quad.alt_dir_deriv_vertex(grid, f))
         gap_q = max(0.0, -float(alt0.min()))
         eta_q = max(0.1 * config.eta, 1e-2 * gap_q)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from mixfit import mldeconv, pipeline
+from mixfit import core, mldeconv, pipeline
 from mixfit.cli import main
 from mixfit.core import ConvergenceStall, SolverConfig, check_optimality
 from mixfit.families import (
@@ -285,7 +285,9 @@ class TestGridPathAgreement:
         free = QuadLocalModel(x, center)
         a1, a2 = on_grid.quad_coefficients(grid, measure)
         b1, b2 = free.quad_coefficients(grid, measure)
-        assert_allclose(a1, b1, rtol=1e-12)
+        r1, r2, terms = _product_form(x, center, grid, measure)
+        # a measure on the grid sums the terms of c1 in another order
+        assert_allclose(a1, b1, rtol=1e-12, atol=1e-12 * terms.max())
         assert_allclose(a2, b2, rtol=1e-12)
         # the normal equations over grid atoms read rows of K; compared
         # where the system is conditioned well enough that rounding stays
@@ -296,7 +298,6 @@ class TestGridPathAgreement:
             assert_allclose(on_grid.unrestricted_min(support).weights,
                             free.unrestricted_min(support).weights, rtol=1e-10)
         # and both match the explicit product, up to its rounding
-        r1, r2, terms = _product_form(x, center, grid, measure)
         assert_allclose(a1, r1, rtol=1e-12, atol=1e-12 * terms.max())
         assert_allclose(a2, r2, rtol=1e-12)
         # at the center the slope is the likelihood's derivative
@@ -320,6 +321,62 @@ class TestGridPathAgreement:
            measure=_atoms(-2.0, 2.0, 0))
     def test_property(self, x, center, grid, measure):
         self._check(np.array(x), center, np.unique(grid), measure)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12),
+           center=_atoms(-1.0, 1.0, 1),
+           grid=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8,
+                         unique=True),
+           atoms=st.lists(st.tuples(st.integers(0, 7),
+                                    st.one_of(st.floats(-1.0, -0.05),
+                                              st.floats(0.05, 1.0))),
+                          max_size=4))
+    def test_property_on_grid_atoms(self, x, center, grid, atoms):
+        """Measures on grid points take the Gram-store path; it agrees
+        with the layer-free model and the explicit products."""
+        x, grid = np.array(x), np.sort(grid)
+        measure = SignedMixingMeasure.from_atoms(
+            [grid[a % grid.size] for a, _ in atoms], [w for _, w in atoms])
+        on_grid = QuadLocalModel(x, center, grid=grid)
+        assert on_grid.obs.grid_index(measure.locations) is not None
+        free = QuadLocalModel(x, center)
+        a1, a2 = on_grid.quad_coefficients(grid, measure)
+        b1, b2 = free.quad_coefficients(grid, measure)
+        r1, r2, terms = _product_form(x, center, grid, measure)
+        for c1 in (b1, r1):
+            assert_allclose(a1, c1, rtol=1e-12, atol=1e-12 * terms.max())
+        for c2 in (b2, r2):
+            assert_allclose(a2, c2, rtol=1e-12)
+        # objective and curvature along the measure, against the sums
+        # of their terms' sizes
+        kd = GaussianFamily().kernel(measure.locations, x[:, None]) * free.d[:, None]
+        w, fd, size = measure.weights, kd @ measure.weights, kd @ np.abs(measure.weights)
+        size_b = kd.mean(axis=0)
+        q_size = np.abs(w).sum() + 2.0 * size.mean() + 0.5 * (size**2).mean()
+        for q in (free.objective(measure),
+                  w.sum() - 2.0 * fd.mean() + 0.5 * (fd**2).mean()):
+            assert_allclose(on_grid.objective(measure), q, rtol=1e-12,
+                            atol=1e-12 * q_size)
+        for h in (free.segment_curvature(measure), (fd**2).mean()):
+            assert_allclose(on_grid.segment_curvature(measure), h, rtol=1e-12,
+                            atol=1e-12 * (size**2).mean())
+        gram = kd.T @ kd / x.size
+        if measure.size and np.linalg.cond(gram) < 1e4:
+            # the solution's size if no term of 2 b_S - 1 cancelled
+            alpha_size = np.abs(np.linalg.inv(gram)) @ (2.0 * size_b + 1.0)
+            assert_allclose(on_grid.unrestricted_min(measure.locations).weights,
+                            free.unrestricted_min(measure.locations).weights,
+                            rtol=1e-12, atol=1e-12 * alpha_size.max())
+
+    @pytest.mark.parametrize("grid", [[-1.0, 1.0], [-0.5, 0.5], [-1.0, 0.3, 1.0]])
+    def test_singular_grid_support_raises(self, grid):
+        # kernels symmetric about the lone observation are bitwise equal,
+        # so the Gram rows are too
+        grid = np.array(grid)
+        q = QuadLocalModel(np.array([0.0]), MixingMeasure([0.0], [1.0]), grid=grid)
+        assert q.obs.grid_index(grid) is not None
+        with pytest.raises(ValueError, match="merge them"):
+            q.unrestricted_min(grid)
 
 
 class TestObservations:
@@ -583,6 +640,64 @@ class TestSharedKernelMatrix:
                 todo.extend(vars(obj).values())
         assert arrays
         assert max(a.size for a in arrays) <= self.N
+
+
+class TestGramStore:
+    """On grid atoms the quadratic model reads its store of Gram rows."""
+
+    def test_rows_formed_once_and_no_sample_read_in_a_solve(self, monkeypatch):
+        x, grid = TestSharedKernelMatrix()._problem()
+        obs = _Observations(x, grid)
+        quad = QuadLocalModel(obs, MixingMeasure(grid[[10, 25]], [0.5, 0.5]))
+        formed = []
+        original = QuadLocalModel._weighted_gram
+
+        def recording(self, new):
+            formed.extend(new.tolist())
+            return original(self, new)
+
+        def forbidden(self, *args):
+            raise AssertionError("the solve read n-sized data")
+
+        monkeypatch.setattr(QuadLocalModel, "_weighted_gram", recording)
+        monkeypatch.setattr(_Observations, "mixture", forbidden)
+        monkeypatch.setattr(_Observations, "kernels", forbidden)
+        f, trace = core.solve(quad, SolverConfig(grid=grid, eta=1e-10))
+        assert trace.converged and trace.n_iterations >= 2
+        assert len(formed) == len(set(formed))
+        assert set(f.locations) <= set(grid[formed])
+        assert quad._gram.shape == (len(formed), grid.size)
+
+    def test_large_grid_fit_matches_the_sample_path_in_little_memory(
+            self, monkeypatch):
+        # a grid ten times the sample: a dense G x G store would be 72 MB
+        x = pipeline.simulate_sample("exp-normal-mixture", 300, 1)
+        lo, hi, _ = pipeline.default_grid_spec("deconv-ml", x)
+        size = 3000
+        config = SolverConfig(
+            grid=pipeline.build_grid(lo, hi, size, GaussianFamily()), eta=1e-8)
+        tracemalloc.start()
+        try:
+            result = pipeline.fit("deconv-ml", x, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < size * size * 8 / 4
+        # the same fit with only the whole grid found on it: every atom's
+        # kernels are evaluated and every sum runs over the sample
+        original = _Observations.grid_index
+
+        def whole_grid_only(self, theta):
+            idx = original(self, theta)
+            return idx if isinstance(idx, slice) else None
+
+        monkeypatch.setattr(_Observations, "grid_index", whole_grid_only)
+        reference = pipeline.fit("deconv-ml", x, config)
+        assert reference.converged
+        assert_allclose(result.model.objective(result.measure),
+                        reference.model.objective(reference.measure),
+                        rtol=1e-12)
 
 
 class TestGridStageStall:
