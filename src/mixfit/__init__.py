@@ -6,7 +6,10 @@ convex objective over the cone of positive atomic mixtures:
 * least squares estimation of a decreasing convex density on the half
   line (triangular kernels), and
 * maximum likelihood Gaussian deconvolution of a location mixture
-  (normal kernels), with an optional off-grid support refinement.
+  (normal kernels).
+
+Both can finish with an off-grid refinement of the grid solution, on by
+default in ``mixfit fit``.
 
 The solver machinery is generic: any objective implementing the
 :class:`~mixfit.core.ConeObjective` contract can be minimized.  The

@@ -238,7 +238,8 @@ class LsModel(core.ConeObjective):
         h_tw = w[:, None] * P + np.diag(pw)
         return grad, np.block([[h_tt, h_tw], [h_tw.T, G]])
 
-    def minimize_over_support(self, measure, config):
-        """Exact weight polish on the support: ``(measure, objective)``."""
-        f = core.reoptimize_over_support(self, measure)
+    def minimize_over_support(self, measure, config, theta=()):
+        """Exact minimum over the cone of the support and ``theta``,
+        from the measure's weights: ``(measure, objective)``."""
+        f = core._insert_and_reduce(self, measure, theta)[0]
         return f, self.objective(f)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import logging
+from dataclasses import replace
 
 import numpy as np
 
@@ -97,10 +98,13 @@ class _Observations:
             return self.family.kernel(theta[..., None], self.x)
         return self.K[idx]
 
-    def mixture(self, measure):
-        """The mixture density at every observation."""
+    def mixture(self, measure, kern=None):
+        """The mixture density at every observation; ``kern``, the kernels
+        at the atoms if the caller holds them, spares their evaluation."""
         if measure is not self._last[0]:
-            fx = measure.weights @ self.kernels(measure.locations)
+            if kern is None:
+                kern = self.kernels(measure.locations)
+            fx = measure.weights @ kern
             fx.flags.writeable = False
             self._last = (measure, fx, None)
         return self._last[1]
@@ -178,7 +182,7 @@ class MlModel:
         """
         theta, w = measure.locations, measure.weights
         kern = self.obs.kernels(theta)
-        fx = w @ kern
+        fx = self.obs.mixture(measure, kern)
         if (fx <= 0.0).any():
             raise ValueError("mixture must be positive at every observation")
         z = self.x - theta[:, None]
@@ -192,21 +196,15 @@ class MlModel:
         grad = np.concatenate((-w * d_mean, 1.0 - kr.mean(axis=1)))
         return grad, np.block([[h_tt, h_wt.T], [h_wt, h_ww]])
 
-    def minimize_over_support(self, measure, config):
-        """Minimize ``ml`` over the cone spanned by the measure's support.
+    def minimize_over_support(self, measure, config, theta=()):
+        """Minimize ``ml`` over the cone of the support and ``theta``.
 
-        Runs the damped Newton iteration with the candidate set frozen
-        to the support itself; it closes gridless refinement.  Returns
-        ``(measure, objective)``: the loop's last
+        Runs the Newton loop from the measure on the atoms and ``theta``
+        as its grid.  Returns ``(measure, objective)``: the loop's last
         iterate, certified or not, and the objective the loop evaluated.
         """
-        locked = core.SolverConfig(
-            grid=measure.locations,
-            eta=config.eta,
-            max_outer_iter=200,
-            support_tol=config.support_tol,
-        )
-        result, trace = _newton_loop(self, measure, locked)
+        grid = np.union1d(measure.locations, theta)
+        result, trace = _newton_loop(self, measure, replace(config, grid=grid))
         return result, trace.objective[-1]
 
 
@@ -232,26 +230,22 @@ class QuadLocalModel(core.ConeObjective):
 
     whose gradient toward a kernel, ``c1(theta)``, matches the gradient
     of ``ml`` at ``g`` exactly, and whose curvature along a kernel is
-    ``c2(theta) = (1/n) sum (d_i f_theta(x_i))^2``.  On a grid the model
-    depends on the sample only through the vectors and the matrix
+    ``c2(theta) = (1/n) sum (d_i f_theta(x_i))^2``.  With ``b(theta) =
+    K_theta d / n`` and ``M(rows, cols) = K_rows diag(d^2) K_cols' / n``,
+    a measure ``f = sum w_j f_{theta_j}`` on atoms ``S`` has
 
-        b  = K d / n                  the layer's matvec at the center,
-        c2 = (K∘K) d^2 / n            once per model,
-        M  = K diag(d^2) K' / n       the weighted Gram matrix of the grid.
+        c1 = 1 - 2 b(theta) + w'M(S, theta),
+        q(f) = sum w - 2 w'b(S) + w'M(S, S) w / 2,
 
-    ``M`` is kept as a store of the rows of the grid atoms that entered
-    the model's support, each formed by one pass over ``K`` the first
-    time it is needed (all missing rows of one call in one product);
-    it never holds the whole ``G x G`` matrix.  For a measure ``f = sum
-    w_j f_{theta_j}`` on grid atoms ``S`` every call of the solver then
-    costs O(G p) or O(p^2) and reads nothing of length n:
-
-        c1 = 1 - 2 b + M[:, S] w,   q(f) = sum w - 2 w'b_S + w'M_SS w / 2,
-
-    the normal equations are ``M_SS alpha = 2 b_S - 1``, and the
-    curvature along a direction ``h`` is ``h'M_SS h``.  Measures with an
-    atom off the grid, and models without a grid, run the same sums over
-    the n observations, with kernels evaluated on the fly.
+    normal equations ``M(S, S) alpha = 2 b(S) - 1`` and curvature
+    ``h'M(S, S) h`` along a direction ``h``.  Only :meth:`_lin`,
+    :meth:`_gram_block` and the read of ``c2`` tell grid atoms from
+    others.  On the grid ``b`` is the layer's matvec at the center,
+    ``c2 = (K∘K) d^2 / n`` is formed once, and ``M`` is read from a
+    store of the rows of the grid atoms that entered the support, each
+    formed by one pass over ``K`` when first needed, so a solver call
+    reads nothing of length n.  Other atoms, and models without a grid,
+    evaluate their kernels.
     """
 
     family = _Observations.family
@@ -270,25 +264,32 @@ class QuadLocalModel(core.ConeObjective):
         self._d2 = self.d**2
         if sample.K is not None:
             self._b = sample.ratio_mean(sample.grid, center)
-            self._c2 = self._mean_over_obs(self._d2, sample.K2)
+            self._c2 = sample.K2 @ self._d2 / self.n
             # grid index -> row of the store, -1 until that row is formed
             self._slot = np.full(sample.grid.size, -1)
             self._gram = np.empty((0, sample.grid.size))
 
-    def _mean_over_obs(self, v, kern):
-        """``(1/n) sum_i v_i kern[..., i]``: a matvec when ``kern`` is a matrix."""
-        return kern @ v / self.n
+    def _lin(self, theta, at):
+        """``b(theta)``; ``at`` is the grid index of ``theta``, or None."""
+        if at is not None:
+            return self._b[at]
+        return self.obs.kernels(theta) @ self.d / self.n
 
-    def _gram_rows(self, at):
-        """Rows ``M[at]`` of the weighted Gram matrix, forming missing ones."""
-        slots = self._slot[at]
+    def _gram_block(self, rows, at_rows, cols, at_cols):
+        """``M(rows, cols)``, given the grid indices of both, or None.
+
+        On the grid it reads the store, forming the missing rows."""
+        if at_rows is None or at_cols is None:
+            kernels = self.obs.kernels
+            return (kernels(rows) * self._d2) @ kernels(cols).T / self.n
+        slots = self._slot[at_rows]
         missing = slots < 0
         if missing.any():
-            new = np.arange(self._slot.size)[at][missing]
+            new = np.arange(self._slot.size)[at_rows][missing]
             self._slot[new] = np.arange(len(self._gram), len(self._gram) + new.size)
             self._gram = np.concatenate((self._gram, self._weighted_gram(new)))
-            slots = self._slot[at]
-        return self._gram[slots]
+            slots = self._slot[at_rows]
+        return self._gram[slots][:, at_cols]
 
     def _weighted_gram(self, new):
         """``K[new] diag(d^2) K' / n``: one pass over ``K`` for any count."""
@@ -296,16 +297,10 @@ class QuadLocalModel(core.ConeObjective):
         return (K[new] * self._d2) @ K.T / self.n
 
     def objective(self, measure):
-        if measure.size == 0:
-            return 0.0
-        w = measure.weights
-        at = self.obs.grid_index(measure.locations)
-        if at is not None:
-            return float(w.sum() - 2.0 * (w @ self._b[at])
-                         + 0.5 * (w @ self._gram_rows(at)[:, at] @ w))
-        fd = self.obs.mixture(measure) * self.d
-        return float(measure.total_mass() - 2.0 * fd.mean()
-                     + 0.5 * (fd**2).mean())
+        S, w = measure.locations, measure.weights
+        at = self.obs.grid_index(S)
+        return float(w.sum() - 2.0 * (w @ self._lin(S, at))
+                     + 0.5 * (w @ self._gram_block(S, at, S, at) @ w))
 
     def quad_coefficients(self, theta, measure):
         """Slope and curvature of ``q`` along a kernel direction.
@@ -314,24 +309,18 @@ class QuadLocalModel(core.ConeObjective):
         ``q(f + eps f_theta) = q(f) + c1 eps + (1/2) c2 eps^2``.
         """
         theta = np.asarray(theta, dtype=float)
-        idx = self.obs.grid_index(theta)
-        at = None if idx is None else self.obs.grid_index(measure.locations)
-        if at is not None:
-            c1 = (1.0 - 2.0 * self._b[idx]
-                  + measure.weights @ self._gram_rows(at)[:, idx])
-        else:
-            kern = self.obs.kernels(theta)
-            fd = self.obs.mixture(measure) * self.d if measure.size else 0.0
-            c1 = 1.0 + self._mean_over_obs(self.d * (fd - 2.0), kern)
+        S = measure.locations
+        idx, at = self.obs.grid_index(theta), self.obs.grid_index(S)
+        c1 = (1.0 - 2.0 * self._lin(theta, idx)
+              + measure.weights @ self._gram_block(S, at, theta, idx))
         c2 = (self._c2[idx] if idx is not None
-              else self._mean_over_obs(self._d2, kern**2))
+              else self.obs.kernels(theta)**2 @ self._d2 / self.n)
         if np.ndim(c1):
             return np.asarray(c1), np.asarray(c2)
         return float(c1), float(c2)
 
     def dir_deriv_vertex(self, theta, measure):
-        c1, _ = self.quad_coefficients(theta, measure)
-        return c1
+        return self.quad_coefficients(theta, measure)[0]
 
     def alt_dir_deriv_vertex(self, theta, measure):
         c1, c2 = self.quad_coefficients(theta, measure)
@@ -339,25 +328,18 @@ class QuadLocalModel(core.ConeObjective):
         return out if np.ndim(out) else float(out)
 
     def unrestricted_min(self, support):
-        """Solve the normal equations of ``q`` over the given kernels.
+        """Solve the normal equations ``M(S, S) alpha = 2 b(S) - 1``.
 
         Equivalent to a penalized weighted least squares fit with
-        observation weights ``sqrt(n) d_i``: with the ``p x n`` kernel
-        rows ``Y`` the system is ``(YD)(YD)' alpha = 2 Y d - n 1``, which
-        is ``M_SS alpha = 2 b_S - 1`` on grid atoms.
+        observation weights ``sqrt(n) d_i`` over the given kernels.
         """
         support = np.asarray(support, dtype=float)
         if support.size == 0:
             return SignedMixingMeasure.empty()
         at = self.obs.grid_index(support)
-        if at is not None:
-            gram, rhs = self._gram_rows(at)[:, at], 2.0 * self._b[at] - 1.0
-        else:
-            Y = self.obs.kernels(support)
-            A = Y * self.d
-            gram, rhs = A @ A.T, 2.0 * Y @ self.d - self.n
         alpha = core.cholesky_solve(
-            gram, rhs,
+            self._gram_block(support, at, support, at),
+            2.0 * self._lin(support, at) - 1.0,
             "rank-deficient quadratic subproblem: support points too "
             "close to resolve, merge them")
         return SignedMixingMeasure(support, alpha)
@@ -369,15 +351,10 @@ class QuadLocalModel(core.ConeObjective):
         return core.reoptimize_over_support(self, self.center)
 
     def segment_curvature(self, direction):
-        """Exact curvature ``(1/n) sum (d_i h(x_i))^2`` along a direction."""
-        if direction.size == 0:
-            return 0.0
-        at = self.obs.grid_index(direction.locations)
-        if at is not None:
-            h = direction.weights
-            return float(h @ self._gram_rows(at)[:, at] @ h)
-        hd = self.obs.mixture(direction) * self.d
-        return float((hd**2).mean())
+        """Exact curvature ``(1/n) sum (d_i h(x_i))^2 = h'M(S, S) h``."""
+        S, h = direction.locations, direction.weights
+        at = self.obs.grid_index(S)
+        return float(h @ self._gram_block(S, at, S, at) @ h)
 
 
 def starting_iterate(sample, grid):
@@ -473,10 +450,7 @@ def _newton_loop(model, start, config):
         alt0 = np.asarray(quad.alt_dir_deriv_vertex(grid, f))
         gap_q = max(0.0, -float(alt0.min()))
         eta_q = max(0.1 * config.eta, 1e-2 * gap_q)
-        inner_config = core.SolverConfig(
-            grid=grid, eta=eta_q, max_outer_iter=config.max_outer_iter,
-            support_tol=config.support_tol)
-        candidate, inner_trace = core.solve(quad, inner_config)
+        candidate, inner_trace = core.solve(quad, replace(config, eta=eta_q))
         try:
             f_new, new_value, lam, tied_last = _damped_update(
                 model, f, candidate, value)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expm1, gammainc, ndtr
@@ -164,8 +164,9 @@ class ModelSpec:
     ``grid_size`` points on the model's ``domain``.  ``nonnegative``
     makes :func:`ingest` reject negative data.  ``solve(model, config)``
     runs the grid stage.  Refinement also scans ``scan_points`` points
-    of the ``domain``, and ``insert(model, measure, theta, config)``
-    re-solves the weights over the atoms and ``theta``.  ``mixing_cdf``
+    of the ``domain``; the weights are re-solved by the model itself,
+    whose ``minimize_over_support(measure, config, theta)`` both closes
+    each polish and takes up an inserted atom ``theta``.  ``mixing_cdf``
     and ``density`` are the reference curves of the model's canonical
     experiment.
     """
@@ -176,7 +177,6 @@ class ModelSpec:
     nonnegative: bool
     solve: Callable
     scan_points: int
-    insert: Callable
     mixing_cdf: Callable
     density: Callable
 
@@ -194,8 +194,6 @@ MODELS = {
         solve=lambda model, config: core.solve(model, config),
         # 501 points miss the atoms next to x_(1) the optimum can need.
         scan_points=4001,
-        insert=lambda model, measure, theta, config: core._insert_and_reduce(
-            model, measure, theta)[0],
         mixing_cdf=lambda theta: gammainc(3.0, theta),
         density=lambda x: np.where(x >= 0.0, np.exp(-np.abs(x)), 0.0)),
     # Unit exponential locations observed with standard normal noise.
@@ -204,9 +202,6 @@ MODELS = {
         grid_size=500, nonnegative=False,
         solve=lambda model, config: mldeconv.newton_solve(model, config),
         scan_points=0,
-        insert=lambda model, measure, theta, config: mldeconv._newton_loop(
-            model, measure, replace(config, grid=np.union1d(
-                measure.locations, theta)))[0],
         mixing_cdf=lambda theta: -expm1(-np.maximum(theta, 0.0)),
         density=lambda x: np.exp(0.5 - x) * ndtr(x - 1.0)),
 }
@@ -302,7 +297,8 @@ def fit(model_kind, sample, config):
                                          config.support_tol)
             if cert.passed or ft_trace.insertions == _MAX_INSERTIONS:
                 break
-            measure = spec.insert(model, measure, cert.argmin_theta, config)
+            measure, _ = model.minimize_over_support(measure, config,
+                                                    cert.argmin_theta)
             measure, more = gridless.fine_tune(model, measure, config)
             ft_trace.insertions += 1
             ft_trace.objective += more.objective

@@ -286,20 +286,39 @@ class TestGridPathAgreement:
         a1, a2 = on_grid.quad_coefficients(grid, measure)
         b1, b2 = free.quad_coefficients(grid, measure)
         r1, r2, terms = _product_form(x, center, grid, measure)
-        # a measure on the grid sums the terms of c1 in another order
-        assert_allclose(a1, b1, rtol=1e-12, atol=1e-12 * terms.max())
-        assert_allclose(a2, b2, rtol=1e-12)
-        # the normal equations over grid atoms read rows of K; compared
-        # where the system is conditioned well enough that rounding stays
-        # orders of magnitude below the tolerance
-        support = np.unique(grid[[0, grid.size // 2, -1]])
-        yd = free.obs.kernels(support) * free.d
-        if np.linalg.cond(yd @ yd.T) < 1e4:
-            assert_allclose(on_grid.unrestricted_min(support).weights,
-                            free.unrestricted_min(support).weights, rtol=1e-10)
-        # and both match the explicit product, up to its rounding
-        assert_allclose(a1, r1, rtol=1e-12, atol=1e-12 * terms.max())
-        assert_allclose(a2, r2, rtol=1e-12)
+        # a measure on the grid sums the terms of c1 in another order, and
+        # both match the explicit product up to its rounding
+        for c1 in (b1, r1):
+            assert_allclose(a1, c1, rtol=1e-12, atol=1e-12 * terms.max())
+        for c2 in (b2, r2):
+            assert_allclose(a2, c2, rtol=1e-12)
+        # objective and curvature along the measure, against the sums of
+        # their terms' sizes
+        fam = GaussianFamily()
+        kd = fam.kernel(measure.locations, x[:, None]) * free.d[:, None]
+        w, fd, size = measure.weights, kd @ measure.weights, kd @ np.abs(measure.weights)
+        q_size = np.abs(w).sum() + 2.0 * size.mean() + 0.5 * (size**2).mean()
+        for model in (on_grid, free):
+            assert_allclose(model.objective(measure),
+                            w.sum() - 2.0 * fd.mean() + 0.5 * (fd**2).mean(),
+                            rtol=1e-12, atol=1e-12 * q_size)
+            assert_allclose(model.segment_curvature(measure), (fd**2).mean(),
+                            rtol=1e-12, atol=1e-12 * (size**2).mean())
+        # the normal equations, on grid atoms and on the measure's, where
+        # the system is conditioned well enough that rounding stays orders
+        # of magnitude below the tolerance
+        for support in (np.unique(grid[[0, grid.size // 2, -1]]),
+                        measure.locations):
+            ks = fam.kernel(support, x[:, None]) * free.d[:, None]
+            gram, b = ks.T @ ks / x.size, ks.mean(axis=0)
+            if support.size == 0 or np.linalg.cond(gram) >= 1e4:
+                continue
+            # the solution's size if no term of 2 b_S - 1 cancelled
+            alpha_size = np.abs(np.linalg.inv(gram)) @ (2.0 * b + 1.0)
+            for alpha in (free.unrestricted_min(support).weights,
+                          np.linalg.solve(gram, 2.0 * b - 1.0)):
+                assert_allclose(on_grid.unrestricted_min(support).weights, alpha,
+                                rtol=1e-12, atol=1e-12 * alpha_size.max())
         # at the center the slope is the likelihood's derivative
         c1, _ = on_grid.quad_coefficients(grid, center)
         _, _, terms = _product_form(x, center, grid, center)
@@ -337,36 +356,8 @@ class TestGridPathAgreement:
         x, grid = np.array(x), np.sort(grid)
         measure = SignedMixingMeasure.from_atoms(
             [grid[a % grid.size] for a, _ in atoms], [w for _, w in atoms])
-        on_grid = QuadLocalModel(x, center, grid=grid)
-        assert on_grid.obs.grid_index(measure.locations) is not None
-        free = QuadLocalModel(x, center)
-        a1, a2 = on_grid.quad_coefficients(grid, measure)
-        b1, b2 = free.quad_coefficients(grid, measure)
-        r1, r2, terms = _product_form(x, center, grid, measure)
-        for c1 in (b1, r1):
-            assert_allclose(a1, c1, rtol=1e-12, atol=1e-12 * terms.max())
-        for c2 in (b2, r2):
-            assert_allclose(a2, c2, rtol=1e-12)
-        # objective and curvature along the measure, against the sums
-        # of their terms' sizes
-        kd = GaussianFamily().kernel(measure.locations, x[:, None]) * free.d[:, None]
-        w, fd, size = measure.weights, kd @ measure.weights, kd @ np.abs(measure.weights)
-        size_b = kd.mean(axis=0)
-        q_size = np.abs(w).sum() + 2.0 * size.mean() + 0.5 * (size**2).mean()
-        for q in (free.objective(measure),
-                  w.sum() - 2.0 * fd.mean() + 0.5 * (fd**2).mean()):
-            assert_allclose(on_grid.objective(measure), q, rtol=1e-12,
-                            atol=1e-12 * q_size)
-        for h in (free.segment_curvature(measure), (fd**2).mean()):
-            assert_allclose(on_grid.segment_curvature(measure), h, rtol=1e-12,
-                            atol=1e-12 * (size**2).mean())
-        gram = kd.T @ kd / x.size
-        if measure.size and np.linalg.cond(gram) < 1e4:
-            # the solution's size if no term of 2 b_S - 1 cancelled
-            alpha_size = np.abs(np.linalg.inv(gram)) @ (2.0 * size_b + 1.0)
-            assert_allclose(on_grid.unrestricted_min(measure.locations).weights,
-                            free.unrestricted_min(measure.locations).weights,
-                            rtol=1e-12, atol=1e-12 * alpha_size.max())
+        assert _Observations(x, grid).grid_index(measure.locations) is not None
+        self._check(x, center, grid, measure)
 
     @pytest.mark.parametrize("grid", [[-1.0, 1.0], [-0.5, 0.5], [-1.0, 0.3, 1.0]])
     def test_singular_grid_support_raises(self, grid):

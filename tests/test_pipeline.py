@@ -9,6 +9,7 @@ import pytest
 
 from mixfit import core, gridless, mldeconv, pipeline
 from mixfit.core import SolverConfig
+from mixfit.families import MixingMeasure
 from mixfit.lsconvex import LsModel
 from mixfit.mldeconv import MlModel
 
@@ -70,6 +71,18 @@ class TestRefinementCertifies:
         value = model.objective(result.measure)
         assert value <= best + 1e-9 * abs(best)
 
+    def test_likelihood_reinserts(self):
+        # A 12-point grid leaves the polished likelihood fit an atom
+        # short: the grid scan fails once and re-insertion closes the gap.
+        rng = np.random.default_rng(1)
+        x = np.sort(rng.normal(size=50) + rng.exponential(size=50))
+        result = pipeline.fit("deconv-ml", x, SolverConfig(
+            grid=np.linspace(x[0], x[-1], 12), eta=1e-8,
+            gridless_enabled=True))
+        assert result.fine_tune_trace.insertions >= 1
+        assert result.converged
+        assert result.model.objective(result.measure) <= result.trace.objective[-1]
+
     def test_zero_observation_is_a_clear_error(self):
         # Rounding puts observations at 0, where the least squares
         # criterion is unbounded below; refinement used to chase an atom
@@ -80,6 +93,53 @@ class TestRefinementCertifies:
         with pytest.raises(ValueError, match="unbounded below"):
             pipeline.fit("convex-ls", x, SolverConfig(
                 grid=grid, eta=1e-10, gridless_enabled=True))
+
+
+def _coarse_optimum(kind):
+    """A model, its optimum over a coarse grid, the grid's config, and the
+    argmin of a fine scan that the optimum fails."""
+    if kind == "convex-ls":
+        x = np.random.default_rng(3).exponential(size=60)
+        model = LsModel(x)
+        config = SolverConfig(grid=np.linspace(x.min(), 3.0 * x.max(), 8)[1:],
+                              eta=1e-10)
+        measure, trace = core.solve(model, config)
+    else:
+        rng = np.random.default_rng(1)
+        x = np.sort(rng.normal(size=50) + rng.exponential(size=50))
+        model = MlModel(x)
+        config = SolverConfig(grid=np.linspace(x[0], x[-1], 6), eta=1e-8)
+        measure, trace = mldeconv.newton_solve(model, config)
+    assert trace.converged
+    cert = core.check_optimality(model, measure, np.linspace(*model.domain, 2001),
+                                 config.eta, config.support_tol)
+    assert not cert.passed
+    return model, measure, config, cert.argmin_theta
+
+
+class TestMinimizeOverSupport:
+    """One weight re-solve per model: over the support, plus ``theta``."""
+
+    @pytest.mark.parametrize("kind", ["convex-ls", "deconv-ml"])
+    def test_inserted_atom_joins_an_optimal_support(self, kind):
+        model, measure, config, theta = _coarse_optimum(kind)
+        f, value = model.minimize_over_support(measure, config, theta)
+        support = np.union1d(measure.locations, theta)
+        assert np.isin(f.locations, support).all()
+        cert = core.check_optimality(model, f, support, config.eta,
+                                     config.support_tol)
+        assert cert.passed
+        assert value < model.objective(measure)
+        assert model.objective(f) < model.objective(measure)
+
+    def test_ls_without_theta_is_the_support_polish(self):
+        model, measure, config, _ = _coarse_optimum("convex-ls")
+        start = MixingMeasure(measure.locations, 1.1 * measure.weights)
+        f, value = model.minimize_over_support(start, config)
+        expected = core.reoptimize_over_support(model, start)
+        np.testing.assert_array_equal(f.locations, expected.locations)
+        np.testing.assert_array_equal(f.weights, expected.weights)
+        assert value == model.objective(expected)
 
 
 class TestSpecTable:
