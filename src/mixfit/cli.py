@@ -91,8 +91,8 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
     """Fit a mixture model to the observations in INPUT.
 
     Writes measure.csv, report.txt, and four diagnostic curve files
-    into --out-dir.  Exits 0 exactly when the run converged, which
-    includes a passing certificate.
+    into --out-dir.  Exits 0 exactly when the run converged, that is,
+    when its certificate passes.
     """
     spec = pipeline.model_spec(model)
     with _bad_input():

@@ -251,77 +251,60 @@ def cholesky_solve(M, b, singular):
     return dpotrs(c, b, lower=0)[0]
 
 
-def _reduce_to_cone(model, support, start_weights):
-    """Minimize ``phi`` over the cone spanned by ``support``.
+def _reduce_to_cone(model, measure, theta=()):
+    """Minimize ``phi`` over the cone of the measure's atoms and ``theta``.
 
-    ``start_weights`` is a nonnegative weight vector aligned with
-    ``support`` describing a feasible iterate (zeros mark kernels with
-    no current mass).  Repeatedly computes the unrestricted signed
-    minimizer, and while it has negative weights moves the iterate as
-    far toward it as feasibility allows, which zeroes out at least one
-    atom; those atoms are deleted and the process repeats on the
-    smaller support.  Returns ``(measure, deletions, inner_objectives)``.
+    Starts from the measure's weights, zero at points of ``theta`` that
+    are not atoms.  While the unrestricted signed minimizer has negative
+    weights, the iterate moves as far toward it as feasibility allows
+    and the atoms this zeroes are deleted.  A nonnegative minimizer is
+    final unless it has weights in ``(0, PURGE_THRESHOLD)``; those atoms
+    are deleted and the rest re-solved.  Returns
+    ``(measure, deletions, inner_objectives)``.
     """
-    S = np.array(support, dtype=float)
-    w = np.array(start_weights, dtype=float)
-    if S.size != w.size:
-        raise ValueError("support and start weights must align")
-    if (w < 0.0).any():
-        raise ValueError("start weights must be nonnegative")
+    S = np.sort(np.append(measure.locations, theta))
+    fresh = S[1:] != S[:-1]
+    if not fresh.all():
+        S = S[np.append(True, fresh)]
+    w = np.zeros(S.size)
+    w[S.searchsorted(measure.locations)] = measure.weights
     deletions = 0
     inner_objs = []
 
-    while True:
-        # Deletion loop proper: at most one pass per support point.
-        for _ in range(S.size + 1):
-            if S.size == 0:
-                w = S.copy()
-                break
-            u = model.unrestricted_min(S).weights
-            if (u >= 0.0).all():
-                zero = u == 0.0
-                if zero.any():
-                    deletions += int(zero.sum())
-                    S, u = S[~zero], u[~zero]
-                w = u
-                break
-            neg = u < 0.0
-            # Largest step toward u keeping all weights nonnegative:
-            # lam = w / (w - u) per negative atom, take the minimum.
-            lam_neg = np.where(w[neg] > 0.0, w[neg] / (w[neg] - u[neg]), 0.0)
-            lam = float(lam_neg.min())
-            w = (1.0 - lam) * w + lam * u
-            drop = np.zeros(S.size, dtype=bool)
-            drop[neg.nonzero()[0][lam_neg <= lam * (1.0 + 1e-12)]] = True
-            drop |= w <= 0.0
-            deletions += int(drop.sum())
-            S, w = S[~drop], w[~drop]
-            inner_objs.append(model.objective(SignedMixingMeasure(S, w)))
-        else:
-            raise RuntimeError("reduction loop failed to terminate; "
-                               "inconsistent unrestricted minimizer")
-        tiny = (w > 0.0) & (w < PURGE_THRESHOLD)
-        if not tiny.any():
+    # Every pass but the last deletes an atom.
+    for _ in range(S.size + 1):
+        if S.size == 0:
             break
-        deletions += int(tiny.sum())
-        S, w = S[~tiny], w[~tiny]
+        u = model.unrestricted_min(S).weights
+        if (u >= 0.0).all():
+            drop = u < PURGE_THRESHOLD
+            deletions += int(drop.sum())
+            S, w = S[~drop], u[~drop]
+            if (u[drop] == 0.0).all():
+                break
+            continue
+        neg = u < 0.0
+        # Largest step toward u keeping all weights nonnegative:
+        # lam = w / (w - u) per negative atom, take the minimum.
+        lam_neg = np.where(w[neg] > 0.0, w[neg] / (w[neg] - u[neg]), 0.0)
+        lam = float(lam_neg.min())
+        w = (1.0 - lam) * w + lam * u
+        drop = np.zeros(S.size, dtype=bool)
+        drop[neg.nonzero()[0][lam_neg <= lam * (1.0 + 1e-12)]] = True
+        drop |= w <= 0.0
+        deletions += int(drop.sum())
+        S, w = S[~drop], w[~drop]
+        inner_objs.append(model.objective(SignedMixingMeasure(S, w)))
+    else:
+        raise RuntimeError("reduction loop failed to terminate; "
+                           "inconsistent unrestricted minimizer")
 
     return MixingMeasure(S, w), deletions, inner_objs
 
 
-def _insert_and_reduce(model, measure, theta):
-    """:func:`_reduce_to_cone` on the measure's support and ``theta``,
-    from the measure's weights and zero weight at ``theta``."""
-    S = np.sort(np.append(measure.locations, theta))
-    w0 = np.zeros(S.size)
-    w0[S.searchsorted(measure.locations)] = measure.weights
-    return _reduce_to_cone(model, S, w0)
-
-
 def reoptimize_over_support(model, measure):
     """Minimize ``phi`` over the cone spanned by the measure's own support."""
-    result, _, _ = _reduce_to_cone(model, measure.locations, measure.weights)
-    return result
+    return _reduce_to_cone(model, measure)[0]
 
 
 def solve(model, config):
@@ -361,20 +344,16 @@ def solve(model, config):
             break
         logger.debug("iter %d: objective %.12g, support %d, min deriv %.3e at %.6g",
                      it, trace.objective[-1], f.size, val, theta_hat)
-        if f.size and theta_hat in f.locations:
-            # The scan picked an existing atom: stationarity on the
-            # support has degraded, so reoptimize in place instead of
-            # inserting a duplicate.
-            f_new, pending_deletions, pending_inner = _reduce_to_cone(
-                model, f.locations, f.weights)
-            if model.objective(f_new) >= trace.objective[-1]:
-                logger.warning("no progress reoptimizing over the current support; "
-                               "stopping with certificate gap %.3e", -val)
-                break
-            f = f_new
-        else:
-            f, pending_deletions, pending_inner = _insert_and_reduce(
-                model, f, theta_hat)
+        # A scan that picks an atom has found stationarity on the support
+        # degraded; the call then re-solves in place.
+        in_place = theta_hat in f.locations
+        f_new, pending_deletions, pending_inner = _reduce_to_cone(
+            model, f, theta_hat)
+        if in_place and model.objective(f_new) >= trace.objective[-1]:
+            logger.warning("no progress reoptimizing over the current support; "
+                           "stopping with certificate gap %.3e", -val)
+            break
+        f = f_new
 
     return f, trace
 

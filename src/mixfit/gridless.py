@@ -50,13 +50,12 @@ class FineTuneTrace:
 
     ``objective`` holds the value at the start, after every accepted
     step and after the closing weight polish, so monotone descent across
-    the whole stage is checkable.  ``grad_norm`` has one entry per
-    Newton system.  ``insertions`` counts the atoms the fitting pipeline
-    inserted between polishes whose records this one holds.
+    the whole stage is checkable.  ``insertions`` counts the atoms the
+    fitting pipeline inserted between polishes whose records this one
+    holds.
     """
 
     objective: list = field(default_factory=list)
-    grad_norm: list = field(default_factory=list)
     steps: int = 0
     converged: bool = False
     stop_reason: str = ""
@@ -148,7 +147,6 @@ def fine_tune(model, measure, config):
     for _ in range(_MAX_STEPS):
         grad, hess = model.newton_system(f)
         norm = math.sqrt(grad[:f.size] @ grad[:f.size])
-        trace.grad_norm.append(norm)
         if norm <= config.gridless_tol:
             trace.converged = True
             trace.stop_reason = "gradient below tolerance"

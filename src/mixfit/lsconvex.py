@@ -241,5 +241,5 @@ class LsModel(core.ConeObjective):
     def minimize_over_support(self, measure, config, theta=()):
         """Exact minimum over the cone of the support and ``theta``,
         from the measure's weights: ``(measure, objective)``."""
-        f = core._insert_and_reduce(self, measure, theta)[0]
+        f = core._reduce_to_cone(self, measure, theta)[0]
         return f, self.objective(f)

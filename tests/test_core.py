@@ -8,6 +8,7 @@ baseline step lengths.
 """
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -94,7 +95,7 @@ class TestInnerReduction:
             (2.0,): [1.2],
         })
         f, deletions, inner = _reduce_to_cone(
-            fake, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+            fake, MixingMeasure([1.0], [1.0]), 2.0)
         assert_allclose(f.locations, [2.0])
         assert_allclose(f.weights, [1.2], rtol=1e-15)
         assert deletions == 1
@@ -110,7 +111,7 @@ class TestInnerReduction:
             (2.0,): [0.8],
         })
         f, deletions, _ = _reduce_to_cone(
-            fake, np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0]))
+            fake, MixingMeasure([1.0], [1.0]), np.array([3.0, 2.0]))
         assert_allclose(f.locations, [2.0])
         assert_allclose(f.weights, [0.8])
         assert deletions == 2
@@ -121,16 +122,42 @@ class TestInnerReduction:
             (2.0,): [0.5],
         })
         f, deletions, _ = _reduce_to_cone(
-            fake, np.array([1.0, 2.0]), np.array([0.1, 0.1]))
+            fake, MixingMeasure([1.0, 2.0], [0.1, 0.1]))
         assert_allclose(f.locations, [2.0])
         assert deletions == 1
+        assert fake.calls == [(1.0, 2.0), (2.0,)]
 
-    def test_input_validation(self):
-        fake = _ScriptedModel({})
-        with pytest.raises(ValueError, match="align"):
-            _reduce_to_cone(fake, np.array([1.0, 2.0]), np.array([1.0]))
-        with pytest.raises(ValueError, match="nonnegative"):
-            _reduce_to_cone(fake, np.array([1.0]), np.array([-0.1]))
+    def test_exact_zeros_are_dropped_without_a_resolve(self):
+        fake = _ScriptedModel({(1.0, 2.0, 3.0): [0.0, 0.5, 0.0]})
+        f, deletions, inner = _reduce_to_cone(
+            fake, MixingMeasure([1.0, 2.0, 3.0], [0.1, 0.1, 0.1]))
+        assert_allclose(f.locations, [2.0])
+        assert deletions == 2 and inner == []
+        assert fake.calls == [(1.0, 2.0, 3.0)]
+
+    def test_zero_and_tiny_weights_are_dropped_in_one_pass(self):
+        fake = _ScriptedModel({
+            (1.0, 2.0, 3.0): [0.0, 0.5, 1e-13],
+            (2.0,): [0.4],
+        })
+        f, deletions, _ = _reduce_to_cone(
+            fake, MixingMeasure([1.0, 2.0, 3.0], [0.1, 0.1, 0.1]))
+        assert_allclose(f.weights, [0.4])
+        assert deletions == 2
+        assert fake.calls == [(1.0, 2.0, 3.0), (2.0,)]
+
+    def test_theta_on_an_atom_adds_nothing(self):
+        # the start keeps the atom's weight, so the step below is taken
+        # from w = [1, 1], not from a zero at 2.0
+        fake = _ScriptedModel({
+            (1.0, 2.0): [-1.0, 3.0],
+            (2.0,): [2.0],
+        })
+        f, deletions, inner = _reduce_to_cone(
+            fake, MixingMeasure([1.0, 2.0], [1.0, 1.0]), [2.0, 2.0])
+        assert fake.calls == [(1.0, 2.0), (2.0,)]
+        assert_allclose(f.weights, [2.0])
+        assert deletions == 1 and len(inner) == 1
 
 
 class TestReductionStep:
@@ -139,7 +166,7 @@ class TestReductionStep:
 
     def test_one_knot_from_empty(self):
         m = LsModel(np.array([1.0]))
-        f, _, _ = _reduce_to_cone(m, np.array([2.0]), np.zeros(1))
+        f, _, _ = _reduce_to_cone(m, MixingMeasure.empty(), 2.0)
         assert_allclose(f.locations, [2.0])
         assert_allclose(f.weights, [0.75], rtol=1e-14)
 
@@ -150,7 +177,7 @@ class TestReductionStep:
         u = m.unrestricted_min(sup)
         assert np.all(u.weights > 0)  # construction guard
         f, deletions, inner = _reduce_to_cone(
-            m, sup, np.array([float(u.weights[0]), 0.0]))
+            m, MixingMeasure([1.0], [float(u.weights[0])]), 3.5)
         assert_allclose(f.locations, u.locations)
         assert_allclose(f.weights, u.weights, rtol=1e-14)
         assert deletions == 0 and inner == []
@@ -255,6 +282,43 @@ class TestSolve:
         assert not trace.converged
         assert trace.n_iterations == 1
         assert trace.certificate is None    # solve issues no certificate
+
+
+class _AtomRepickingModel(_ScriptedModel):
+    """One atom at 1.0, which the scan picks until its weight is 2.0;
+    the objective is ``(w - 2)^2`` summed over the atoms."""
+
+    def start(self, grid):
+        return MixingMeasure([1.0], [1.0])
+
+    def objective(self, measure):
+        return float(((measure.weights - 2.0) ** 2).sum())
+
+    def alt_dir_deriv_vertex(self, theta, measure):
+        done = measure.size == 1 and measure.weights[0] == 2.0
+        return np.where(theta == 1.0, 0.0 if done else -1.0, 0.5)
+
+
+class TestSolveInPlace:
+    """A scan that picks an existing atom re-solves on the support."""
+
+    CONFIG = SolverConfig(grid=np.array([0.5, 1.0, 1.5]), max_outer_iter=50)
+
+    def test_resolve_adds_no_duplicate(self):
+        m = _AtomRepickingModel({(1.0,): [2.0]})
+        f, trace = solve(m, self.CONFIG)
+        assert trace.converged and trace.n_iterations == 1
+        assert m.calls == [(1.0,)]
+        assert_allclose(f.weights, [2.0])
+
+    def test_no_progress_stops_with_a_warning(self, caplog):
+        m = _AtomRepickingModel({(1.0,): [1.0]})
+        with caplog.at_level(logging.WARNING, logger="mixfit.core"):
+            f, trace = solve(m, self.CONFIG)
+        assert not trace.converged and trace.n_iterations == 0
+        assert m.calls == [(1.0,)]
+        assert_allclose(f.weights, [1.0])
+        assert any("no progress" in r.getMessage() for r in caplog.records)
 
 
 class TestCheckOptimality:

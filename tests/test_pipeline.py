@@ -50,6 +50,24 @@ class TestConverged:
         assert result.certificate.min_grid_alt < -1e-8
         assert not result.converged
 
+    def test_passing_certificate_is_converged(self):
+        # The polish of this sample stops on a failed line search, but
+        # re-insertion leaves a measure whose certificate passes.
+        rng = np.random.default_rng(38)
+        x = rng.uniform(0.0, 1.0, size=int(rng.integers(3, 200))) ** 3
+        result = pipeline.fit("convex-ls", x, _default_config("convex-ls", x))
+        assert not result.fine_tune_trace.converged
+        assert result.certificate.passed
+        assert result.converged
+
+
+def _default_config(kind, x):
+    """The configuration `mixfit fit` builds for ``x`` by default."""
+    spec = pipeline.model_spec(kind)
+    grid = pipeline.build_grid(*pipeline.default_grid_spec(kind, x),
+                               spec.model.family)
+    return SolverConfig(grid=grid, eta=spec.eta, gridless_enabled=True)
+
 
 class TestRefinementCertifies:
     @pytest.mark.parametrize("seed, grid_optimum", [(3, -0.24782),
@@ -82,6 +100,17 @@ class TestRefinementCertifies:
         assert result.fine_tune_trace.insertions >= 1
         assert result.converged
         assert result.model.objective(result.measure) <= result.trace.objective[-1]
+
+    def test_argmin_on_an_atom_ends_refinement(self, monkeypatch):
+        # After 13 insertions the certificate fails only on its support
+        # part and the scan's argmin is an atom; inserting it again made
+        # the Gram matrix singular.  A 50-step polish cap reaches the
+        # same state as the default cap in a hundredth of the time.
+        monkeypatch.setattr(gridless, "_MAX_STEPS", 50)
+        x = np.array([1e-9, 1.0, 2.0])
+        result = pipeline.fit("convex-ls", x, _default_config("convex-ls", x))
+        assert result.fine_tune_trace.insertions <= 13
+        assert not result.converged
 
     def test_zero_observation_is_a_clear_error(self):
         # Rounding puts observations at 0, where the least squares
@@ -220,10 +249,7 @@ class TestInfoLog:
     def test_one_line_per_stage(self, caplog, kind, sim, seed):
         # The default fit `mixfit fit` runs on a 500-point sample.
         x = pipeline.simulate_sample(sim, 500, seed)
-        spec = pipeline.model_spec(kind)
-        grid = pipeline.build_grid(*pipeline.default_grid_spec(kind, x),
-                                   spec.model.family)
-        config = SolverConfig(grid=grid, eta=spec.eta, gridless_enabled=True)
+        config = _default_config(kind, x)
         caplog.set_level(logging.INFO, logger="mixfit")
         result = pipeline.fit(kind, x, config)
         info = [r.getMessage() for r in caplog.records

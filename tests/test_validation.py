@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from mixfit.core import SolverConfig, _reduce_to_cone
+from mixfit.core import SolverConfig
 from mixfit.families import (
     GaussianFamily,
     MixingMeasure,
@@ -93,12 +93,6 @@ CASES = {
     "inner-product-negative": (
         lambda: LsModel(X).inner_product(np.array([1.0]), np.array([-1.0])),
         "kernel parameters must be positive"),
-    "reduce-negative-start": (
-        lambda: _reduce_to_cone(LsModel(X), [1.0, 2.0], [0.5, -0.5]),
-        "start weights must be nonnegative"),
-    "reduce-misaligned-start": (
-        lambda: _reduce_to_cone(LsModel(X), [1.0, 2.0], [0.5]),
-        "support and start weights must align"),
     "gram-nan": (lambda: _Gram([[1.0, NAN], [NAN, 1.0]], [1.0, 1.0])
                  .unrestricted_min(np.array([1.0, 2.0])),
                  "array must not contain infs or NaNs"),
