@@ -57,7 +57,7 @@ def main():
         print(f"{xi:>5.1f} {fitted:>10.5f} {np.exp(-xi):>10.5f}")
 
     OUT.mkdir(parents=True, exist_ok=True)
-    emit_curves(OUT, result, x)
+    emit_curves(OUT, result)
     print(f"\ncurve files written to {OUT}/")
 
 

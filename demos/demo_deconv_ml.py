@@ -58,7 +58,7 @@ def main():
         print(f"{t:>6.1f} {measure.cdf(t):>10.5f} {truth(t):>10.5f}")
 
     OUT.mkdir(parents=True, exist_ok=True)
-    emit_curves(OUT, result, x)
+    emit_curves(OUT, result)
     print(f"\ncurve files written to {OUT}/")
 
 

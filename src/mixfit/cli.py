@@ -113,13 +113,12 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_measure(out / "measure.csv", result.measure)
-    report = pipeline.RunReport.from_result(result, sample.size)
-    report.write(out / "report.txt")
-    pipeline.emit_curves(out, result, sample)
+    (out / "report.txt").write_text(result.report_text())
+    pipeline.emit_curves(out, result)
 
     status = "converged" if result.converged else "did not converge"
     click.echo(f"{model}: {status} with {result.measure.size} support atoms, "
-               f"objective {report.final_objective:.12g}")
+               f"objective {result.model.objective(result.measure):.12g}")
     click.echo(f"outputs in {out}")
     if not result.converged:
         sys.exit(1)

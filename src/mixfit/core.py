@@ -35,6 +35,7 @@ __all__ = [
     "SolverTrace",
     "OptimalityCertificate",
     "ConvergenceStall",
+    "SingularSystem",
     "min_alt_dir_deriv",
     "cholesky_solve",
     "reoptimize_over_support",
@@ -50,6 +51,10 @@ PURGE_THRESHOLD = 1e-12
 
 class ConvergenceStall(RuntimeError):
     """Raised when a damped update cannot make progress."""
+
+
+class SingularSystem(ValueError):
+    """Raised when a restricted solve's matrix is not positive definite."""
 
 
 class ConeObjective(ABC):
@@ -239,13 +244,13 @@ def cholesky_solve(M, b, singular):
     ``cho_solve`` wrap, with their arguments, so ``x`` is theirs bit for
     bit without their per-call cost.  Non-finite input raises their
     ``ValueError``; a matrix that is not positive definite raises
-    ``ValueError(singular)``.
+    ``SingularSystem(singular)``.
     """
     if not np.isfinite(M).all():
         raise ValueError("array must not contain infs or NaNs")
     c, info = dpotrf(M, lower=0, clean=0)
     if info:
-        raise ValueError(singular)
+        raise SingularSystem(singular)
     if not (np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("array must not contain infs or NaNs")
     return dpotrs(c, b, lower=0)[0]
@@ -259,8 +264,9 @@ def _reduce_to_cone(model, measure, theta=()):
     weights, the iterate moves as far toward it as feasibility allows
     and the atoms this zeroes are deleted.  A nonnegative minimizer is
     final unless it has weights in ``(0, PURGE_THRESHOLD)``; those atoms
-    are deleted and the rest re-solved.  Returns
-    ``(measure, deletions, inner_objectives)``.
+    are deleted and the rest re-solved.  New points that make the first
+    solve singular add no independent direction: the reduction then runs
+    without them.  Returns ``(measure, deletions, inner_objectives)``.
     """
     S = np.sort(np.append(measure.locations, theta))
     fresh = S[1:] != S[:-1]
@@ -275,7 +281,13 @@ def _reduce_to_cone(model, measure, theta=()):
     for _ in range(S.size + 1):
         if S.size == 0:
             break
-        u = model.unrestricted_min(S).weights
+        try:
+            u = model.unrestricted_min(S).weights
+        except SingularSystem:
+            # Every pass after the first has deleted an atom.
+            if deletions or S.size == measure.size:
+                raise
+            return _reduce_to_cone(model, measure)
         if (u >= 0.0).all():
             drop = u < PURGE_THRESHOLD
             deletions += int(drop.sum())
@@ -344,13 +356,13 @@ def solve(model, config):
             break
         logger.debug("iter %d: objective %.12g, support %d, min deriv %.3e at %.6g",
                      it, trace.objective[-1], f.size, val, theta_hat)
-        # A scan that picks an atom has found stationarity on the support
-        # degraded; the call then re-solves in place.
-        in_place = theta_hat in f.locations
+        # A scan that picks an atom re-solves in place.  A reduction that
+        # returns its start would return it again after the next scan.
         f_new, pending_deletions, pending_inner = _reduce_to_cone(
             model, f, theta_hat)
-        if in_place and model.objective(f_new) >= trace.objective[-1]:
-            logger.warning("no progress reoptimizing over the current support; "
+        if f_new.size == f.size and (f_new.locations == f.locations).all() \
+                and (f_new.weights == f.weights).all():
+            logger.warning("no progress: the reduction returned its start; "
                            "stopping with certificate gap %.3e", -val)
             break
         f = f_new

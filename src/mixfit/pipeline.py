@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expm1, gammainc, ndtr
@@ -34,7 +34,6 @@ __all__ = [
     "ingest",
     "write_measure",
     "read_measure",
-    "RunReport",
     "FitResult",
     "ModelSpec",
     "MODELS",
@@ -262,6 +261,47 @@ class FitResult:
         cap or stalled fails its certificate, so this covers it too."""
         return self.certificate.passed
 
+    def report_text(self):
+        """The run report: one ``key: value`` line per quantity, then one
+        ``atom_i: theta,weight`` line per atom.  Bools read ``true`` or
+        ``false``, and floats carry 17 significant digits."""
+        cfg, cert, ft = self.config, self.certificate, self.fine_tune_trace
+        measure = self.measure
+        values = {
+            "model": self.model_kind,
+            "n_observations": self.model.n,
+            "grid_min": float(cfg.grid[0]),
+            "grid_max": float(cfg.grid[-1]),
+            "grid_size": cfg.grid.size,
+            "eta": cfg.eta,
+            "max_iter": cfg.max_outer_iter,
+            "gridless": cfg.gridless_enabled,
+            "gridless_tol": cfg.gridless_tol,
+            "converged": self.converged,
+            "outer_iterations": self.trace.n_iterations,
+            "fine_tune_steps": 0 if ft is None else ft.steps,
+            "insertions": 0 if ft is None else ft.insertions,
+            "final_objective": self.model.objective(measure),
+            "support_size": measure.size,
+            "grid_support_size": self.grid_support_size,
+            "total_mass": measure.total_mass(),
+            "cert_min_grid_alt": cert.min_grid_alt,
+            "cert_min_grid_raw": cert.min_grid_raw,
+            "cert_max_abs_support": cert.max_abs_support,
+            "cert_passed": cert.passed,
+            "wall_time_s": self.wall_time,
+        }
+        lines = []
+        for key, value in values.items():
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            elif isinstance(value, float):
+                value = f"{value:.17g}"
+            lines.append(f"{key}: {value}")
+        lines += [f"atom_{i}: {theta:.17g},{w:.17g}" for i, (theta, w)
+                  in enumerate(zip(measure.locations, measure.weights))]
+        return "\n".join(lines) + "\n"
+
 
 def fit(model_kind, sample, config):
     """Fit a bundled model end to end.
@@ -322,87 +362,6 @@ def fit(model_kind, sample, config):
                      ft_trace, grid_support, time.perf_counter() - started)
 
 
-# -- reports -------------------------------------------------------------
-
-@dataclass
-class RunReport:
-    """Structured summary of a fit, rendered as ``key: value`` text."""
-
-    model: str
-    n_observations: int
-    grid_min: float
-    grid_max: float
-    grid_size: int
-    eta: float
-    max_iter: int
-    gridless: bool
-    gridless_tol: float
-    converged: bool
-    outer_iterations: int
-    fine_tune_steps: int
-    insertions: int
-    final_objective: float
-    support_size: int
-    grid_support_size: int
-    total_mass: float
-    cert_min_grid_alt: float
-    cert_min_grid_raw: float
-    cert_max_abs_support: float
-    cert_passed: bool
-    wall_time_s: float
-    atoms: list = field(default_factory=list)
-
-    @classmethod
-    def from_result(cls, result, n_observations):
-        ft = result.fine_tune_trace
-        cfg = result.config
-        return cls(
-            model=result.model_kind,
-            n_observations=n_observations,
-            grid_min=float(cfg.grid[0]),
-            grid_max=float(cfg.grid[-1]),
-            grid_size=int(cfg.grid.size),
-            eta=cfg.eta,
-            max_iter=cfg.max_outer_iter,
-            gridless=cfg.gridless_enabled,
-            gridless_tol=cfg.gridless_tol,
-            converged=result.converged,
-            outer_iterations=result.trace.n_iterations,
-            fine_tune_steps=0 if ft is None else ft.steps,
-            insertions=0 if ft is None else ft.insertions,
-            final_objective=result.model.objective(result.measure),
-            support_size=result.measure.size,
-            grid_support_size=result.grid_support_size,
-            total_mass=result.measure.total_mass(),
-            cert_min_grid_alt=result.certificate.min_grid_alt,
-            cert_min_grid_raw=result.certificate.min_grid_raw,
-            cert_max_abs_support=result.certificate.max_abs_support,
-            cert_passed=result.certificate.passed,
-            wall_time_s=result.wall_time,
-            atoms=[(float(t), float(w)) for t, w in
-                   zip(result.measure.locations, result.measure.weights)],
-        )
-
-    def to_text(self):
-        lines = []
-        for key in (f.name for f in fields(self) if f.name != "atoms"):
-            value = getattr(self, key)
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = f"{value:.17g}"
-            else:
-                text = str(value)
-            lines.append(f"{key}: {text}")
-        for i, (theta, w) in enumerate(self.atoms):
-            lines.append(f"atom_{i}: {theta:.17g},{w:.17g}")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-
 # -- curves --------------------------------------------------------------
 
 def _write_curve(path, header, columns):
@@ -413,7 +372,7 @@ def _write_curve(path, header, columns):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def emit_curves(out_dir, result, sample):
+def emit_curves(out_dir, result):
     """Write the four diagnostic curve files for a fit.
 
     (a) fitted mixing distribution function with the reference mixing
@@ -423,8 +382,8 @@ def emit_curves(out_dir, result, sample):
         certificate curve),
     (d) fitted mixture distribution function with the empirical one.
 
-    Density and distribution curves use 512 points covering the data
-    range extended by 10% on each side; the certificate curve is
+    Density and distribution curves use 512 points covering the range
+    of the model's sample extended by 10% on each side; the certificate curve is
     evaluated exactly on the solve grid, where its sign is guaranteed.
     """
     out_dir = str(out_dir)
@@ -433,7 +392,7 @@ def emit_curves(out_dir, result, sample):
     measure = result.measure
     family = model.family
     grid = result.config.grid
-    x = np.sort(np.asarray(sample, dtype=float))
+    x = model.x
     span = x[-1] - x[0]
     pad = 0.1 * span if span > 0.0 else 1.0
     xs = np.linspace(x[0] - pad, x[-1] + pad, _CURVE_POINTS)

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
 import mixfit
+from mixfit import pipeline
 from mixfit.cli import main
 from mixfit.pipeline import (
     ingest,
@@ -204,6 +205,62 @@ class TestFitCommand:
         vals = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert vals.min() >= -1e-10 * 1.001
         assert len(vals) == int(report["grid_size"])
+
+    def test_report_renders_the_fit_record(self, runner, tmp_path,
+                                           monkeypatch):
+        # The CI's re-insertion sample on an 8-point grid: report.txt
+        # holds its 22 keys in this order, each value exactly the fit's,
+        # then the atoms exactly as measure.csv writes them.
+        sample = self._simulate(runner, tmp_path, "exp-normal-mixture",
+                                500, 2)
+        results = []
+        fit = pipeline.fit
+        monkeypatch.setattr(pipeline, "fit", lambda *args: results.append(
+            fit(*args)) or results[-1])
+        out = tmp_path / "fitins"
+        res = _invoke(runner, ["fit", "deconv-ml", str(sample),
+                               "--grid-size", "8", "--out-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        (r,) = results
+        cfg, cert, ft = r.config, r.certificate, r.fine_tune_trace
+        expected = {
+            "model": "deconv-ml",
+            "n_observations": 500,
+            "grid_min": float(cfg.grid[0]),
+            "grid_max": float(cfg.grid[-1]),
+            "grid_size": 8,
+            "eta": 1e-8,
+            "max_iter": 10_000,
+            "gridless": True,
+            "gridless_tol": 1e-6,
+            "converged": True,
+            "outer_iterations": r.trace.n_iterations,
+            "fine_tune_steps": ft.steps,
+            "insertions": 1,
+            "final_objective": r.model.objective(r.measure),
+            "support_size": r.measure.size,
+            "grid_support_size": r.grid_support_size,
+            "total_mass": r.measure.total_mass(),
+            "cert_min_grid_alt": cert.min_grid_alt,
+            "cert_min_grid_raw": cert.min_grid_raw,
+            "cert_max_abs_support": cert.max_abs_support,
+            "cert_passed": True,
+            "wall_time_s": r.wall_time,
+        }
+        lines = (out / "report.txt").read_text().splitlines()
+        head = [line.partition(": ") for line in lines[:len(expected)]]
+        assert [key for key, _, _ in head] == list(expected)
+        for key, _, text in head:
+            want = expected[key]
+            if isinstance(want, bool):
+                assert text == ("true" if want else "false"), key
+            elif isinstance(want, float):
+                assert float(text) == want, key
+            else:
+                assert text == str(want), key
+        rows = (out / "measure.csv").read_text().splitlines()[1:]
+        assert lines[len(expected):] == [f"atom_{i}: {row}"
+                                         for i, row in enumerate(rows)]
 
     def test_single_observation_fit(self, runner, tmp_path):
         p = tmp_path / "one.txt"

@@ -27,6 +27,7 @@ from mixfit.baselines import (
 from mixfit.core import (
     ConvergenceStall,
     OptimalityCertificate,
+    SingularSystem,
     SolverConfig,
     SolverTrace,
     _reduce_to_cone,
@@ -78,8 +79,11 @@ class _ScriptedModel:
         self.calls = []
 
     def unrestricted_min(self, support):
+        """The scripted minimizer; a support scripted as NaN is singular."""
         key = tuple(np.asarray(support, dtype=float))
         self.calls.append(key)
+        if np.isnan(self.script[key]).any():
+            raise SingularSystem("singular")
         return SignedMixingMeasure(np.asarray(key), self.script[key])
 
     def objective(self, measure):
@@ -158,6 +162,29 @@ class TestInnerReduction:
         assert fake.calls == [(1.0, 2.0), (2.0,)]
         assert_allclose(f.weights, [2.0])
         assert deletions == 1 and len(inner) == 1
+
+
+    def test_singular_insertion_is_dropped(self):
+        # the new point adds no independent direction: the reduction runs
+        # on the measure's own support
+        fake = _ScriptedModel({
+            (1.0, 2.0, 3.0): [np.nan],
+            (1.0, 3.0): [0.5, 0.25],
+        })
+        f, deletions, inner = _reduce_to_cone(
+            fake, MixingMeasure([1.0, 3.0], [0.1, 0.1]), 2.0)
+        assert fake.calls == [(1.0, 2.0, 3.0), (1.0, 3.0)]
+        assert_allclose(f.locations, [1.0, 3.0])
+        assert_allclose(f.weights, [0.5, 0.25])
+        assert deletions == 0 and inner == []
+
+    @pytest.mark.parametrize("theta", [(), 3.0])
+    def test_singular_own_support_raises(self, theta):
+        # without a new point, or when the support alone is singular too
+        fake = _ScriptedModel({(1.0, 3.0): [np.nan]})
+        with pytest.raises(SingularSystem, match="^singular$"):
+            _reduce_to_cone(fake, MixingMeasure([1.0, 3.0], [0.1, 0.1]),
+                            theta)
 
 
 class TestReductionStep:
@@ -319,6 +346,40 @@ class TestSolveInPlace:
         assert m.calls == [(1.0,)]
         assert_allclose(f.weights, [1.0])
         assert any("no progress" in r.getMessage() for r in caplog.records)
+
+
+class _DeletedInsertionModel(_ScriptedModel):
+    """One atom at 1.0; the scan always picks 2.0, which the reduction
+    deletes at once, so it returns the measure it started from."""
+
+    def start(self, grid):
+        return MixingMeasure([1.0], [1.0])
+
+    def alt_dir_deriv_vertex(self, theta, measure):
+        return np.where(theta == 2.0, -1.0, 0.5)
+
+
+class TestSolveNoProgress:
+    def test_deleted_insertion_stops_with_a_warning(self, caplog):
+        m = _DeletedInsertionModel({(1.0, 2.0): [1.0, -1.0], (1.0,): [1.0]})
+        config = SolverConfig(grid=np.array([1.0, 2.0]), max_outer_iter=50)
+        with caplog.at_level(logging.WARNING, logger="mixfit.core"):
+            f, trace = solve(m, config)
+        assert m.calls == [(1.0, 2.0), (1.0,)]
+        assert not trace.converged and trace.n_iterations == 0
+        assert_allclose(f.locations, [1.0])
+        assert_allclose(f.weights, [1.0])
+        assert any("no progress" in r.getMessage() for r in caplog.records)
+
+    def test_singular_insertion_stops(self):
+        # the support plus the scan's pick is singular: the reduction
+        # without it returns the start, and solve stops
+        m = _DeletedInsertionModel({(1.0, 2.0): [np.nan], (1.0,): [1.0]})
+        config = SolverConfig(grid=np.array([1.0, 2.0]), max_outer_iter=50)
+        f, trace = solve(m, config)
+        assert m.calls == [(1.0, 2.0), (1.0,)]
+        assert not trace.converged and trace.n_iterations == 0
+        assert_allclose(f.weights, [1.0])
 
 
 class TestCheckOptimality:

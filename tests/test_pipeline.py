@@ -35,9 +35,9 @@ class TestConverged:
         assert result.fine_tune_trace.converged
         assert not result.certificate.passed
         assert not result.converged
-        report = pipeline.RunReport.from_result(result, x.size)
-        assert not report.converged
-        assert "converged: false" in report.to_text()
+        report = result.report_text().splitlines()
+        assert "converged: false" in report
+        assert "cert_passed: false" in report
 
     def test_no_insertions_leaves_descent_uncertified(self, monkeypatch):
         # Without re-insertion the polish of criterion-5 seed 2 stops at a
@@ -59,6 +59,15 @@ class TestConverged:
         assert not result.fine_tune_trace.converged
         assert result.certificate.passed
         assert result.converged
+
+    def test_tied_three_point_sample_certifies(self):
+        # Two distinct observations give the quadratic model's Gram matrix
+        # rank 2, so a third grid atom makes the restricted solve singular.
+        x = np.array([0.5, 0.5, 2.0])
+        result = pipeline.fit("deconv-ml", x, _default_config("deconv-ml", x))
+        assert result.converged
+        np.testing.assert_array_equal(result.measure.locations, [1.0])
+        np.testing.assert_array_equal(result.measure.weights, [1.0])
 
 
 def _default_config(kind, x):
