@@ -61,9 +61,9 @@ class ConeObjective(ABC):
     """Contract a model must satisfy to be solved over its mixture cone.
 
     Concrete models supply the objective, the directional derivative
-    toward single kernels, the unrestricted (signed) minimizer over a
-    finite support, and a starting iterate.  All derivative evaluators
-    are vectorized over the parameter argument.
+    toward single kernels and the unrestricted (signed) minimizer over a
+    finite support.  All derivative evaluators are vectorized over the
+    parameter argument.
     """
 
     #: the kernel family generating the cone
@@ -94,9 +94,11 @@ class ConeObjective(ABC):
         exactly the given support points, zero weights included.
         """
 
-    @abstractmethod
-    def start(self, grid):
-        """Initial iterate: a restricted minimizer on a heuristic support."""
+    def start(self):
+        """Initial iterate of :func:`solve`: the empty measure, from which
+        the first scan inserts the best single grid kernel.
+        :class:`~mixfit.mldeconv.QuadLocalModel` warm-starts instead."""
+        return MixingMeasure.empty()
 
 
 @dataclass(frozen=True)
@@ -336,7 +338,7 @@ def solve(model, config):
     trace : SolverTrace
     """
     grid = config.grid
-    f = model.start(grid)
+    f = model.start()
     trace = SolverTrace()
     pending_deletions = 0
     pending_inner = []
@@ -362,8 +364,8 @@ def solve(model, config):
             model, f, theta_hat)
         if f_new.size == f.size and (f_new.locations == f.locations).all() \
                 and (f_new.weights == f.weights).all():
-            logger.warning("no progress: the reduction returned its start; "
-                           "stopping with certificate gap %.3e", -val)
+            logger.debug("no progress: the reduction returned its start; "
+                         "stopping with certificate gap %.3e", -val)
             break
         f = f_new
 

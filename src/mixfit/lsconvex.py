@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .families import MixingMeasure, SignedMixingMeasure, TriangularFamily
+from .families import SignedMixingMeasure, TriangularFamily
 
 __all__ = ["LsModel"]
 
@@ -62,9 +62,7 @@ class LsModel(core.ConeObjective):
                 "below as an atom approaches 0")
         self.x = x
         self.n = x.size
-        self.mean = float(x.mean())
-        self.xmax = float(x[-1])
-        self.domain = (float(x[0]), 3.0 * self.xmax)
+        self.domain = (float(x[0]), 3.0 * float(x[-1]))
         # Prefix sums make Y_n piecewise-linear evaluation O(log n).
         self._cumsum = np.concatenate(([0.0], np.cumsum(x)))
 
@@ -157,35 +155,6 @@ class LsModel(core.ConeObjective):
             self._gram(support), self._linear_term(support),
             "singular Gram matrix: knots too close to resolve, merge them")
         return SignedMixingMeasure(support, sigma)
-
-    def start(self, grid=None):
-        """Initial iterate: one-kernel fit at a heuristic parameter.
-
-        The heuristic parameter is ``3 * mean`` when the sample maximum
-        lies below it, otherwise the smallest grid point beyond the
-        maximum (a grid is required in that case).  With a grid present
-        the first choice is snapped to the nearest grid point so the
-        solver stays inside the grid-generated cone.  The weight
-        ``(3/2) Y_n(theta0) / theta0`` is the exact minimizer of ``phi``
-        along the ray through ``f_theta0``.
-        """
-        theta0 = 3.0 * self.mean
-        if grid is not None:
-            grid = np.asarray(grid, dtype=float)
-        if self.xmax >= theta0:
-            if grid is None:
-                raise ValueError(
-                    "sample maximum exceeds 3 * mean; a grid is needed to start")
-            beyond = grid[grid > self.xmax]
-            if beyond.size == 0:
-                raise ValueError("no grid point beyond the sample maximum")
-            theta0 = float(beyond[0])
-        elif grid is not None:
-            theta0 = float(grid[np.argmin(np.abs(grid - theta0))])
-        w = 1.5 * self.Y_n(theta0) / theta0
-        if w <= 0.0:
-            return MixingMeasure.empty()
-        return MixingMeasure([theta0], [w])
 
     def segment_curvature(self, direction):
         """Exact ``int h^2`` for a signed direction; phi is quadratic."""

@@ -344,10 +344,8 @@ class QuadLocalModel(core.ConeObjective):
             "close to resolve, merge them")
         return SignedMixingMeasure(support, alpha)
 
-    def start(self, grid):
+    def start(self):
         """Warm start: reoptimize the expansion measure on its own support."""
-        if self.center.size == 0:
-            return MixingMeasure.empty()
         return core.reoptimize_over_support(self, self.center)
 
     def segment_curvature(self, direction):

@@ -265,14 +265,31 @@ def _enumerate_optimum(model, grid, feas_tol=1e-8):
     return best
 
 
+class _OptimalStartLsModel(LsModel):
+    """Starts at one atom at 3 of weight 1, the optimum for a single
+    observation at 1."""
+
+    def start(self):
+        return MixingMeasure([3.0], [1.0])
+
+
 class TestSolve:
     def test_zero_iterations_when_start_is_optimal(self):
-        # single observation, grid {3}: the starting one-kernel fit is
-        # already the cone minimizer over that grid
-        m = LsModel(np.array([1.0]))
+        # single observation, grid {3}: the start is already the cone
+        # minimizer over that grid
+        m = _OptimalStartLsModel(np.array([1.0]))
         f, trace = solve(m, SolverConfig(grid=np.array([3.0]), eta=1e-10))
         assert trace.converged
         assert trace.n_iterations == 0
+        assert_allclose(f.locations, [3.0])
+        assert_allclose(f.weights, [1.0], rtol=1e-12)
+
+    def test_one_iteration_from_the_empty_start(self):
+        # the default start is empty; the first scan inserts the optimum
+        m = LsModel(np.array([1.0]))
+        f, trace = solve(m, SolverConfig(grid=np.array([3.0]), eta=1e-10))
+        assert trace.converged
+        assert trace.n_iterations == 1
         assert_allclose(f.locations, [3.0])
         assert_allclose(f.weights, [1.0], rtol=1e-12)
 
@@ -315,7 +332,7 @@ class _AtomRepickingModel(_ScriptedModel):
     """One atom at 1.0, which the scan picks until its weight is 2.0;
     the objective is ``(w - 2)^2`` summed over the atoms."""
 
-    def start(self, grid):
+    def start(self):
         return MixingMeasure([1.0], [1.0])
 
     def objective(self, measure):
@@ -340,19 +357,20 @@ class TestSolveInPlace:
 
     def test_no_progress_stops_with_a_warning(self, caplog):
         m = _AtomRepickingModel({(1.0,): [1.0]})
-        with caplog.at_level(logging.WARNING, logger="mixfit.core"):
+        with caplog.at_level(logging.DEBUG, logger="mixfit.core"):
             f, trace = solve(m, self.CONFIG)
         assert not trace.converged and trace.n_iterations == 0
         assert m.calls == [(1.0,)]
         assert_allclose(f.weights, [1.0])
-        assert any("no progress" in r.getMessage() for r in caplog.records)
+        assert [r.levelno for r in caplog.records
+                if "no progress" in r.getMessage()] == [logging.DEBUG]
 
 
 class _DeletedInsertionModel(_ScriptedModel):
     """One atom at 1.0; the scan always picks 2.0, which the reduction
     deletes at once, so it returns the measure it started from."""
 
-    def start(self, grid):
+    def start(self):
         return MixingMeasure([1.0], [1.0])
 
     def alt_dir_deriv_vertex(self, theta, measure):
@@ -363,13 +381,14 @@ class TestSolveNoProgress:
     def test_deleted_insertion_stops_with_a_warning(self, caplog):
         m = _DeletedInsertionModel({(1.0, 2.0): [1.0, -1.0], (1.0,): [1.0]})
         config = SolverConfig(grid=np.array([1.0, 2.0]), max_outer_iter=50)
-        with caplog.at_level(logging.WARNING, logger="mixfit.core"):
+        with caplog.at_level(logging.DEBUG, logger="mixfit.core"):
             f, trace = solve(m, config)
         assert m.calls == [(1.0, 2.0), (1.0,)]
         assert not trace.converged and trace.n_iterations == 0
         assert_allclose(f.locations, [1.0])
         assert_allclose(f.weights, [1.0])
-        assert any("no progress" in r.getMessage() for r in caplog.records)
+        assert [r.levelno for r in caplog.records
+                if "no progress" in r.getMessage()] == [logging.DEBUG]
 
     def test_singular_insertion_stops(self):
         # the support plus the scan's pick is singular: the reduction

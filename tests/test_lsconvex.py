@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from mixfit.core import SolverConfig, check_optimality, solve
 from mixfit.families import (
     MixingMeasure,
     SignedMixingMeasure,
@@ -361,41 +362,47 @@ class TestLsNewtonSystem:
         assert_allclose(m.location_gradient(f), grad[:p], rtol=0, atol=0)
 
 
+@st.composite
+def _sample_and_grid(draw):
+    """Positive samples with ties and grids inside (0, 3.6 x_(n)); some
+    grids end below x_(n), some lie wholly below x_(1)."""
+    pool = draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=30))
+    x = np.array(draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=30)))
+    top = draw(st.sampled_from([1.2 * 3.0 * x.max(), x.max(), x.min()]))
+    u = draw(st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=1,
+                      max_size=60))
+    return x, np.unique(np.array(u) * top)
+
+
 class TestStartingPoint:
-    def test_pinned_single_obs(self):
-        f = LsModel(np.array([1.0])).start()
-        assert_allclose(f.locations, [3.0])
-        assert_allclose(f.weights, [1.0], rtol=1e-15)
-
-    def test_weight_is_one_when_max_small(self):
-        # when x_max < 3 mean, Y_n(3 mean) = 2 mean so the ray weight is 1
-        rng = np.random.default_rng(79)
-        x = rng.uniform(0.5, 1.5, size=20)
-        f = LsModel(x).start()
-        assert_allclose(f.locations, [3.0 * x.mean()], rtol=1e-15)
-        assert_allclose(f.weights, [1.0], rtol=1e-12)
-
-    def test_snaps_to_grid(self):
-        grid = np.array([0.5, 2.9, 3.4])
-        f = LsModel(np.array([1.0])).start(grid)
-        assert f.locations[0] == 2.9
-
-    def test_large_max_uses_first_grid_point_beyond(self):
-        x = np.array([1.0, 1.0, 1.0, 10.0])  # 3 mean = 9.75 < max
-        grid = np.array([5.0, 10.5, 12.0])
-        f = LsModel(x).start(grid)
-        assert f.locations[0] == 10.5
-
-    def test_large_max_without_grid_raises(self):
-        x = np.array([1.0, 1.0, 1.0, 10.0])
-        with pytest.raises(ValueError, match="beyond the sample maximum"):
-            LsModel(x).start(np.array([5.0, 9.0]))
-
     def test_model_start_method(self):
-        m = LsModel(np.array([1.0]))
-        f = m.start()
-        assert_allclose(f.locations, [3.0])
-        assert_allclose(f.weights, [1.0], rtol=1e-15)
+        # the least squares model keeps the cone's default start
+        f = LsModel(np.array([1.0])).start()
+        assert isinstance(f, MixingMeasure)
+        assert f.size == 0
+
+    def test_grid_below_sample_maximum_certifies(self):
+        # 3 mean = 9.75 < max x = 10 and no grid point lies past 10
+        x = np.array([1.0, 1.0, 1.0, 10.0])
+        m = LsModel(x)
+        grid = np.array([5.0, 9.0])
+        f, trace = solve(m, SolverConfig(grid=grid, eta=1e-10))
+        assert trace.converged
+        assert check_optimality(m, f, grid, 1e-10, 1e-8).passed
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=_sample_and_grid())
+    def test_empty_start_certifies_on_any_grid(self, problem):
+        x, grid = problem
+        m = LsModel(x)
+        f, trace = solve(m, SolverConfig(grid=grid, eta=1e-10))
+        assert trace.converged
+        assert check_optimality(m, f, grid, 1e-10, 1e-8).passed
+        # the first scan inserts the best single kernel on the grid, whose
+        # objective is -1.5 Y_n(theta)^2 / theta^3 at the ray's optimal weight
+        one_atom = min(0.0, float((-1.5 * m.Y_n(grid) ** 2 / grid**3).min()))
+        assert m.objective(f) <= one_atom + 1e-12 * abs(one_atom)
 
 
 class TestModelValidation:

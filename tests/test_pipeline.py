@@ -69,12 +69,34 @@ class TestConverged:
         np.testing.assert_array_equal(result.measure.locations, [1.0])
         np.testing.assert_array_equal(result.measure.weights, [1.0])
 
+    def test_tied_three_point_sample_logs_nothing_above_debug(self, caplog):
+        # The solver's "no progress" stop is routine here; a library fit
+        # with no logging configured must print nothing.
+        x = np.array([0.5, 0.5, 2.0])
+        with caplog.at_level(logging.DEBUG, logger="mixfit"):
+            result = pipeline.fit("deconv-ml", x,
+                                  _default_config("deconv-ml", x))
+        assert result.converged
+        assert [r for r in caplog.records
+                if r.name.startswith("mixfit")
+                and r.levelno >= logging.WARNING] == []
 
-def _default_config(kind, x):
-    """The configuration `mixfit fit` builds for ``x`` by default."""
+    def test_grid_ending_below_sample_maximum_certifies(self):
+        # 3 mean = 7.725 < max x = 10 and no grid point lies past 10.
+        x = np.array([0.1, 0.1, 0.1, 10.0])
+        result = pipeline.fit("convex-ls", x,
+                              _default_config("convex-ls", x, grid_max=9.9))
+        assert result.trace.converged
+        assert result.converged
+
+
+def _default_config(kind, x, grid_max=None):
+    """The configuration `mixfit fit` builds for ``x`` by default, or
+    with ``--grid-max`` when ``grid_max`` is given."""
     spec = pipeline.model_spec(kind)
-    grid = pipeline.build_grid(*pipeline.default_grid_spec(kind, x),
-                               spec.model.family)
+    lo, hi, size = pipeline.default_grid_spec(kind, x)
+    grid = pipeline.build_grid(lo, hi if grid_max is None else grid_max,
+                               size, spec.model.family)
     return SolverConfig(grid=grid, eta=spec.eta, gridless_enabled=True)
 
 
