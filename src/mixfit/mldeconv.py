@@ -42,6 +42,22 @@ logger = logging.getLogger("mixfit.mldeconv")
 
 _MAX_HALVINGS = 60
 
+#: Largest ``h * (max x - min(min x, theta_0))`` for which a uniform grid
+#: uses the Gaussian product identity: it keeps the factors ``scale`` in
+#: ``[exp(-600), 1]`` and ``odd`` below ``exp(600)``.
+_PRODUCT_SPAN = 600.0
+
+
+def _uniform_step(grid):
+    """The step ``h`` of a uniform grid ``theta_j = theta_0 + j h``, or None.
+
+    Uniform means every point within 4 ulp of ``theta_0 + j h``, as
+    ``np.linspace`` makes them; grids of one or two points are uniform.
+    """
+    h = (grid[-1] - grid[0]) / max(grid.size - 1, 1)
+    off = np.abs(grid - (grid[0] + np.arange(grid.size) * h)).max()
+    return h if off <= 4.0 * np.spacing(np.abs(grid).max()) else None
+
 
 class _Observations:
     """The sample and at most one grid with its kernel matrices.
@@ -59,6 +75,19 @@ class _Observations:
     that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid.
     Within one Newton step the certificate's scan, the objective and
     the quadratic model read that one mixture and that one matvec.
+
+    On a uniform grid ``theta_j = theta_0 + j h`` the layer also holds
+    ``product``, the factors with which a quadratic model forms its Gram
+    rows from the Gaussian product identity without reading ``K`` (see
+    :class:`QuadLocalModel`): ``toep[t] = exp(-(t^2 - t mod 2) h^2 / 4)``,
+    the n-vector ``scale = exp(h (x - max x))`` and, for ``j < G - 1``,
+    ``odd[j] = exp(h (max x - theta_j) - h^2 / 2)``, so that
+    ``phi(x - theta_j) phi(x - theta_{j+1}) = K2[j] * scale * odd[j]``.
+    It is None on grids that are not uniform and on grids whose step
+    ``h`` times the distance from the leftmost observation or grid point
+    to the largest observation exceeds ``_PRODUCT_SPAN``, where ``odd``
+    would overflow or ``scale`` lose precision to subnormals; their
+    models read ``K``.
     """
 
     family = GaussianFamily()
@@ -68,12 +97,20 @@ class _Observations:
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
         self.K = None
         self.K2 = None
+        self.product = None
         self._last = (None, None, None)     # measure, f(x), K (1/f) / n
         if grid is not None:
             self.K = self.kernels(self.grid)
             self.K.flags.writeable = False
             self.K2 = self.K * self.K
             self.K2.flags.writeable = False
+            h, top = _uniform_step(self.grid), x.max()
+            if (h is not None
+                    and h * (top - min(x.min(), self.grid[0])) <= _PRODUCT_SPAN):
+                t = np.arange(self.grid.size)
+                self.product = (np.exp(-0.25 * h * h * (t * t - t % 2)),
+                                np.exp(h * (x - top)),
+                                np.exp(h * (top - self.grid[:-1]) - 0.5 * h * h))
 
     def grid_index(self, theta):
         """Rows of ``K`` that hold the kernels at ``theta``, or None.
@@ -243,9 +280,18 @@ class QuadLocalModel(core.ConeObjective):
     others.  On the grid ``b`` is the layer's matvec at the center,
     ``c2 = (K∘K) d^2 / n`` is formed once, and ``M`` is read from a
     store of the rows of the grid atoms that entered the support, each
-    formed by one pass over ``K`` when first needed, so a solver call
-    reads nothing of length n.  Other atoms, and models without a grid,
-    evaluate their kernels.
+    formed when first needed, so a solver call reads nothing of length
+    n.  Other atoms, and models without a grid, evaluate their kernels.
+
+    On a uniform grid (the layer's ``product``) the rows come from the
+    Gaussian product identity ``phi(x - a) phi(x - b) = exp(-(a - b)^2 / 4)
+    phi(x - (a + b)/2)^2``: entries with the same midpoint differ by a
+    factor.  With ``t = |a - b|`` that gives ``M[a, b] = exp(-(t^2 - t
+    mod 2) h^2 / 4) W[a + b]``, where ``W`` interleaves the diagonal
+    ``M[j, j] = c2[j]`` and the superdiagonal ``M[j, j + 1]``, which
+    takes one more matvec over ``K∘K``.  Each row then costs O(G) and
+    reads no ``K``.  On other grids each batch of new rows is one pass
+    over ``K``.
     """
 
     family = _Observations.family
@@ -265,6 +311,12 @@ class QuadLocalModel(core.ConeObjective):
         if sample.K is not None:
             self._b = sample.ratio_mean(sample.grid, center)
             self._c2 = sample.K2 @ self._d2 / self.n
+            self._half = None
+            if sample.product is not None:
+                _, scale, odd = sample.product
+                self._half = np.empty(2 * self._c2.size - 1)
+                self._half[0::2] = self._c2
+                self._half[1::2] = odd * (sample.K2[:-1] @ (self._d2 * scale)) / self.n
             # grid index -> row of the store, -1 until that row is formed
             self._slot = np.full(sample.grid.size, -1)
             self._gram = np.empty((0, sample.grid.size))
@@ -292,9 +344,14 @@ class QuadLocalModel(core.ConeObjective):
         return self._gram[slots][:, at_cols]
 
     def _weighted_gram(self, new):
-        """``K[new] diag(d^2) K' / n``: one pass over ``K`` for any count."""
-        K = self.obs.K
-        return (K[new] * self._d2) @ K.T / self.n
+        """``K[new] diag(d^2) K' / n``: O(G) per row from the product
+        identity on a uniform grid, else one pass over ``K`` for any count."""
+        if self._half is None:
+            K = self.obs.K
+            return (K[new] * self._d2) @ K.T / self.n
+        toep = self.obs.product[0]
+        j = np.arange(toep.size)
+        return toep[np.abs(new[:, None] - j)] * self._half[new[:, None] + j]
 
     def objective(self, measure):
         S, w = measure.locations, measure.weights

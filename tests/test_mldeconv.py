@@ -7,6 +7,7 @@ driver against a box-constrained quasi-Newton oracle on a frozen grid.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -633,13 +634,80 @@ class TestSharedKernelMatrix:
         assert max(a.size for a in arrays) <= self.N
 
 
+class _Unread:
+    """Stands in for ``K`` where nothing may read it."""
+
+    def __getitem__(self, key):
+        raise AssertionError("the solve read K")
+
+
 class TestGramStore:
-    """On grid atoms the quadratic model reads its store of Gram rows."""
+    """On grid atoms the quadratic model reads its store of Gram rows.
+
+    The tests run with RuntimeWarnings as errors, so an overflow in the
+    product identity's factors fails them.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _warnings_fail(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @staticmethod
+    def _rows(x, grid, new):
+        """Rows ``new`` of the model's store and of the pass over ``K``."""
+        obs = _Observations(x, grid)
+        quad = QuadLocalModel(obs, starting_iterate(x, grid))
+        rows = quad._gram_block(grid[new], new, grid, slice(None))
+        return obs, rows, (obs.K[new] * quad.d**2) @ obs.K.T / x.size
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 40])
+    def test_identity_rows_match_the_k_pass(self, size):
+        x, _ = TestSharedKernelMatrix()._problem()
+        grid = np.linspace(x[0], x[-1], size)
+        for new in ([0], [size - 1], np.unique([0, size // 3, size // 2, size - 1])):
+            new = np.asarray(new)
+            obs, rows, reference = self._rows(x, grid, new)
+            assert obs.product is not None
+            assert_allclose(rows, reference, rtol=1e-12, atol=0.0)
+
+    def test_other_grids_take_the_k_pass(self):
+        x, grid = TestSharedKernelMatrix()._problem()
+        # refinement's grids: atoms off the uniform grid, and one that
+        # spans thousands of sigma at a coarse step, where the identity's
+        # factors would overflow
+        for other in (np.union1d(grid[::3], [0.123, 2.345]),
+                      np.linspace(-3000.0, 3000.0, 61)):
+            new = np.array([0, other.size // 2, other.size - 1])
+            obs, rows, reference = self._rows(x, other, new)
+            assert obs.product is None
+            assert_allclose(rows, reference, rtol=1e-12, atol=0.0)
+
+    def test_fit_is_the_same_without_the_identity(self, monkeypatch):
+        x = pipeline.simulate_sample("exp-normal-mixture", 2000, 1)
+        lo, hi, _ = pipeline.default_grid_spec("deconv-ml", x)
+        config = SolverConfig(
+            grid=pipeline.build_grid(lo, hi, 200, GaussianFamily()), eta=1e-8)
+        assert _Observations(x, config.grid).product is not None
+        fast = pipeline.fit("deconv-ml", x, config)
+        monkeypatch.setattr(mldeconv, "_uniform_step", lambda grid: None)
+        assert _Observations(x, config.grid).product is None
+        slow = pipeline.fit("deconv-ml", x, config)
+        assert fast.converged and slow.converged
+        assert fast.trace.n_iterations == slow.trace.n_iterations
+        assert fast.measure.size == slow.measure.size
+        assert fast.certificate.passed == slow.certificate.passed
+        assert_allclose(fast.model.objective(fast.measure),
+                        slow.model.objective(slow.measure), rtol=1e-12)
 
     def test_rows_formed_once_and_no_sample_read_in_a_solve(self, monkeypatch):
         x, grid = TestSharedKernelMatrix()._problem()
         obs = _Observations(x, grid)
         quad = QuadLocalModel(obs, MixingMeasure(grid[[10, 25]], [0.5, 0.5]))
+        # on the uniform grid the rows come from the product identity
+        assert obs.product is not None
+        monkeypatch.setattr(obs, "K", _Unread())
         formed = []
         original = QuadLocalModel._weighted_gram
 
