@@ -267,8 +267,8 @@ def _reduce_to_cone(model, measure, theta=()):
     and the atoms this zeroes are deleted.  A nonnegative minimizer is
     final unless it has weights in ``(0, PURGE_THRESHOLD)``; those atoms
     are deleted and the rest re-solved.  New points that make the first
-    solve singular add no independent direction: the reduction then runs
-    without them.  Returns ``(measure, deletions, inner_objectives)``.
+    solve singular go to :func:`_exchange`.  Returns ``(measure,
+    deletions, inner_objectives)``.
     """
     S = np.sort(np.append(measure.locations, theta))
     fresh = S[1:] != S[:-1]
@@ -289,7 +289,8 @@ def _reduce_to_cone(model, measure, theta=()):
             # Every pass after the first has deleted an atom.
             if deletions or S.size == measure.size:
                 raise
-            return _reduce_to_cone(model, measure)
+            return _exchange(model, measure,
+                             S[~np.isin(S, measure.locations)])
         if (u >= 0.0).all():
             drop = u < PURGE_THRESHOLD
             deletions += int(drop.sum())
@@ -314,6 +315,38 @@ def _reduce_to_cone(model, measure, theta=()):
                            "inconsistent unrestricted minimizer")
 
     return MixingMeasure(S, w), deletions, inner_objs
+
+
+def _exchange(model, measure, new):
+    """The reduction after new points made the support singular.
+
+    A single new point ``theta`` adds no independent direction, but it
+    may be a better atom than one already there.  The vertex exchange
+    (Böhning 1986) moves the weight of a neighbour of ``theta`` onto
+    ``theta`` and reduces on that support: first the atom nearest
+    ``theta``, then its nearest atom on the other side.  The first
+    result whose objective lies strictly below the start's is kept; its
+    inner records then begin at the first one below the start's, so they
+    read as a descent from it, and the exchanged atom counts as a
+    deletion.  When neither exchange lowers the objective, or both
+    supports are singular too, the reduction runs without the new points.
+    """
+    if new.size == 1 and measure.size:
+        theta, locations = new[0], measure.locations
+        right = int(locations.searchsorted(theta))
+        sides = [k for k in (right - 1, right) if 0 <= k < locations.size]
+        start = model.objective(measure)
+        for k in sorted(sides, key=lambda k: abs(locations[k] - theta)):
+            swapped = locations.copy()
+            swapped[k] = theta
+            try:
+                f, deletions, inner = _reduce_to_cone(
+                    model, MixingMeasure(swapped, measure.weights))
+            except SingularSystem:
+                continue
+            if model.objective(f) < start:
+                return f, deletions + 1, [v for v in inner if v < start]
+    return _reduce_to_cone(model, measure)
 
 
 def reoptimize_over_support(model, measure):

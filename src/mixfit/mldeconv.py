@@ -380,8 +380,11 @@ class QuadLocalModel(core.ConeObjective):
         return self.quad_coefficients(theta, measure)[0]
 
     def alt_dir_deriv_vertex(self, theta, measure):
+        """``c1 / sqrt(c2)``, or ``c1`` where the kernel vanishes at every
+        observation and ``c2`` underflows to 0."""
         c1, c2 = self.quad_coefficients(theta, measure)
-        out = c1 / np.sqrt(c2)
+        out = np.divide(c1, np.sqrt(c2), out=np.array(c1, dtype=float),
+                        where=c2 > 0.0)
         return out if np.ndim(out) else float(out)
 
     def unrestricted_min(self, support):
@@ -413,11 +416,29 @@ class QuadLocalModel(core.ConeObjective):
 
 
 def starting_iterate(sample, grid):
-    """Single atom of weight one at the grid point nearest the sample median."""
+    """A cover of the sorted sample by cells one noise unit wide.
+
+    Walking up the sorted sample, each cell ``[x_i, x_i + 1]`` opens at
+    the first observation the cells before it left out and holds every
+    observation up to ``x_i + 1``.  Each cell puts one atom at the grid
+    point nearest its midrange, weighted by its share of the
+    observations; cells that land on one grid point merge.  The width
+    is the kernel's own unit, the noise's standard deviation, so on a
+    grid of spacing ``h`` that spans the sample every observation lies
+    within ``1/2 + h/2`` of an atom and the mixture stays far from
+    underflow at every observation.
+    """
+    x = np.sort(np.asarray(sample, dtype=float).ravel())
     grid = np.asarray(grid, dtype=float)
-    med = float(np.median(np.asarray(sample, dtype=float)))
-    theta0 = float(grid[np.argmin(np.abs(grid - med))])
-    return MixingMeasure([theta0], [1.0])
+    first = [0]
+    while (nxt := x.searchsorted(x[first[-1]] + 1.0, side="right")) < x.size:
+        first.append(nxt)
+    bounds = np.append(first, x.size)
+    mid = 0.5 * (x[bounds[:-1]] + x[bounds[1:] - 1])
+    hi = grid.searchsorted(mid).clip(0, grid.size - 1)
+    lo = (hi - 1).clip(0)
+    nearest = np.where(mid - grid[lo] <= grid[hi] - mid, lo, hi)
+    return MixingMeasure.from_atoms(grid[nearest], np.diff(bounds) / x.size)
 
 
 _TIE_TOL = 1e-14
@@ -537,7 +558,9 @@ def newton_solve(sample, config, start=None):
         Grid, outer tolerance ``eta`` (certificate threshold on the
         grid), and iteration caps.
     start : MixingMeasure, optional
-        Starting iterate; default is :func:`starting_iterate`.
+        Starting iterate; default is :func:`starting_iterate`, which
+        covers the sample, so the first step starts with a mixture of
+        the data's own scale at every observation.
 
     Returns
     -------

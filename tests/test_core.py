@@ -71,11 +71,13 @@ class TestMinAltScan:
 
 
 class _ScriptedModel:
-    """Returns pre-scripted signed minimizers keyed on the support."""
+    """Returns pre-scripted signed minimizers keyed on the support; the
+    objective is ``value(measure)``, 0 by default."""
 
-    def __init__(self, script):
+    def __init__(self, script, value=lambda measure: 0.0):
         self.script = {tuple(k): np.asarray(v, dtype=float)
                        for k, v in script.items()}
+        self.value = value
         self.calls = []
 
     def unrestricted_min(self, support):
@@ -87,7 +89,12 @@ class _ScriptedModel:
         return SignedMixingMeasure(np.asarray(key), self.script[key])
 
     def objective(self, measure):
-        return 0.0
+        return self.value(measure)
+
+
+def _first_moment(measure):
+    """A scripted objective that prefers weight on high locations."""
+    return -float(measure.weights @ measure.locations)
 
 
 class TestInnerReduction:
@@ -164,16 +171,60 @@ class TestInnerReduction:
         assert deletions == 1 and len(inner) == 1
 
 
+    def test_singular_insertion_is_exchanged(self):
+        # 2.4 takes over the weight of its nearest atom, 3.0, and the
+        # reduction on (1.0, 2.4) lowers the objective from -0.4 to -1.1
+        fake = _ScriptedModel({
+            (1.0, 2.4, 3.0): [np.nan],
+            (1.0, 2.4): [0.5, 0.25],
+        }, _first_moment)
+        f, deletions, inner = _reduce_to_cone(
+            fake, MixingMeasure([1.0, 3.0], [0.1, 0.1]), 2.4)
+        assert fake.calls == [(1.0, 2.4, 3.0), (1.0, 2.4)]
+        assert_allclose(f.locations, [1.0, 2.4])
+        assert_allclose(f.weights, [0.5, 0.25])
+        assert deletions == 1 and inner == []
+
+    def test_exchange_tries_the_far_neighbour_second(self):
+        # exchanging 3.0 is singular too, so 2.4 replaces 1.0
+        fake = _ScriptedModel({
+            (1.0, 2.4, 3.0): [np.nan],
+            (1.0, 2.4): [np.nan],
+            (2.4, 3.0): [0.5, 0.25],
+        }, _first_moment)
+        f, deletions, _ = _reduce_to_cone(
+            fake, MixingMeasure([1.0, 3.0], [0.1, 0.1]), 2.4)
+        assert fake.calls == [(1.0, 2.4, 3.0), (1.0, 2.4), (2.4, 3.0)]
+        assert_allclose(f.locations, [2.4, 3.0])
+        assert deletions == 1
+
+    def test_exchange_records_only_its_descent_from_the_start(self):
+        # the boundary step of the exchanged reduction passes through
+        # {2.4: 0.1} at -0.24, above the start's -0.4: that record goes
+        fake = _ScriptedModel({
+            (1.0, 2.4, 3.0): [np.nan],
+            (1.0, 2.4): [-0.9, 0.1],
+            (2.4,): [1.0],
+        }, _first_moment)
+        f, deletions, inner = _reduce_to_cone(
+            fake, MixingMeasure([1.0, 3.0], [0.1, 0.1]), 2.4)
+        assert_allclose(f.locations, [2.4])
+        assert_allclose(f.weights, [1.0])
+        assert deletions == 2 and inner == []
+
     def test_singular_insertion_is_dropped(self):
-        # the new point adds no independent direction: the reduction runs
-        # on the measure's own support
+        # neither exchange lowers the constant objective: the reduction
+        # runs on the measure's own support without the new point
         fake = _ScriptedModel({
             (1.0, 2.0, 3.0): [np.nan],
+            (1.0, 2.0): [0.5, 0.25],
+            (2.0, 3.0): [0.5, 0.25],
             (1.0, 3.0): [0.5, 0.25],
         })
         f, deletions, inner = _reduce_to_cone(
             fake, MixingMeasure([1.0, 3.0], [0.1, 0.1]), 2.0)
-        assert fake.calls == [(1.0, 2.0, 3.0), (1.0, 3.0)]
+        assert fake.calls == [(1.0, 2.0, 3.0), (2.0, 3.0), (1.0, 2.0),
+                              (1.0, 3.0)]
         assert_allclose(f.locations, [1.0, 3.0])
         assert_allclose(f.weights, [0.5, 0.25])
         assert deletions == 0 and inner == []
@@ -390,13 +441,29 @@ class TestSolveNoProgress:
         assert [r.levelno for r in caplog.records
                 if "no progress" in r.getMessage()] == [logging.DEBUG]
 
-    def test_singular_insertion_stops(self):
-        # the support plus the scan's pick is singular: the reduction
-        # without it returns the start, and solve stops
-        m = _DeletedInsertionModel({(1.0, 2.0): [np.nan], (1.0,): [1.0]})
+    def test_singular_insertion_is_exchanged(self):
+        # the exchange moves the weight onto 2.0, which lowers the
+        # objective; the next scan re-picks 2.0, now an atom, and the
+        # re-solve in place returns its start
+        m = _DeletedInsertionModel({(1.0, 2.0): [np.nan], (2.0,): [1.0]},
+                                   _first_moment)
         config = SolverConfig(grid=np.array([1.0, 2.0]), max_outer_iter=50)
         f, trace = solve(m, config)
-        assert m.calls == [(1.0, 2.0), (1.0,)]
+        assert m.calls == [(1.0, 2.0), (2.0,), (2.0,)]
+        assert not trace.converged and trace.n_iterations == 1
+        assert trace.deletions == [0, 1]
+        assert_allclose(f.locations, [2.0])
+        assert_allclose(f.weights, [1.0])
+
+    def test_singular_insertion_stops(self):
+        # the support plus the scan's pick is singular and the exchange
+        # does not lower the objective: the reduction without the pick
+        # returns the start, and solve stops
+        m = _DeletedInsertionModel({(1.0, 2.0): [np.nan], (2.0,): [1.0],
+                                    (1.0,): [1.0]})
+        config = SolverConfig(grid=np.array([1.0, 2.0]), max_outer_iter=50)
+        f, trace = solve(m, config)
+        assert m.calls == [(1.0, 2.0), (2.0,), (1.0,)]
         assert not trace.converged and trace.n_iterations == 0
         assert_allclose(f.weights, [1.0])
 

@@ -442,10 +442,34 @@ class TestObservations:
 
 class TestStartingIterate:
     def test_pinned(self):
-        f = starting_iterate(np.array([0.0, 1.0, 2.0]),
+        # cells [0, 1] and [2, 3]: midranges 0.5 and 2 snap to 0.5 and 3
+        f = starting_iterate(np.array([2.0, 0.0, 1.0]),
                              np.array([0.5, 0.9, 3.0]))
+        assert_allclose(f.locations, [0.5, 3.0])
+        assert_allclose(f.weights, [2 / 3, 1 / 3])
+        # both cells snap to the one grid point and merge
+        f = starting_iterate(np.array([0.0, 1.0, 2.0]), np.array([0.9]))
         assert_allclose(f.locations, [0.9])
         assert_allclose(f.weights, [1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40),
+           digits=st.integers(0, 3), size=st.integers(2, 80),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cover(self, x, digits, size, seed):
+        # rounding makes ties; the grid spans the sample
+        x = np.round(np.array(x), digits)
+        grid = np.unique(np.linspace(x.min(), x.max(), size))
+        h = np.diff(grid).max(initial=0.0)
+        f = starting_iterate(x, grid)
+        assert np.isin(f.locations, grid).all()
+        assert (f.weights > 0.0).all()
+        assert_allclose(f.weights.sum(), 1.0, rtol=1e-12)
+        g = starting_iterate(np.random.default_rng(seed).permutation(x), grid)
+        assert np.array_equal(g.locations, f.locations)
+        assert np.array_equal(g.weights, f.weights)
+        reach = np.abs(x[:, None] - f.locations).min(axis=1)
+        assert (reach <= 0.5 + h / 2 + 1e-9).all()
 
 
 class TestNewtonSolve:
@@ -537,6 +561,27 @@ class TestNewtonSolve:
             fresh = check_optimality(MlModel(x), f, grid, 1e-8, 1e-7)
             assert trace.certificate == fresh
             assert trace.certificate.passed == trace.converged
+
+    def test_no_worse_than_the_median_start(self):
+        # Tiny samples, sparse and wide, with ties from rounding, on the
+        # default grid: the start that covers the data, with the vertex
+        # exchange of the reduction, ends no worse than one atom at the
+        # grid point nearest the median.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 15))
+            x = np.round(rng.uniform(0.3, 8.0) * rng.standard_normal(n),
+                         int(rng.integers(0, 3)))
+            model = MlModel(x)
+            grid = pipeline.build_grid(*model.domain, 500, GaussianFamily())
+            config = SolverConfig(grid=grid, eta=1e-8)
+            median = grid[np.abs(grid - np.median(x)).argmin()]
+            f, trace = newton_solve(model, config)
+            g, _ = newton_solve(model, config,
+                                start=MixingMeasure([median], [1.0]))
+            assert trace.converged, seed
+            best = model.objective(g)
+            assert model.objective(f) <= best + 1e-9 * abs(best), seed
 
     def test_custom_start(self):
         rng = np.random.default_rng(23)
@@ -804,7 +849,10 @@ class TestGridStageStall:
         assert res.exit_code == 1, res.output
         assert "Traceback" not in res.output
         assert isinstance(res.exception, SystemExit)
-        assert pipeline.read_measure(out / "measure.csv").size == 1
+        grid = pipeline.build_grid(*pipeline.default_grid_spec("deconv-ml", x),
+                                   GaussianFamily())
+        assert (pipeline.read_measure(out / "measure.csv").size
+                == starting_iterate(x, grid).size)
         assert "converged: false" in (out / "report.txt").read_text()
 
 

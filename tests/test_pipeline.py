@@ -3,6 +3,7 @@ and what ``converged`` promises."""
 
 import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,34 @@ class TestRefinementCertifies:
         with pytest.raises(ValueError, match="unbounded below"):
             pipeline.fit("convex-ls", x, SolverConfig(
                 grid=grid, eta=1e-10, gridless_enabled=True))
+
+
+def _outlier_sample(case):
+    """The 200-point sample of seed 3 with an outlier or scaled, or the
+    12-point sample of seed 3."""
+    if case == "n12":
+        return (np.random.default_rng(3).normal(size=12)
+                + np.random.default_rng(1003).exponential(size=12))
+    x = pipeline.simulate_sample("exp-normal-mixture", 200, 3)
+    if case.startswith("at"):
+        return np.append(x, float(case[2:]))
+    return float(case[1:]) * x
+
+
+class TestOutliersAndWideData:
+    """Data whose kernels underflow far from a single central atom: the
+    start covers them, so every fit certifies in a few Newton steps."""
+
+    @pytest.mark.parametrize("case", ["at20", "at40", "at60", "x3", "x10",
+                                      "x50", "n12"])
+    def test_default_fit_certifies(self, case):
+        x = _outlier_sample(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = pipeline.fit("deconv-ml", x,
+                                  _default_config("deconv-ml", x))
+        assert result.converged
+        assert result.trace.n_iterations <= 10
 
 
 def _coarse_optimum(kind):
