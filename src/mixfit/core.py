@@ -38,7 +38,6 @@ __all__ = [
     "SingularSystem",
     "min_alt_dir_deriv",
     "cholesky_solve",
-    "reoptimize_over_support",
     "solve",
     "check_optimality",
 ]
@@ -50,7 +49,7 @@ PURGE_THRESHOLD = 1e-12
 
 
 class ConvergenceStall(RuntimeError):
-    """Raised when a damped update cannot make progress."""
+    """Raised when a likelihood Newton iterate loses every atom."""
 
 
 class SingularSystem(ValueError):
@@ -63,7 +62,8 @@ class ConeObjective(ABC):
     Concrete models supply the objective, the directional derivative
     toward single kernels and the unrestricted (signed) minimizer over a
     finite support.  All derivative evaluators are vectorized over the
-    parameter argument.
+    parameter argument.  Where :func:`solve` starts is its caller's
+    argument, not part of the model.
     """
 
     #: the kernel family generating the cone
@@ -93,12 +93,6 @@ class ConeObjective(ABC):
         Must return a :class:`SignedMixingMeasure` whose locations are
         exactly the given support points, zero weights included.
         """
-
-    def start(self):
-        """Initial iterate of :func:`solve`: the empty measure, from which
-        the first scan inserts the best single grid kernel.
-        :class:`~mixfit.mldeconv.QuadLocalModel` warm-starts instead."""
-        return MixingMeasure.empty()
 
 
 @dataclass(frozen=True)
@@ -349,12 +343,7 @@ def _exchange(model, measure, new):
     return _reduce_to_cone(model, measure)
 
 
-def reoptimize_over_support(model, measure):
-    """Minimize ``phi`` over the cone spanned by the measure's own support."""
-    return _reduce_to_cone(model, measure)[0]
-
-
-def solve(model, config):
+def solve(model, config, start=None):
     """Minimize a cone objective by iterated support reduction.
 
     Parameters
@@ -363,6 +352,9 @@ def solve(model, config):
         Problem instance.
     config : SolverConfig
         Grid, tolerance, and iteration caps.
+    start : MixingMeasure, optional
+        Initial iterate; default is the empty measure, from which the
+        first scan inserts the best single grid kernel.
 
     Returns
     -------
@@ -371,7 +363,7 @@ def solve(model, config):
     trace : SolverTrace
     """
     grid = config.grid
-    f = model.start()
+    f = MixingMeasure.empty() if start is None else start
     trace = SolverTrace()
     pending_deletions = 0
     pending_inner = []

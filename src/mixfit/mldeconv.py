@@ -404,10 +404,6 @@ class QuadLocalModel(core.ConeObjective):
             "close to resolve, merge them")
         return SignedMixingMeasure(support, alpha)
 
-    def start(self):
-        """Warm start: reoptimize the expansion measure on its own support."""
-        return core.reoptimize_over_support(self, self.center)
-
     def segment_curvature(self, direction):
         """Exact curvature ``(1/n) sum (d_i h(x_i))^2 = h'M(S, S) h``."""
         S, h = direction.locations, direction.weights
@@ -441,40 +437,30 @@ def starting_iterate(sample, grid):
     return MixingMeasure.from_atoms(grid[nearest], np.diff(bounds) / x.size)
 
 
-_TIE_TOL = 1e-14
-
-
 def _damped_update(model, current, candidate, current_value):
     """Backtracked convex combination toward the quadratic minimizer.
 
-    Halves the step until the true objective strictly decreases and the
-    mixture stays positive at every observation.  When no strict
-    decrease is representable in floats (the remaining improvement is
-    quadratic in an already tiny certificate gap) the full step is
-    accepted as a tie provided the objective moves by at most
-    ``_TIE_TOL``; the caller certifies or aborts right after.  Returns
-    ``(measure, value, step, tied)``; raises
-    :class:`core.ConvergenceStall` if not even a tie is available.
+    Halves the step from 1 and returns the first trial, so the largest
+    step, whose true objective is at most 4 ulp above ``current_value``;
+    an infinite or NaN objective (the mixture vanishes at an observation)
+    never qualifies.  The step is ``tied`` unless its objective lies more
+    than 4 ulp below: near the optimum the remaining gain, quadratic in a
+    tiny certificate gap, is no longer representable, and the caller
+    certifies or stops right after.  When no trial of ``_MAX_HALVINGS``
+    qualifies, the current iterate returns as a tie at step 0.  Returns
+    ``(measure, value, step, tied)``.
     """
+    tol = 4.0 * np.spacing(abs(current_value))
     lam = 1.0
-    tie = None
     for _ in range(_MAX_HALVINGS):
         blend = combine(current, 1.0 - lam, candidate, lam)
         keep = blend.weights > 0.0
         trial = MixingMeasure(blend.locations[keep], blend.weights[keep])
         value = model.objective(trial)
-        if np.isfinite(value) and value < current_value:
-            return trial, value, lam, False
-        if tie is None and np.isfinite(value) \
-                and value <= current_value + _TIE_TOL:
-            tie = (trial, value, lam)
+        if value <= current_value + tol:
+            return trial, value, lam, not value < current_value - tol
         lam *= 0.5
-    if tie is not None:
-        return tie[0], tie[1], tie[2], True
-    raise core.ConvergenceStall(
-        "damped likelihood update stalled: no decrease after "
-        f"{_MAX_HALVINGS} halvings (objective {current_value:.12g}, "
-        f"support size {current.size})")
+    return current, current_value, 0.0, True
 
 
 def _newton_loop(model, start, config):
@@ -508,8 +494,8 @@ def _newton_loop(model, start, config):
             # failing the certificate after one means no representable
             # progress remains.
             logger.debug("likelihood iteration stalled at certificate gap "
-                         "%.3e: objective flat to %g and the certificate "
-                         "still fails", cert.gap, _TIE_TOL)
+                         "%.3e: objective flat to 4 ulp and the certificate "
+                         "still fails", cert.gap)
             break
         if it == config.max_outer_iter:
             logger.debug("Newton iteration cap %d reached, certificate gap %.3e",
@@ -526,13 +512,11 @@ def _newton_loop(model, start, config):
         alt0 = np.asarray(quad.alt_dir_deriv_vertex(grid, f))
         gap_q = max(0.0, -float(alt0.min()))
         eta_q = max(0.1 * config.eta, 1e-2 * gap_q)
-        candidate, inner_trace = core.solve(quad, replace(config, eta=eta_q))
-        try:
-            f_new, new_value, lam, tied_last = _damped_update(
-                model, f, candidate, value)
-        except core.ConvergenceStall as exc:
-            logger.debug("%s; stopping at certificate gap %.3e", exc, cert.gap)
-            break
+        # Warm start: the iterate re-solved on its own support.
+        candidate, inner_trace = core.solve(
+            quad, replace(config, eta=eta_q), core._reduce_to_cone(quad, f)[0])
+        f_new, new_value, lam, tied_last = _damped_update(
+            model, f, candidate, value)
         pending = (int(np.sum(inner_trace.deletions)), lam,
                    inner_trace.objective)
         logger.debug("Newton step %d: objective %.12g -> %.12g, lam %.3g, "
@@ -568,9 +552,10 @@ def newton_solve(sample, config, start=None):
     trace : core.SolverTrace
         One row per Newton iteration; ``step_size`` holds the damping
         factor and ``certificate`` the returned measure's certificate.
-        A run that hits the cap or stalls (a damped update without
-        decrease, or a flat step that fails the certificate) returns its
-        iterate with ``converged`` false; only losing every atom raises.
+        A run that hits the cap or stalls (a step whose objective is
+        flat to 4 ulp, or no step at all, and then fails the certificate)
+        returns its iterate with ``converged`` false; only losing every
+        atom raises.
     """
     model = sample if isinstance(sample, MlModel) else MlModel(sample)
     if start is None:

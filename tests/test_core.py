@@ -34,7 +34,6 @@ from mixfit.core import (
     check_optimality,
     cholesky_solve,
     min_alt_dir_deriv,
-    reoptimize_over_support,
     solve,
 )
 from mixfit.families import MixingMeasure, SignedMixingMeasure, combine
@@ -262,11 +261,16 @@ class TestReductionStep:
 
 
 class TestReoptimize:
+    """``minimize_over_support`` without new points re-solves the
+    measure on its own support."""
+
+    CONFIG = SolverConfig(grid=np.array([1.0]))
+
     def test_stationarity_and_descent(self):
         rng = np.random.default_rng(29)
         m = LsModel(rng.exponential(size=50))
         rough = MixingMeasure([0.4, 1.1, 2.0, 3.3], [0.1, 0.5, 0.2, 0.3])
-        f = reoptimize_over_support(m, rough)
+        f, _ = m.minimize_over_support(rough, self.CONFIG)
         assert m.objective(f) < m.objective(rough)
         for t in f.locations:
             assert abs(m.dir_deriv_vertex(float(t), f)) <= 1e-8
@@ -274,9 +278,9 @@ class TestReoptimize:
     def test_idempotent(self):
         rng = np.random.default_rng(31)
         m = LsModel(rng.exponential(size=50))
-        f = reoptimize_over_support(
-            m, MixingMeasure([0.4, 1.1, 2.0], [0.1, 0.5, 0.2]))
-        g = reoptimize_over_support(m, f)
+        f, _ = m.minimize_over_support(
+            MixingMeasure([0.4, 1.1, 2.0], [0.1, 0.5, 0.2]), self.CONFIG)
+        g, _ = m.minimize_over_support(f, self.CONFIG)
         assert_allclose(g.weights, f.weights, rtol=1e-12)
 
 
@@ -316,20 +320,13 @@ def _enumerate_optimum(model, grid, feas_tol=1e-8):
     return best
 
 
-class _OptimalStartLsModel(LsModel):
-    """Starts at one atom at 3 of weight 1, the optimum for a single
-    observation at 1."""
-
-    def start(self):
-        return MixingMeasure([3.0], [1.0])
-
-
 class TestSolve:
     def test_zero_iterations_when_start_is_optimal(self):
-        # single observation, grid {3}: the start is already the cone
-        # minimizer over that grid
-        m = _OptimalStartLsModel(np.array([1.0]))
-        f, trace = solve(m, SolverConfig(grid=np.array([3.0]), eta=1e-10))
+        # single observation, grid {3}: one atom at 3 of weight 1 is
+        # already the cone minimizer over that grid
+        m = LsModel(np.array([1.0]))
+        f, trace = solve(m, SolverConfig(grid=np.array([3.0]), eta=1e-10),
+                         start=MixingMeasure([3.0], [1.0]))
         assert trace.converged
         assert trace.n_iterations == 0
         assert_allclose(f.locations, [3.0])
@@ -380,11 +377,11 @@ class TestSolve:
 
 
 class _AtomRepickingModel(_ScriptedModel):
-    """One atom at 1.0, which the scan picks until its weight is 2.0;
-    the objective is ``(w - 2)^2`` summed over the atoms."""
+    """Started from one atom at 1.0 of weight 1.0, which the scan picks
+    until its weight is 2.0; the objective is ``(w - 2)^2`` summed over
+    the atoms."""
 
-    def start(self):
-        return MixingMeasure([1.0], [1.0])
+    START = MixingMeasure([1.0], [1.0])
 
     def objective(self, measure):
         return float(((measure.weights - 2.0) ** 2).sum())
@@ -401,7 +398,7 @@ class TestSolveInPlace:
 
     def test_resolve_adds_no_duplicate(self):
         m = _AtomRepickingModel({(1.0,): [2.0]})
-        f, trace = solve(m, self.CONFIG)
+        f, trace = solve(m, self.CONFIG, start=m.START)
         assert trace.converged and trace.n_iterations == 1
         assert m.calls == [(1.0,)]
         assert_allclose(f.weights, [2.0])
@@ -409,7 +406,7 @@ class TestSolveInPlace:
     def test_no_progress_stops_with_a_warning(self, caplog):
         m = _AtomRepickingModel({(1.0,): [1.0]})
         with caplog.at_level(logging.DEBUG, logger="mixfit.core"):
-            f, trace = solve(m, self.CONFIG)
+            f, trace = solve(m, self.CONFIG, start=m.START)
         assert not trace.converged and trace.n_iterations == 0
         assert m.calls == [(1.0,)]
         assert_allclose(f.weights, [1.0])
@@ -418,11 +415,10 @@ class TestSolveInPlace:
 
 
 class _DeletedInsertionModel(_ScriptedModel):
-    """One atom at 1.0; the scan always picks 2.0, which the reduction
-    deletes at once, so it returns the measure it started from."""
+    """Started from one atom at 1.0; the scan always picks 2.0, which the
+    reduction deletes at once, so it returns the measure it started from."""
 
-    def start(self):
-        return MixingMeasure([1.0], [1.0])
+    START = MixingMeasure([1.0], [1.0])
 
     def alt_dir_deriv_vertex(self, theta, measure):
         return np.where(theta == 2.0, -1.0, 0.5)
@@ -433,7 +429,7 @@ class TestSolveNoProgress:
         m = _DeletedInsertionModel({(1.0, 2.0): [1.0, -1.0], (1.0,): [1.0]})
         config = SolverConfig(grid=np.array([1.0, 2.0]), max_outer_iter=50)
         with caplog.at_level(logging.DEBUG, logger="mixfit.core"):
-            f, trace = solve(m, config)
+            f, trace = solve(m, config, start=m.START)
         assert m.calls == [(1.0, 2.0), (1.0,)]
         assert not trace.converged and trace.n_iterations == 0
         assert_allclose(f.locations, [1.0])
@@ -448,7 +444,7 @@ class TestSolveNoProgress:
         m = _DeletedInsertionModel({(1.0, 2.0): [np.nan], (2.0,): [1.0]},
                                    _first_moment)
         config = SolverConfig(grid=np.array([1.0, 2.0]), max_outer_iter=50)
-        f, trace = solve(m, config)
+        f, trace = solve(m, config, start=m.START)
         assert m.calls == [(1.0, 2.0), (2.0,), (2.0,)]
         assert not trace.converged and trace.n_iterations == 1
         assert trace.deletions == [0, 1]
@@ -462,7 +458,7 @@ class TestSolveNoProgress:
         m = _DeletedInsertionModel({(1.0, 2.0): [np.nan], (2.0,): [1.0],
                                     (1.0,): [1.0]})
         config = SolverConfig(grid=np.array([1.0, 2.0]), max_outer_iter=50)
-        f, trace = solve(m, config)
+        f, trace = solve(m, config, start=m.START)
         assert m.calls == [(1.0, 2.0), (2.0,), (1.0,)]
         assert not trace.converged and trace.n_iterations == 0
         assert_allclose(f.weights, [1.0])

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mixfit import gridless, pipeline
-from mixfit.core import SolverConfig, reoptimize_over_support, solve
+from mixfit.core import SolverConfig, _reduce_to_cone, solve
 from mixfit.families import MixingMeasure
 from mixfit.gridless import (
     _merge_close,
@@ -214,7 +214,7 @@ class TestLineSearch:
         # weights of the starting support.
         rng = np.random.default_rng(3)
         m = LsModel(rng.exponential(size=40))
-        f = reoptimize_over_support(m, MixingMeasure([0.8, 2.1], [0.5, 0.4]))
+        f = _reduce_to_cone(m, MixingMeasure([0.8, 2.1], [0.5, 0.4]))[0]
         step = _search(m, f)
         assert step is not None
         shifted, value = step

@@ -19,7 +19,7 @@ from scipy import optimize
 
 from mixfit import core, mldeconv, pipeline
 from mixfit.cli import main
-from mixfit.core import ConvergenceStall, SolverConfig, check_optimality
+from mixfit.core import SolverConfig, check_optimality
 from mixfit.families import (
     GaussianFamily,
     MixingMeasure,
@@ -805,13 +805,13 @@ class TestGramStore:
 
 
 class TestGridStageStall:
-    """A damped update that stalls ends the grid stage like the cap does:
-    the current iterate comes back uncertified instead of an exception."""
+    """A damped update that finds no step ends the grid stage like the cap
+    does: the current iterate comes back uncertified, not an exception."""
 
     @pytest.fixture
     def stalled(self, monkeypatch):
         def stall(model, current, candidate, current_value):
-            raise ConvergenceStall("damped likelihood update stalled")
+            return current, current_value, 0.0, True
 
         monkeypatch.setattr(mldeconv, "_damped_update", stall)
         x = np.random.default_rng(47).normal(size=60) + 1.0
@@ -825,7 +825,9 @@ class TestGridStageStall:
         assert np.array_equal(f.locations, start.locations)
         assert np.array_equal(f.weights, start.weights)
         assert not trace.converged
-        assert trace.n_iterations == 0
+        # the step-0 tie is recorded, then its certificate fails
+        assert trace.n_iterations == 1
+        assert trace.step_size[1] == 0.0
         fresh = check_optimality(MlModel(x), start, config.grid, config.eta,
                                  config.support_tol)
         assert trace.certificate == fresh
@@ -895,7 +897,50 @@ class TestDampedUpdate:
             model, self.CURRENT, self.CANDIDATE, 5.0)
         assert tied and lam == 1.0 and value == 5.0
 
+    def test_one_ulp_decrease_is_a_tie(self):
+        model = _RiggedObjective(lambda lam: np.nextafter(5.0, 0.0))
+        trial, value, lam, tied = _damped_update(
+            model, self.CURRENT, self.CANDIDATE, 5.0)
+        assert tied and lam == 1.0 and value < 5.0
+
     def test_stall_when_objective_always_worse(self):
         model = _RiggedObjective(lambda lam: 5.0 + max(lam, 1e-3))
-        with pytest.raises(ConvergenceStall, match="halvings"):
-            _damped_update(model, self.CURRENT, self.CANDIDATE, 5.0)
+        trial, value, lam, tied = _damped_update(
+            model, self.CURRENT, self.CANDIDATE, 5.0)
+        assert trial is self.CURRENT
+        assert (value, lam, tied) == (5.0, 0.0, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), current_value=st.sampled_from(
+        [5.0, 2.730203582645328, -0.75, 1e-300, 0.0, 3e5]))
+    def test_largest_step_within_four_ulp(self, data, current_value):
+        # trial k (step 2**-k) scores values[k]; past the drawn ones every
+        # trial scores ``rest``
+        ulp = np.spacing(abs(current_value))
+        tol = 4.0 * ulp
+        score = st.one_of(
+            st.sampled_from([np.inf, np.nan]),
+            st.integers(-12, 12).map(lambda j: current_value + j * ulp),
+            st.floats(1e-6, 10.0).map(lambda d: current_value - d))
+        values = data.draw(st.lists(score, max_size=mldeconv._MAX_HALVINGS))
+        rest = data.draw(st.sampled_from(
+            [np.inf, np.nan, current_value + 5 * ulp]))
+
+        def fn(lam):
+            k = round(-math.log2(lam))
+            return values[k] if k < len(values) else rest
+
+        trial, value, lam, tied = _damped_update(
+            _RiggedObjective(fn), self.CURRENT, self.CANDIDATE, current_value)
+        scores = [fn(2.0**-k) for k in range(mldeconv._MAX_HALVINGS)]
+        ok = [k for k, v in enumerate(scores) if v <= current_value + tol]
+        if not ok:
+            assert trial is self.CURRENT
+            assert (value, lam, tied) == (current_value, 0.0, True)
+            return
+        assert lam == 2.0**-ok[0]
+        assert value == scores[ok[0]] <= current_value + tol
+        assert tied == (not value < current_value - tol)
+        if not tied:
+            assert value < current_value - tol
+        assert_allclose(trial.weights[trial.locations == 1.0], [lam])

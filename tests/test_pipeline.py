@@ -225,7 +225,7 @@ class TestMinimizeOverSupport:
         model, measure, config, _ = _coarse_optimum("convex-ls")
         start = MixingMeasure(measure.locations, 1.1 * measure.weights)
         f, value = model.minimize_over_support(start, config)
-        expected = core.reoptimize_over_support(model, start)
+        expected = core._reduce_to_cone(model, start)[0]
         np.testing.assert_array_equal(f.locations, expected.locations)
         np.testing.assert_array_equal(f.weights, expected.weights)
         assert value == model.objective(expected)
