@@ -62,8 +62,8 @@ class ConeObjective(ABC):
     Concrete models supply the objective, the directional derivative
     toward single kernels and the unrestricted (signed) minimizer over a
     finite support.  All derivative evaluators are vectorized over the
-    parameter argument.  Where :func:`solve` starts is its caller's
-    argument, not part of the model.
+    parameter argument.  Where :func:`solve` starts, and its local step
+    after each reduction, are its caller's arguments, not the model's.
     """
 
     #: the kernel family generating the cone
@@ -94,6 +94,11 @@ class ConeObjective(ABC):
         exactly the given support points, zero weights included.
         """
 
+    def minimize_over_support(self, measure, config, theta=()):
+        """Minimum over the cone of the atoms and ``theta``, from the
+        measure's weights: ``(measure, deletions, inner_objectives)``."""
+        return _reduce_to_cone(self, measure, theta)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -104,21 +109,21 @@ class SolverConfig:
     grid : ndarray
         Strictly increasing candidate parameter values.
     eta : float
-        Termination threshold: stop once the minimal (rescaled)
-        directional derivative over the grid exceeds ``-eta``.
+        Grid half of the stop rule: the minimal (rescaled) directional
+        derivative over the grid must be at least ``-eta``.
     max_outer_iter : int
-        Cap on outer iterations; hitting it returns the best iterate
-        with ``converged=False``.
+        Cap on outer iterations, also of the refinement's solve;
+        hitting it returns the last iterate with ``converged=False``.
     gridless_enabled : bool
         Whether to run the off-grid support refinement after the grid
         solve.
     gridless_tol : float
-        Stop refinement once the location-gradient norm falls below
+        Stop each polish once the location-gradient norm falls below
         this value.  The step cap is the constant
         ``gridless._MAX_STEPS``.
     support_tol : float
-        Stationarity tolerance on the support used by optimality
-        certificates issued while solving.
+        Support half of the stop rule and of the certificates issued
+        while solving: a bound on the atoms' absolute raw derivatives.
     """
 
     grid: np.ndarray
@@ -217,6 +222,13 @@ class OptimalityCertificate:
         if self.passed:
             return 0.0
         return max(0.0, -self.min_grid_alt, self.max_abs_support)
+
+
+def _max_abs_support(model, measure):
+    """Largest absolute raw derivative at the atoms, 0 without atoms."""
+    if measure.size == 0:
+        return 0.0
+    return float(np.abs(model.dir_deriv_vertex(measure.locations, measure)).max())
 
 
 def min_alt_dir_deriv(model, measure, grid):
@@ -343,36 +355,45 @@ def _exchange(model, measure, new):
     return _reduce_to_cone(model, measure)
 
 
-def solve(model, config, start=None):
+def solve(model, config, start=None, local=None):
     """Minimize a cone objective by iterated support reduction.
+
+    Each iteration adds the grid argmin of the rescaled derivative and
+    reduces through ``model.minimize_over_support``.  It stops once both
+    halves of the certificate pass (grid minimum at least ``-eta``, no
+    atom's absolute raw derivative above ``support_tol``), when a
+    reduction returns its start, or at ``max_outer_iter`` iterations.
 
     Parameters
     ----------
     model : ConeObjective
         Problem instance.
     config : SolverConfig
-        Grid, tolerance, and iteration caps.
+        Grid, tolerances, and iteration cap.
     start : MixingMeasure, optional
         Initial iterate; default is the empty measure, from which the
         first scan inserts the best single grid kernel.
+    local : callable, optional
+        Local step ``measure -> measure`` taken after each reduction
+        that made progress, such as an off-grid polish of the atoms.
 
     Returns
     -------
     measure : MixingMeasure
         Final iterate (global cone minimizer when ``trace.converged``).
     trace : SolverTrace
+        One row per iterate; the last row is the returned measure.
     """
     grid = config.grid
     f = MixingMeasure.empty() if start is None else start
     trace = SolverTrace()
-    pending_deletions = 0
-    pending_inner = []
+    pending_deletions, pending_inner = 0, []
 
     for it in range(config.max_outer_iter + 1):
         theta_hat, val = min_alt_dir_deriv(model, f, grid)
         trace.append(model.objective(f), f.size, val, pending_deletions,
                      np.nan, pending_inner)
-        if val >= -config.eta:
+        if val >= -config.eta and _max_abs_support(model, f) <= config.support_tol:
             trace.converged = True
             logger.debug("converged after %d outer iterations, min derivative %.3e",
                          it, val)
@@ -385,14 +406,14 @@ def solve(model, config, start=None):
                      it, trace.objective[-1], f.size, val, theta_hat)
         # A scan that picks an atom re-solves in place.  A reduction that
         # returns its start would return it again after the next scan.
-        f_new, pending_deletions, pending_inner = _reduce_to_cone(
-            model, f, theta_hat)
+        f_new, pending_deletions, pending_inner = model.minimize_over_support(
+            f, config, theta_hat)
         if f_new.size == f.size and (f_new.locations == f.locations).all() \
                 and (f_new.weights == f.weights).all():
             logger.debug("no progress: the reduction returned its start; "
-                         "stopping with certificate gap %.3e", -val)
+                         "stopping at grid minimum %.3e", val)
             break
-        f = f_new
+        f = f_new if local is None else local(f_new)
 
     return f, trace
 
@@ -416,17 +437,11 @@ def check_optimality(model, measure, grid, tol, support_tol=None):
     else:
         raw = np.asarray(model.dir_deriv_vertex(grid, measure), dtype=float)
     idx = int(np.argmin(alt))
-    if measure.size:
-        at_support = np.abs(np.asarray(
-            model.dir_deriv_vertex(measure.locations, measure), dtype=float))
-        max_abs = float(at_support.max())
-    else:
-        max_abs = 0.0
     return OptimalityCertificate(
         min_grid_alt=float(alt[idx]),
         min_grid_raw=float(raw.min()),
         argmin_theta=float(grid[idx]),
-        max_abs_support=max_abs,
+        max_abs_support=_max_abs_support(model, measure),
         support_size=measure.size,
         grid_tol=float(tol),
         support_tol=float(support_tol),

@@ -6,8 +6,8 @@ eigenvalues taken in absolute value.  The step keeps the atoms in order,
 the weights nonnegative and the locations inside ``domain``, merges
 atoms closer than ``_MERGE_GAP`` of its width, and is halved until the
 objective strictly drops.  The loop stops when the location gradient,
-``tau_gradient``, is small; one weight polish closes it.  Atoms can be
-deleted or merged but never added.
+``tau_gradient``, is small; one weight polish closes it.  It never adds
+atoms; ``core.solve`` does, when it runs this polish as its local step.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ class FineTuneTrace:
 
     ``objective`` holds the value at the start, after every accepted
     step and after the closing weight polish, so monotone descent across
-    the whole stage is checkable.  ``insertions`` counts the atoms the
-    fitting pipeline inserted between polishes whose records this one
-    holds.
+    the whole stage is checkable.  The fitting pipeline holds all its
+    polishes in one, and ``insertions`` counts the reductions between them.
     """
 
     objective: list = field(default_factory=list)
@@ -128,12 +127,12 @@ def fine_tune(model, measure, config):
 
     ``model`` provides ``newton_system`` (gradient and Hessian over the
     locations, then the weights), a weight polish
-    ``minimize_over_support`` returning ``(measure, objective)`` and a
-    finite parameter interval ``domain``.  The run stops once the
-    location gradient norm is at most ``config.gridless_tol`` or after
-    ``_MAX_STEPS`` steps, and returns the measure and its trace.  Steps,
-    merges included, are accepted only on strict decrease, so the
-    objective never rises and the support never grows.
+    ``minimize_over_support`` whose first return value is the polished
+    measure, and a finite parameter interval ``domain``.  The run stops
+    once the location gradient norm is at most ``config.gridless_tol``
+    or after ``_MAX_STEPS`` steps, and returns the measure and its
+    trace.  Steps, merges included, are accepted only on strict
+    decrease, so the objective never rises and the support never grows.
     """
     trace = FineTuneTrace()
     f = measure
@@ -162,6 +161,6 @@ def fine_tune(model, measure, config):
                      "objective %.12g", trace.steps, norm, f.size, value)
     else:
         trace.stop_reason = "step cap reached"
-    f, value = model.minimize_over_support(f, config)
-    trace.objective.append(value)
+    f = model.minimize_over_support(f, config)[0]
+    trace.objective.append(model.objective(f))
     return f, trace

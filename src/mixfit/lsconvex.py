@@ -206,9 +206,3 @@ class LsModel(core.ConeObjective):
         h_tt = np.outer(w, w) * Q + np.diag(w * (R @ w - d2b))
         h_tw = w[:, None] * P + np.diag(pw)
         return grad, np.block([[h_tt, h_tw], [h_tw.T, G]])
-
-    def minimize_over_support(self, measure, config, theta=()):
-        """Exact minimum over the cone of the support and ``theta``,
-        from the measure's weights: ``(measure, objective)``."""
-        f = core._reduce_to_cone(self, measure, theta)[0]
-        return f, self.objective(f)

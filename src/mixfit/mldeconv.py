@@ -237,12 +237,12 @@ class MlModel:
         """Minimize ``ml`` over the cone of the support and ``theta``.
 
         Runs the Newton loop from the measure on the atoms and ``theta``
-        as its grid.  Returns ``(measure, objective)``: the loop's last
-        iterate, certified or not, and the objective the loop evaluated.
+        as its grid.  Returns the loop's last iterate, certified or not, the
+        grid points it drops, and the objectives after its Newton steps.
         """
         grid = np.union1d(measure.locations, theta)
         result, trace = _newton_loop(self, measure, replace(config, grid=grid))
-        return result, trace.objective[-1]
+        return result, grid.size - result.size, trace.objective[1:]
 
 
 class QuadLocalModel(core.ConeObjective):
@@ -513,8 +513,8 @@ def _newton_loop(model, start, config):
         gap_q = max(0.0, -float(alt0.min()))
         eta_q = max(0.1 * config.eta, 1e-2 * gap_q)
         # Warm start: the iterate re-solved on its own support.
-        candidate, inner_trace = core.solve(
-            quad, replace(config, eta=eta_q), core._reduce_to_cone(quad, f)[0])
+        start = quad.minimize_over_support(f, config)[0]
+        candidate, inner_trace = core.solve(quad, replace(config, eta=eta_q), start)
         f_new, new_value, lam, tied_last = _damped_update(
             model, f, candidate, value)
         pending = (int(np.sum(inner_trace.deletions)), lam,

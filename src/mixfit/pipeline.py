@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expm1, gammainc, ndtr
@@ -47,9 +47,6 @@ logger = logging.getLogger("mixfit.pipeline")
 
 #: resolution of the x-axis for density and distribution curve files
 _CURVE_POINTS = 512
-
-#: cap on the atoms the refinement stage inserts after its first polish
-_MAX_INSERTIONS = 20
 
 SIMULATION_KINDS = ("exponential", "exp-normal-mixture")
 
@@ -163,10 +160,9 @@ class ModelSpec:
     ``grid_size`` points on the model's ``domain``.  ``nonnegative``
     makes :func:`ingest` reject negative data.  ``solve(model, config)``
     runs the grid stage.  Refinement also scans ``scan_points`` points
-    of the ``domain``; the weights are re-solved by the model itself,
-    whose ``minimize_over_support(measure, config, theta)`` both closes
-    each polish and takes up an inserted atom ``theta``.  ``mixing_cdf``
-    and ``density`` are the reference curves of the model's canonical
+    of the ``domain``, and the model's ``minimize_over_support`` both
+    re-solves its weights and closes each polish.  ``mixing_cdf`` and
+    ``density`` are the reference curves of the model's canonical
     experiment.
     """
 
@@ -252,8 +248,12 @@ class FitResult:
     certificate: core.OptimalityCertificate
     config: core.SolverConfig
     fine_tune_trace: gridless.FineTuneTrace | None = None
-    grid_support_size: int = 0
     wall_time: float = 0.0
+
+    @property
+    def grid_support_size(self):
+        """Atoms of the grid stage's measure, its trace's last row."""
+        return self.trace.support_size[-1]
 
     @property
     def converged(self):
@@ -306,15 +306,14 @@ class FitResult:
 def fit(model_kind, sample, config):
     """Fit a bundled model end to end.
 
-    Runs the model's grid solve and, when ``config.gridless_enabled`` is
-    set and the grid solve converged, refinement: a Newton polish, then,
-    while a scan of the grid (for ``convex-ls`` also of 4 001 points of
-    the domain) fails, insertion of its argmin, a weight re-solve and
-    another polish, at most ``_MAX_INSERTIONS`` times and only while the
-    argmin is not already an atom.  Returns the certificate at
-    ``config.eta`` and ``config.support_tol`` on the grid: the last
-    stage's own when it issued one, a fresh one otherwise.
-    Logs one info line per stage it runs.
+    Runs the model's grid stage and, when ``config.gridless_enabled`` is
+    set and the grid stage converged, refinement: :func:`core.solve` over
+    the grid (for ``convex-ls`` also 4 001 points of the domain) from the
+    polished grid solution, with :func:`gridless.fine_tune` as the polish
+    after each reduction.  Returns the certificate at ``config.eta`` and
+    ``config.support_tol`` on the grid: the grid stage's own when it
+    issued one and refinement did not run, a fresh one otherwise.  Logs
+    one info line per stage it runs.
     """
     spec = model_spec(model_kind)
     started = time.perf_counter()
@@ -323,35 +322,28 @@ def fit(model_kind, sample, config):
     logger.info("grid stage %s after %d iterations with %d atoms",
                 "converged" if trace.converged else "did not converge",
                 trace.n_iterations, measure.size)
-    grid_support = measure.size
     cert, ft_trace = trace.certificate, None
     if config.gridless_enabled and trace.converged:
-        measure, ft_trace = gridless.fine_tune(model, measure, config)
+        ft_trace = gridless.FineTuneTrace()
+
+        def polish(f):
+            f, more = gridless.fine_tune(model, f, config)
+            ft_trace.objective += more.objective
+            ft_trace.steps += more.steps
+            ft_trace.converged, ft_trace.stop_reason = more.converged, more.stop_reason
+            return f
+
         scan = config.grid
         if spec.scan_points:
             scan = np.union1d(scan, build_grid(
                 *model.domain, spec.scan_points, model.family))
-        while True:
-            cert = core.check_optimality(model, measure, scan, config.eta,
-                                         config.support_tol)
-            # An argmin that is already an atom adds nothing: the polish
-            # closed with that very re-solve.
-            if (cert.passed or ft_trace.insertions == _MAX_INSERTIONS
-                    or cert.argmin_theta in measure.locations):
-                break
-            measure, _ = model.minimize_over_support(measure, config,
-                                                    cert.argmin_theta)
-            measure, more = gridless.fine_tune(model, measure, config)
-            ft_trace.insertions += 1
-            ft_trace.objective += more.objective
-            ft_trace.steps += more.steps
-            ft_trace.converged = more.converged
-            ft_trace.stop_reason = more.stop_reason
+        measure, refined = core.solve(model, replace(config, grid=scan),
+                                      polish(measure), polish)
+        ft_trace.insertions = refined.n_iterations
         logger.info("refinement stopped after %d steps and %d insertions "
                     "with %d atoms: %s", ft_trace.steps, ft_trace.insertions,
                     measure.size, ft_trace.stop_reason)
-        if scan is not config.grid:
-            cert = None
+        cert = None
     if cert is None:
         cert = core.check_optimality(model, measure, config.grid, config.eta,
                                      config.support_tol)
@@ -359,7 +351,7 @@ def fit(model_kind, sample, config):
                 "passed" if cert.passed else "failed", cert.min_grid_alt,
                 cert.max_abs_support)
     return FitResult(model_kind, model, measure, trace, cert, config,
-                     ft_trace, grid_support, time.perf_counter() - started)
+                     ft_trace, time.perf_counter() - started)
 
 
 # -- curves --------------------------------------------------------------

@@ -25,6 +25,7 @@ from mixfit.baselines import (
     vertex_exchange_step,
 )
 from mixfit.core import (
+    ConeObjective,
     ConvergenceStall,
     OptimalityCertificate,
     SingularSystem,
@@ -69,9 +70,10 @@ class TestMinAltScan:
             min_alt_dir_deriv(m, SignedMixingMeasure.empty(), np.array([1.0, 2.0]))
 
 
-class _ScriptedModel:
+class _ScriptedModel(ConeObjective):
     """Returns pre-scripted signed minimizers keyed on the support; the
-    objective is ``value(measure)``, 0 by default."""
+    objective is ``value(measure)``, 0 by default, and every atom is
+    stationary."""
 
     def __init__(self, script, value=lambda measure: 0.0):
         self.script = {tuple(k): np.asarray(v, dtype=float)
@@ -89,6 +91,9 @@ class _ScriptedModel:
 
     def objective(self, measure):
         return self.value(measure)
+
+    def dir_deriv_vertex(self, theta, measure):
+        return np.zeros(np.shape(theta))
 
 
 def _first_moment(measure):
@@ -270,7 +275,8 @@ class TestReoptimize:
         rng = np.random.default_rng(29)
         m = LsModel(rng.exponential(size=50))
         rough = MixingMeasure([0.4, 1.1, 2.0, 3.3], [0.1, 0.5, 0.2, 0.3])
-        f, _ = m.minimize_over_support(rough, self.CONFIG)
+        f, deletions, _ = m.minimize_over_support(rough, self.CONFIG)
+        assert f.size + deletions == rough.size
         assert m.objective(f) < m.objective(rough)
         for t in f.locations:
             assert abs(m.dir_deriv_vertex(float(t), f)) <= 1e-8
@@ -278,9 +284,10 @@ class TestReoptimize:
     def test_idempotent(self):
         rng = np.random.default_rng(31)
         m = LsModel(rng.exponential(size=50))
-        f, _ = m.minimize_over_support(
-            MixingMeasure([0.4, 1.1, 2.0], [0.1, 0.5, 0.2]), self.CONFIG)
-        g, _ = m.minimize_over_support(f, self.CONFIG)
+        f = m.minimize_over_support(
+            MixingMeasure([0.4, 1.1, 2.0], [0.1, 0.5, 0.2]), self.CONFIG)[0]
+        g, deletions, _ = m.minimize_over_support(f, self.CONFIG)
+        assert deletions == 0
         assert_allclose(g.weights, f.weights, rtol=1e-12)
 
 
@@ -412,6 +419,64 @@ class TestSolveInPlace:
         assert_allclose(f.weights, [1.0])
         assert [r.levelno for r in caplog.records
                 if "no progress" in r.getMessage()] == [logging.DEBUG]
+
+
+class TestSolveLocalStep:
+    """``local`` follows every reduction that made progress."""
+
+    CONFIG = SolverConfig(grid=np.array([0.5, 1.0, 1.5]), max_outer_iter=50)
+
+    def test_runs_after_each_progressive_reduction(self):
+        m = _AtomRepickingModel({(1.0,): [2.0]})
+        seen = []
+        f, trace = solve(m, self.CONFIG, start=m.START,
+                         local=lambda g: seen.append(g) or g)
+        assert trace.converged and trace.n_iterations == 1
+        assert [g.weights.tolist() for g in seen] == [[2.0]]
+        assert seen[-1] is f
+
+    def test_skipped_when_the_reduction_returns_its_start(self):
+        m = _AtomRepickingModel({(1.0,): [1.0]})
+        seen = []
+        f, trace = solve(m, self.CONFIG, start=m.START,
+                         local=lambda g: seen.append(g) or g)
+        assert not trace.converged and seen == []
+
+
+class _UnstationaryModel(_ScriptedModel):
+    """Started from one atom at 1.0 of weight 1.0; the scan passes on
+    every measure, but the atom is stationary only at weight 2.0."""
+
+    START = MixingMeasure([1.0], [1.0])
+
+    def alt_dir_deriv_vertex(self, theta, measure):
+        return np.where(theta == 1.0, 0.0, 0.5)
+
+    def dir_deriv_vertex(self, theta, measure):
+        done = measure.size == 1 and measure.weights[0] == 2.0
+        return np.full(np.shape(theta), 0.0 if done else 1e-3)
+
+
+class TestSolveSupportHalf:
+    """``solve`` stops only when both halves of the certificate pass."""
+
+    def test_failing_support_reduces_again(self):
+        m = _UnstationaryModel({(1.0,): [2.0]})
+        config = SolverConfig(grid=np.array([0.5, 1.0, 1.5]), eta=1e-8,
+                              support_tol=1e-8)
+        f, trace = solve(m, config, start=m.START)
+        assert trace.min_alt_deriv[0] >= -config.eta    # grid half passes
+        assert trace.converged and trace.n_iterations == 1
+        assert m.calls == [(1.0,)]
+        assert_allclose(f.weights, [2.0])
+
+    def test_support_failure_alone_stays_uncertified(self):
+        # the re-solve returns its start: no progress, not converged
+        m = _UnstationaryModel({(1.0,): [1.0]})
+        config = SolverConfig(grid=np.array([0.5, 1.0, 1.5]))
+        f, trace = solve(m, config, start=m.START)
+        assert not trace.converged and trace.n_iterations == 0
+        assert not check_optimality(m, f, config.grid, config.eta).passed
 
 
 class _DeletedInsertionModel(_ScriptedModel):

@@ -40,16 +40,19 @@ class TestConverged:
         assert "converged: false" in report
         assert "cert_passed: false" in report
 
-    def test_no_insertions_leaves_descent_uncertified(self, monkeypatch):
+    def test_no_insertions_leaves_descent_uncertified(self):
         # Without re-insertion the polish of criterion-5 seed 2 stops at a
         # stationary point that a grid kernel still descends from.
-        monkeypatch.setattr(pipeline, "_MAX_INSERTIONS", 0)
         x, config = _ls_refined_problem(2)
-        result = pipeline.fit("convex-ls", x, config)
-        assert result.fine_tune_trace.insertions == 0
-        assert result.fine_tune_trace.converged
-        assert result.certificate.min_grid_alt < -1e-8
-        assert not result.converged
+        model = LsModel(x)
+        measure, trace = core.solve(model, config)
+        assert trace.converged
+        polished, ft_trace = gridless.fine_tune(model, measure, config)
+        assert ft_trace.converged
+        cert = core.check_optimality(model, polished, config.grid,
+                                     config.eta, config.support_tol)
+        assert cert.min_grid_alt < -1e-8
+        assert not cert.passed
 
     def test_passing_certificate_is_converged(self):
         # The polish of this sample stops on a failed line search, but
@@ -144,6 +147,14 @@ class TestRefinementCertifies:
         assert result.fine_tune_trace.insertions <= 13
         assert not result.converged
 
+    def test_near_zero_sample_certifies_after_many_insertions(self):
+        # Near-0 data whose refinement needs 25 insertions to certify.
+        rng = np.random.default_rng(59)
+        x = rng.uniform(size=rng.integers(3, 200)) ** 3
+        result = pipeline.fit("convex-ls", x, _default_config("convex-ls", x))
+        assert result.fine_tune_trace.insertions > 20
+        assert result.converged
+
     def test_zero_observation_is_a_clear_error(self):
         # Rounding puts observations at 0, where the least squares
         # criterion is unbounded below; refinement used to chase an atom
@@ -212,23 +223,26 @@ class TestMinimizeOverSupport:
     @pytest.mark.parametrize("kind", ["convex-ls", "deconv-ml"])
     def test_inserted_atom_joins_an_optimal_support(self, kind):
         model, measure, config, theta = _coarse_optimum(kind)
-        f, value = model.minimize_over_support(measure, config, theta)
+        f, deletions, inner = model.minimize_over_support(measure, config,
+                                                          theta)
         support = np.union1d(measure.locations, theta)
         assert np.isin(f.locations, support).all()
+        assert f.size + deletions == support.size
         cert = core.check_optimality(model, f, support, config.eta,
                                      config.support_tol)
         assert cert.passed
-        assert value < model.objective(measure)
+        assert all(v < model.objective(measure) for v in inner)
         assert model.objective(f) < model.objective(measure)
 
     def test_ls_without_theta_is_the_support_polish(self):
         model, measure, config, _ = _coarse_optimum("convex-ls")
         start = MixingMeasure(measure.locations, 1.1 * measure.weights)
-        f, value = model.minimize_over_support(start, config)
-        expected = core._reduce_to_cone(model, start)[0]
+        f, deletions, inner = model.minimize_over_support(start, config)
+        expected, expected_deletions, expected_inner = \
+            core._reduce_to_cone(model, start)
         np.testing.assert_array_equal(f.locations, expected.locations)
         np.testing.assert_array_equal(f.weights, expected.weights)
-        assert value == model.objective(expected)
+        assert (deletions, inner) == (expected_deletions, expected_inner)
 
 
 class TestSpecTable:
