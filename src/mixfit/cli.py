@@ -79,7 +79,7 @@ def simulate(kind, n, seed, out):
 @click.option("--eta", type=float, default=None,
               help="Certificate tolerance (default: model rule).")
 @click.option("--max-iter", type=int, default=10_000,
-              help="Outer iteration cap.")
+              help="Outer iteration cap, also on refinement's insertions.")
 @click.option("--gridless/--no-gridless", default=True,
               help="Off-grid support refinement (default: on).")
 @click.option("--gridless-tol", type=float, default=1e-6,

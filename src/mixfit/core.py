@@ -112,7 +112,7 @@ class SolverConfig:
         Grid half of the stop rule: the minimal (rescaled) directional
         derivative over the grid must be at least ``-eta``.
     max_outer_iter : int
-        Cap on outer iterations, also of the refinement's solve;
+        Cap on outer iterations, also on the refinement's insertions;
         hitting it returns the last iterate with ``converged=False``.
     gridless_enabled : bool
         Whether to run the off-grid support refinement after the grid
@@ -362,7 +362,9 @@ def solve(model, config, start=None, local=None):
     reduces through ``model.minimize_over_support``.  It stops once both
     halves of the certificate pass (grid minimum at least ``-eta``, no
     atom's absolute raw derivative above ``support_tol``), when a
-    reduction returns its start, or at ``max_outer_iter`` iterations.
+    reduction returns its start or a round (reduction and local step)
+    lowers neither the objective nor the grid minimum's deficit, or at
+    ``max_outer_iter`` iterations.
 
     Parameters
     ----------
@@ -393,14 +395,14 @@ def solve(model, config, start=None, local=None):
         theta_hat, val = min_alt_dir_deriv(model, f, grid)
         trace.append(model.objective(f), f.size, val, pending_deletions,
                      np.nan, pending_inner)
-        if val >= -config.eta and _max_abs_support(model, f) <= config.support_tol:
-            trace.converged = True
-            logger.debug("converged after %d outer iterations, min derivative %.3e",
-                         it, val)
-            break
-        if it == config.max_outer_iter:
-            logger.debug("outer iteration cap %d reached, min derivative %.3e",
-                         config.max_outer_iter, val)
+        trace.converged = (val >= -config.eta
+                           and _max_abs_support(model, f) <= config.support_tol)
+        stalled = it and trace.objective[-1] >= trace.objective[-2] \
+            and val <= trace.min_alt_deriv[-2]
+        if trace.converged or stalled or it == config.max_outer_iter:
+            logger.debug("%s after %d outer iterations, min derivative %.3e",
+                         "converged" if trace.converged else "stalled" if stalled
+                         else "iteration cap reached", it, val)
             break
         logger.debug("iter %d: objective %.12g, support %d, min deriv %.3e at %.6g",
                      it, trace.objective[-1], f.size, val, theta_hat)
@@ -410,8 +412,7 @@ def solve(model, config, start=None, local=None):
             f, config, theta_hat)
         if f_new.size == f.size and (f_new.locations == f.locations).all() \
                 and (f_new.weights == f.weights).all():
-            logger.debug("no progress: the reduction returned its start; "
-                         "stopping at grid minimum %.3e", val)
+            logger.debug("no progress: the reduction returned its start")
             break
         f = f_new if local is None else local(f_new)
 
@@ -429,8 +430,7 @@ def check_optimality(model, measure, grid, tol, support_tol=None):
     its raw one is scanned once.
     """
     grid = np.asarray(grid, dtype=float)
-    if support_tol is None:
-        support_tol = tol
+    support_tol = tol if support_tol is None else support_tol
     alt = np.asarray(model.alt_dir_deriv_vertex(grid, measure), dtype=float)
     if type(model).alt_dir_deriv_vertex is type(model).dir_deriv_vertex:
         raw = alt

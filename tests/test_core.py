@@ -443,6 +443,56 @@ class TestSolveLocalStep:
         assert not trace.converged and seen == []
 
 
+class _CyclingModel(_ScriptedModel):
+    """Started from one atom at 1.0; after k reductions the scan picks
+    2.0 at ``-deficit(k)``, and the reduction keeps it, so a local step
+    that undoes it cycles."""
+
+    START = MixingMeasure([1.0], [1.0])
+
+    def __init__(self, value, deficit=lambda k: 1.0):
+        super().__init__({(1.0, 2.0): [0.5, 0.5]}, value)
+        self.deficit = deficit
+
+    def alt_dir_deriv_vertex(self, theta, measure):
+        return np.where(theta == 2.0, -self.deficit(len(self.calls)), 0.5)
+
+
+class TestSolveStall:
+    """A round that lowers neither the objective nor the grid minimum's
+    deficit stops ``solve``, so a cycling local step cannot run on to
+    ``max_outer_iter``."""
+
+    CONFIG = SolverConfig(grid=np.array([1.0, 2.0]), max_outer_iter=50)
+
+    @pytest.mark.parametrize("rise", [0.0, 1.0])
+    def test_cycling_local_step_stops(self, rise, caplog):
+        rows = itertools.count(0.0, rise)
+        m = _CyclingModel(lambda f: next(rows))
+        seen = []
+        with caplog.at_level(logging.DEBUG, logger="mixfit.core"):
+            f, trace = solve(m, self.CONFIG, start=m.START,
+                             local=lambda g: seen.append(g) or m.START)
+        assert not trace.converged and trace.n_iterations == 1
+        assert m.calls == [(1.0, 2.0)]
+        assert [g.locations.tolist() for g in seen] == [[1.0, 2.0]]
+        assert f is m.START
+        assert any(r.getMessage().startswith("stalled") for r in caplog.records)
+
+    @pytest.mark.parametrize("fall, deficit", [
+        (-1.0, lambda k: 1.0),              # the objective falls
+        (0.0, lambda k: 1.0 / (k + 1)),     # the grid minimum rises
+    ])
+    def test_progress_runs_on(self, fall, deficit):
+        rows = itertools.count(0.0, fall)
+        m = _CyclingModel(lambda f: next(rows), deficit)
+        seen = []
+        f, trace = solve(m, self.CONFIG, start=m.START,
+                         local=lambda g: seen.append(g) or m.START)
+        assert not trace.converged
+        assert trace.n_iterations == len(seen) == self.CONFIG.max_outer_iter
+
+
 class _UnstationaryModel(_ScriptedModel):
     """Started from one atom at 1.0 of weight 1.0; the scan passes on
     every measure, but the atom is stationary only at weight 2.0."""

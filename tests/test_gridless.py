@@ -339,6 +339,7 @@ class TestWeightPolish:
         assert polished.size + deletions == shifted.size
         values = [model.objective(shifted), *inner, model.objective(polished)]
         assert np.all(np.diff(values) <= 1e-12 * abs(values[0]))
+        assert values[-1] <= values[0]
 
 
 class TestFineTune:
