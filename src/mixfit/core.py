@@ -34,7 +34,6 @@ __all__ = [
     "SolverConfig",
     "SolverTrace",
     "OptimalityCertificate",
-    "ConvergenceStall",
     "SingularSystem",
     "min_alt_dir_deriv",
     "cholesky_solve",
@@ -44,12 +43,9 @@ __all__ = [
 
 logger = logging.getLogger("mixfit.core")
 
-#: Atoms below this weight are dropped after optimization steps.
+#: Every trial measure (reduction, damped likelihood step, refinement
+#: line search) drops the atoms whose weight is below this.
 PURGE_THRESHOLD = 1e-12
-
-
-class ConvergenceStall(RuntimeError):
-    """Raised when a likelihood Newton iterate loses every atom."""
 
 
 class SingularSystem(ValueError):
@@ -98,6 +94,16 @@ class ConeObjective(ABC):
         """Minimum over the cone of the atoms and ``theta``, from the
         measure's weights: ``(measure, deletions, inner_objectives)``."""
         return _reduce_to_cone(self, measure, theta)
+
+
+def sorted_sample(sample):
+    """Sorted float copy of a sample; ``ValueError`` unless nonempty and finite."""
+    x = np.sort(np.asarray(sample, dtype=float).ravel())
+    if x.size == 0:
+        raise ValueError("sample must be nonempty")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample values must be finite")
+    return x
 
 
 @dataclass(frozen=True)

@@ -114,13 +114,6 @@ class SignedMixingMeasure:
         """Sum of atom weights (signed)."""
         return float(self.weights.sum())
 
-    def purge(self, threshold):
-        """Drop atoms whose absolute weight is below ``threshold``."""
-        keep = np.abs(self.weights) >= threshold
-        if keep.all():
-            return self
-        return type(self)(self.locations[keep], self.weights[keep])
-
     def cdf(self, theta):
         """Weight of ``(-inf, theta]``: the mixing distribution function."""
         theta = np.asarray(theta, dtype=float)
@@ -230,27 +223,26 @@ class GaussianFamily:
         return out if out.ndim else float(out)
 
 
+def _mixture_sum(fn, measure, x):
+    """``sum_i w_i fn(theta_i, x)``, shaped like ``x``; zero for an empty
+    measure."""
+    x = np.asarray(x, dtype=float)
+    if measure.size == 0:
+        out = np.zeros(x.shape)
+        return out if out.ndim else 0.0
+    out = fn(measure.locations, x[..., None]) @ measure.weights
+    return out if out.ndim else float(out)
+
+
 def mixture_eval(family, measure, x):
     """Evaluate the mixture density ``sum_i w_i f_{theta_i}(x)``.
 
     ``x`` may be a scalar or an array; the result matches its shape.
     An empty measure gives identically zero.
     """
-    x = np.asarray(x, dtype=float)
-    if measure.size == 0:
-        out = np.zeros(x.shape)
-        return out if out.ndim else 0.0
-    kern = family.kernel(measure.locations, x[..., None])
-    out = kern @ measure.weights
-    return out if out.ndim else float(out)
+    return _mixture_sum(family.kernel, measure, x)
 
 
 def mixture_cdf(family, measure, x):
     """Evaluate the mixture distribution function at ``x``."""
-    x = np.asarray(x, dtype=float)
-    if measure.size == 0:
-        out = np.zeros(x.shape)
-        return out if out.ndim else 0.0
-    cdf = family.cdf(measure.locations, x[..., None])
-    out = cdf @ measure.weights
-    return out if out.ndim else float(out)
+    return _mixture_sum(family.cdf, measure, x)

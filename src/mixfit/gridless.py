@@ -101,7 +101,7 @@ def line_search(model, measure, value, step):
     for _ in range(_MAX_HALVINGS):
         locs = np.clip(measure.locations + t * step[:p], lo, hi)
         w = measure.weights + t * step[p:]
-        keep = w > PURGE_THRESHOLD
+        keep = w >= PURGE_THRESHOLD
         trial = _merge_close(MixingMeasure.from_atoms(locs[keep], w[keep]),
                              _MERGE_GAP * (hi - lo))
         new = model.objective(trial)

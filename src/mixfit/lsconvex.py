@@ -48,11 +48,7 @@ class LsModel(core.ConeObjective):
     family = TriangularFamily()
 
     def __init__(self, sample):
-        x = np.sort(np.asarray(sample, dtype=float).ravel())
-        if x.size == 0:
-            raise ValueError("sample must be nonempty")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("sample values must be finite")
+        self.x = x = core.sorted_sample(sample)
         if x[0] <= 0.0:
             # An atom of weight 3 m / (2 n) at theta below the other
             # observations, m of them at 0, scores -1.5 m^2 / (n^2 theta).
@@ -60,7 +56,6 @@ class LsModel(core.ConeObjective):
                 "the convex-density model needs positive data: with an "
                 "observation at 0 the least squares criterion is unbounded "
                 "below as an atom approaches 0")
-        self.x = x
         self.n = x.size
         self.domain = (float(x[0]), 3.0 * float(x[-1]))
         # Prefix sums make Y_n piecewise-linear evaluation O(log n).

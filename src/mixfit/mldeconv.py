@@ -177,12 +177,7 @@ class MlModel:
     family = _Observations.family
 
     def __init__(self, sample):
-        x = np.sort(np.asarray(sample, dtype=float).ravel())
-        if x.size == 0:
-            raise ValueError("sample must be nonempty")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("sample values must be finite")
-        self.x = x
+        self.x = x = core.sorted_sample(sample)
         self.n = x.size
         self.domain = (float(x[0]), float(x[-1]))
         self.obs = _Observations(x)
@@ -305,7 +300,6 @@ class QuadLocalModel(core.ConeObjective):
         self.obs = sample
         self.x = sample.x
         self.n = self.x.size
-        self.center = center
         self.d = 1.0 / gx
         self._d2 = self.d**2
         if sample.K is not None:
@@ -443,18 +437,20 @@ def _damped_update(model, current, candidate, current_value):
     Halves the step from 1 and returns the first trial, so the largest
     step, whose true objective is at most 4 ulp above ``current_value``;
     an infinite or NaN objective (the mixture vanishes at an observation)
-    never qualifies.  The step is ``tied`` unless its objective lies more
-    than 4 ulp below: near the optimum the remaining gain, quadratic in a
-    tiny certificate gap, is no longer representable, and the caller
-    certifies or stops right after.  When no trial of ``_MAX_HALVINGS``
-    qualifies, the current iterate returns as a tie at step 0.  Returns
-    ``(measure, value, step, tied)``.
+    never qualifies.  A trial keeps the atoms of weight at least
+    ``core.PURGE_THRESHOLD``, so the value returned is its measure's own
+    and an empty trial never returns.  The step is ``tied`` unless its
+    objective lies more than 4 ulp below: near the optimum the remaining
+    gain, quadratic in a tiny certificate gap, is no longer
+    representable, and the caller certifies or stops right after.  When
+    no trial of ``_MAX_HALVINGS`` qualifies, the current iterate returns
+    as a tie at step 0.  Returns ``(measure, value, step, tied)``.
     """
     tol = 4.0 * np.spacing(abs(current_value))
     lam = 1.0
     for _ in range(_MAX_HALVINGS):
         blend = combine(current, 1.0 - lam, candidate, lam)
-        keep = blend.weights > 0.0
+        keep = blend.weights >= core.PURGE_THRESHOLD
         trial = MixingMeasure(blend.locations[keep], blend.weights[keep])
         value = model.objective(trial)
         if value <= current_value + tol:
@@ -522,9 +518,7 @@ def _newton_loop(model, start, config):
         logger.debug("Newton step %d: objective %.12g -> %.12g, lam %.3g, "
                      "support %d -> %d%s", it, value, new_value, lam,
                      f.size, f_new.size, " (tie)" if tied_last else "")
-        f = f_new.purge(core.PURGE_THRESHOLD)
-        if f.size == 0:
-            raise core.ConvergenceStall("likelihood iterate lost all atoms")
+        f = f_new
 
     # Every exit above leaves ``cert`` describing the returned iterate.
     trace.certificate = cert
@@ -554,8 +548,7 @@ def newton_solve(sample, config, start=None):
         factor and ``certificate`` the returned measure's certificate.
         A run that hits the cap or stalls (a step whose objective is
         flat to 4 ulp, or no step at all, and then fails the certificate)
-        returns its iterate with ``converged`` false; only losing every
-        atom raises.
+        returns its iterate with ``converged`` false.
     """
     model = sample if isinstance(sample, MlModel) else MlModel(sample)
     if start is None:

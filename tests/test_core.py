@@ -26,7 +26,6 @@ from mixfit.baselines import (
 )
 from mixfit.core import (
     ConeObjective,
-    ConvergenceStall,
     OptimalityCertificate,
     SingularSystem,
     SolverConfig,
@@ -812,9 +811,6 @@ class TestConfigAndTrace:
         assert tr.n_iterations == 1
         assert tr.inner_objectives[1] == [0.7, 0.6]
         assert math.isnan(tr.step_size[0])
-
-    def test_stall_is_a_runtime_error(self):
-        assert issubclass(ConvergenceStall, RuntimeError)
 
     def test_certificate_gap(self):
         cert = OptimalityCertificate(

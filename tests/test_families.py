@@ -203,14 +203,6 @@ class TestMeasures:
         assert_allclose(c.locations, [1.0, 2.0, 3.0])
         assert_allclose(c.weights, [0.5, 0.0, -0.5])
 
-    def test_purge(self):
-        f = SignedMixingMeasure([1.0, 2.0, 3.0], [1e-15, 0.5, -1e-14])
-        g = f.purge(1e-12)
-        assert_allclose(g.locations, [2.0])
-        assert type(g) is SignedMixingMeasure
-        h = MixingMeasure([1.0, 2.0], [1e-15, 0.5]).purge(1e-12)
-        assert type(h) is MixingMeasure
-
     def test_measure_cdf_steps(self):
         f = MixingMeasure([1.0, 3.0], [0.25, 0.75])
         assert f.cdf(0.5) == 0.0

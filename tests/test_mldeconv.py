@@ -859,18 +859,18 @@ class TestGridStageStall:
 
 
 class _RiggedObjective:
-    """Objective scripted as a function of the step size."""
+    """Objective scripted as a function of the step size.
+
+    Trial ``k`` has step ``2**-k``; the trials are kept in ``trials``.
+    """
 
     def __init__(self, fn):
         self.fn = fn
+        self.trials = []
 
     def objective(self, measure):
-        # the candidate atom sits at 1.0; its weight equals the step
-        lam = 0.0
-        for loc, w in zip(measure.locations, measure.weights):
-            if loc == 1.0:
-                lam = w
-        return self.fn(lam)
+        self.trials.append(measure)
+        return self.fn(2.0 ** (1 - len(self.trials)))
 
 
 class TestDampedUpdate:
@@ -930,8 +930,15 @@ class TestDampedUpdate:
             k = round(-math.log2(lam))
             return values[k] if k < len(values) else rest
 
+        model = _RiggedObjective(fn)
         trial, value, lam, tied = _damped_update(
-            _RiggedObjective(fn), self.CURRENT, self.CANDIDATE, current_value)
+            model, self.CURRENT, self.CANDIDATE, current_value)
+        # the candidate atom sits at 1.0 with the step as its weight, and
+        # leaves every trial once that weight is below the purge threshold
+        for k, t in enumerate(model.trials):
+            step = 2.0**-k
+            expect = [step] if step >= core.PURGE_THRESHOLD else []
+            assert_allclose(t.weights[t.locations == 1.0], expect)
         scores = [fn(2.0**-k) for k in range(mldeconv._MAX_HALVINGS)]
         ok = [k for k, v in enumerate(scores) if v <= current_value + tol]
         if not ok:
@@ -943,4 +950,16 @@ class TestDampedUpdate:
         assert tied == (not value < current_value - tol)
         if not tied:
             assert value < current_value - tol
-        assert_allclose(trial.weights[trial.locations == 1.0], [lam])
+        assert trial is model.trials[ok[0]]
+
+    def test_full_step_drops_atoms_below_the_purge_threshold(self):
+        model = MlModel([-1.0, 0.0, 0.5, 2.0])
+        current = MixingMeasure([5.0], [1.0])
+        candidate = MixingMeasure([0.0, 3.0], [1.0, 5e-13])
+        trial, value, lam, tied = _damped_update(
+            model, current, candidate, model.objective(current))
+        assert lam == 1.0 and not tied
+        assert trial.locations.tolist() == [0.0]
+        assert trial.weights.tolist() == [1.0]
+        # a fresh measure, so the value is not read from the layer's cache
+        assert value == model.objective(MixingMeasure([0.0], [1.0]))

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixfit import core, gridless, mldeconv, pipeline
 from mixfit.core import SolverConfig
@@ -24,6 +26,26 @@ def _ls_refined_problem(seed):
 
 
 class TestConverged:
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["convex-ls", "deconv-ml"]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60))
+    def test_result_carries_the_certificate_it_reports(self, kind, seed, n):
+        # criterion 5's recipes, grids and refinement at drawn seeds and n
+        rng = np.random.default_rng(seed)
+        if kind == "convex-ls":
+            x = rng.exponential(size=n)
+            grid, eta = np.linspace(x.min(), 3.0 * x.max(), 50)[1:], 1e-10
+        else:
+            x = rng.normal(size=n) + rng.exponential(size=n)
+            grid, eta = np.linspace(x.min(), x.max(), 30), 1e-8
+        config = SolverConfig(grid=grid, eta=eta, gridless_enabled=True,
+                              gridless_tol=1e-6)
+        result = pipeline.fit(kind, x, config)
+        assert result.certificate == core.check_optimality(
+            result.model, result.measure, config.grid, config.eta,
+            config.support_tol)
+        assert result.converged == result.certificate.passed
+
     def test_failing_certificate_is_not_converged(self):
         # Every stage stops on its own criterion; a failing certificate
         # alone makes the fit unconverged.
