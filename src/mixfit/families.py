@@ -206,7 +206,12 @@ class GaussianFamily:
     def kernel(self, theta, x):
         theta = self._validate_theta(theta)
         x = np.asarray(x, dtype=float)
-        out = np.exp(-0.5 * (x - theta) ** 2) / _SQRT_2PI
+        # One allocation of the broadcast shape, then every step in place.
+        out = np.asarray(np.subtract(x, theta))
+        np.square(out, out=out)
+        np.multiply(out, -0.5, out=out)
+        np.exp(out, out=out)
+        np.divide(out, _SQRT_2PI, out=out)
         return out if out.ndim else float(out)
 
     def theta_deriv(self, theta, x):

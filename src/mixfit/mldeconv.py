@@ -15,8 +15,10 @@ model of ``ml`` around the current mixture ``g``,
            + (1/(2n)) sum (f(x_i)/g(x_i))^2 ,
 
 minimizes it over the cone with the support reduction solver, and
-applies a damped update with halving backtracking on the true
-objective.  Near the solution full steps are accepted and the scheme
+moves toward that minimizer on the true objective: the full step, or,
+when the objective still falls at its end, the exact minimizer of the
+likelihood along the segment, with halving backtracking as the
+fallback.  Near the solution full steps are accepted and the scheme
 converges at Newton speed.
 """
 
@@ -228,6 +230,57 @@ class MlModel:
         grad = np.concatenate((-w * d_mean, 1.0 - kr.mean(axis=1)))
         return grad, np.block([[h_tt, h_wt.T], [h_wt, h_ww]])
 
+    def segment_step(self, current, candidate):
+        """The minimizer of ``ml((1 - lam) f + lam c)`` over ``lam`` in
+        ``(0, 1]``, for the iterate ``f = current`` and ``c = candidate``.
+
+        With ``r = c(x) - f(x)`` and ``m = f(x) + lam r``, ``ml`` is convex
+        along the segment, with slope ``mass(c) - mass(f) - mean(r / m)``
+        and curvature ``mean((r / m)^2)``.  Returns 1 unless the slope at
+        1 is positive, or infinite because ``c`` vanishes at an
+        observation; then a Newton iteration on the slope, safeguarded by
+        bisection of its bracket in ``(0, 1)``, to 1e-12.  The iterate's
+        mixture must be positive at every observation.  Both mixtures
+        come from the layer, the iterate's first: in the Newton loop the
+        layer still holds it, and the candidate's stays there for its
+        objective.
+        """
+        fx = self.obs.mixture(current)
+        cx = self.obs.mixture(candidate)
+        r = cx - fx
+        dm = candidate.total_mass() - current.total_mass()
+        # A candidate mixture that vanishes or nearly underflows at an
+        # observation makes the ratios infinite; those steps bisect.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = r / cx
+            slope = dm - q.mean()
+            if not slope > 0.0:
+                return 1.0
+            # ``last`` is the previous Newton step's length, inf after a
+            # bisection: a Newton step must at least halve it, and a step
+            # below 1e-12 ends the search only after an earlier Newton
+            # step, so the tiny first step next to a pole of the slope at
+            # 1 is not taken for convergence.
+            lo, hi, lam, last = 0.0, 1.0, 1.0, np.inf
+            for _ in range(_MAX_HALVINGS):
+                curv = (q * q).mean()
+                dx = slope / curv if 0.0 < curv < np.inf else np.inf
+                if lo < lam - dx < hi and abs(dx) <= 0.5 * last:
+                    if abs(dx) <= 1e-12 and last < np.inf:
+                        return lam - dx
+                    lam, last = lam - dx, abs(dx)
+                else:
+                    lam, last = 0.5 * (lo + hi), np.inf
+                q = r / (fx + lam * r)
+                slope = dm - q.mean()
+                if slope > 0.0:
+                    hi = lam
+                elif slope < 0.0:
+                    lo = lam
+                if not hi - lo > 1e-12:
+                    break
+        return lam
+
     def minimize_over_support(self, measure, config, theta=()):
         """Minimize ``ml`` over the cone of the support and ``theta``.
 
@@ -431,30 +484,49 @@ def starting_iterate(sample, grid):
     return MixingMeasure.from_atoms(grid[nearest], np.diff(bounds) / x.size)
 
 
-def _damped_update(model, current, candidate, current_value):
-    """Backtracked convex combination toward the quadratic minimizer.
+def _blend(current, candidate, lam):
+    """``(1 - lam) current + lam candidate`` without the atoms of weight
+    below ``core.PURGE_THRESHOLD``."""
+    blend = combine(current, 1.0 - lam, candidate, lam)
+    keep = blend.weights >= core.PURGE_THRESHOLD
+    return MixingMeasure(blend.locations[keep], blend.weights[keep])
 
-    Halves the step from 1 and returns the first trial, so the largest
-    step, whose true objective is at most 4 ulp above ``current_value``;
-    an infinite or NaN objective (the mixture vanishes at an observation)
-    never qualifies.  A trial keeps the atoms of weight at least
-    ``core.PURGE_THRESHOLD``, so the value returned is its measure's own
-    and an empty trial never returns.  The step is ``tied`` unless its
-    objective lies more than 4 ulp below: near the optimum the remaining
-    gain, quadratic in a tiny certificate gap, is no longer
-    representable, and the caller certifies or stops right after.  When
-    no trial of ``_MAX_HALVINGS`` qualifies, the current iterate returns
-    as a tie at step 0.  Returns ``(measure, value, step, tied)``.
+
+def _damped_update(model, current, candidate, current_value):
+    """Step along the segment toward the quadratic minimizer.
+
+    The first trial is the full step.  When ``model.segment_step`` puts
+    the minimizer along the segment inside it, that point replaces the
+    full step if its objective lies more than 4 ulp below the full
+    step's, or the full step's is not finite; ties keep the full step.  The
+    chosen trial returns if its true objective is at most 4 ulp above
+    ``current_value``; otherwise the step halves from 1/2, and the first
+    halving trial within 4 ulp returns.  An infinite or NaN objective
+    (the mixture vanishes at an observation) never qualifies.  Every
+    trial keeps the atoms of weight at least ``core.PURGE_THRESHOLD``, so
+    the value returned is its measure's own and an empty trial never
+    returns.  The step is ``tied`` unless its objective lies more than 4
+    ulp below ``current_value``: near the optimum the remaining gain,
+    quadratic in a tiny certificate gap, is no longer representable, and
+    the caller certifies or stops right after.  When no trial of
+    ``_MAX_HALVINGS`` qualifies, the current iterate returns as a tie at
+    step 0.  Returns ``(measure, value, step, tied)``.
     """
     tol = 4.0 * np.spacing(abs(current_value))
     lam = 1.0
     for _ in range(_MAX_HALVINGS):
-        blend = combine(current, 1.0 - lam, candidate, lam)
-        keep = blend.weights >= core.PURGE_THRESHOLD
-        trial = MixingMeasure(blend.locations[keep], blend.weights[keep])
-        value = model.objective(trial)
+        trial = _blend(current, candidate, lam)
+        exact = model.segment_step(current, trial) if lam == 1.0 else 1.0
+        value, step = model.objective(trial), lam
+        if exact < 1.0:
+            inner = _blend(current, candidate, exact)
+            inner_value = model.objective(inner)
+            floor = (value - 4.0 * np.spacing(abs(value))
+                     if np.isfinite(value) else np.inf)
+            if inner_value < floor:
+                trial, value, step = inner, inner_value, exact
         if value <= current_value + tol:
-            return trial, value, lam, not value < current_value - tol
+            return trial, value, step, not value < current_value - tol
         lam *= 0.5
     return current, current_value, 0.0, True
 
@@ -508,8 +580,14 @@ def _newton_loop(model, start, config):
         alt0 = np.asarray(quad.alt_dir_deriv_vertex(grid, f))
         gap_q = max(0.0, -float(alt0.min()))
         eta_q = max(0.1 * config.eta, 1e-2 * gap_q)
-        # Warm start: the iterate re-solved on its own support.
-        start = quad.minimize_over_support(f, config)[0]
+        # Warm start: the iterate re-solved on its own support.  A
+        # partial step holds the atoms of both ends of its segment, which
+        # on tied data can outnumber the distinct observations; that
+        # support's system is singular, and the solve starts empty.
+        try:
+            start = quad.minimize_over_support(f, config)[0]
+        except core.SingularSystem:
+            start = None
         candidate, inner_trace = core.solve(quad, replace(config, eta=eta_q), start)
         f_new, new_value, lam, tied_last = _damped_update(
             model, f, candidate, value)

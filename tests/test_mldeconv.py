@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
@@ -862,6 +862,8 @@ class _RiggedObjective:
     """Objective scripted as a function of the step size.
 
     Trial ``k`` has step ``2**-k``; the trials are kept in ``trials``.
+    The exact step along the segment is the full step, so the halving
+    trials are the only others.
     """
 
     def __init__(self, fn):
@@ -871,6 +873,9 @@ class _RiggedObjective:
     def objective(self, measure):
         self.trials.append(measure)
         return self.fn(2.0 ** (1 - len(self.trials)))
+
+    def segment_step(self, current, candidate):
+        return 1.0
 
 
 class TestDampedUpdate:
@@ -963,3 +968,58 @@ class TestDampedUpdate:
         assert trial.weights.tolist() == [1.0]
         # a fresh measure, so the value is not read from the layer's cache
         assert value == model.objective(MixingMeasure([0.0], [1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
+           digits=st.integers(0, 2))
+    def test_exact_step_minimizes_along_the_segment(self, seed, n, digits):
+        # tied or distinct data; the candidate is the quadratic model's
+        # minimizer around a drawn iterate, as in the Newton loop, and a
+        # descent direction of the likelihood
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.uniform(0.3, 4.0) * rng.normal(size=n), digits)
+        grid = np.linspace(x.min() - 1.0, x.max() + 1.0, 20)
+        atoms = int(rng.integers(1, 5))
+        current = MixingMeasure.from_atoms(rng.choice(grid, atoms),
+                                           rng.uniform(0.05, 1.0, atoms))
+        candidate, _ = core.solve(QuadLocalModel(x, current, grid),
+                                  SolverConfig(grid=grid, eta=1e-10))
+        fx = mixture_eval(GaussianFamily(), current, x)
+        r = mixture_eval(GaussianFamily(), candidate, x) - fx
+        assume(candidate.total_mass() - current.total_mass()
+               - (r / fx).mean() < 0.0)
+        model = MlModel(x)
+        current_value = model.objective(current)
+        trial, value, lam, tied = _damped_update(model, current, candidate,
+                                                 current_value)
+        halvings = [model.objective(mldeconv._blend(current, candidate, 2.0**-k))
+                    for k in range(mldeconv._MAX_HALVINGS)]
+        assert value <= min(halvings) + 4.0 * np.spacing(abs(current_value))
+        assert value == model.objective(trial)
+
+        full = mldeconv._blend(current, candidate, 1.0)
+        exact = model.segment_step(current, full)
+        assert lam in (1.0, exact)
+        r = mixture_eval(GaussianFamily(), full, x) - fx
+        q = r / (fx + exact * r)
+        slope = full.total_mass() - current.total_mass() - q.mean()
+        roundoff = 1e-13 * (np.abs(q).mean() + full.total_mass()
+                            + current.total_mass())
+        if exact == 1.0:
+            assert slope <= roundoff
+        else:
+            assert 0.0 < exact < 1.0
+            assert abs(slope) <= roundoff + 4e-12 * (q * q).mean()
+
+    def test_overshooting_full_step_gives_way_to_the_exact_step(self):
+        # The covering start's first quadratic minimizer overshoots: the
+        # objective still falls at the end of the segment, so the step is
+        # its interior minimizer; every later step is a full step, and the
+        # fit certifies in 7 Newton steps where halving took 9.
+        x = pipeline.simulate_sample("exp-normal-mixture", 5_000, 3)
+        grid = np.linspace(x.min(), x.max(), 500)
+        f, trace = newton_solve(x, SolverConfig(grid=grid, eta=1e-8))
+        assert trace.converged
+        assert trace.n_iterations == 7
+        assert 0.8 < trace.step_size[1] < 0.85
+        assert trace.step_size[2:] == [1.0] * 6

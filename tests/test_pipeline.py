@@ -107,6 +107,18 @@ class TestConverged:
                 if r.name.startswith("mixfit")
                 and r.levelno >= logging.WARNING] == []
 
+    def test_partial_step_on_tied_data_certifies(self):
+        # The first step stops inside its segment and holds the atoms of
+        # both ends, 6 of them over 5 distinct observations, so the next
+        # warm start's restricted system is singular.
+        x = np.array([-2.0, 0.0, -1.0, 1.0, -1.0, -6.0, 1.0, 1.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = pipeline.fit("deconv-ml", x,
+                                  _default_config("deconv-ml", x))
+        assert 0.0 < result.trace.step_size[1] < 1.0
+        assert result.converged
+
     def test_grid_ending_below_sample_maximum_certifies(self):
         # 3 mean = 7.725 < max x = 10 and no grid point lies past 10.
         x = np.array([0.1, 0.1, 0.1, 10.0])
