@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import core, pipeline
+from . import core, mldeconv, pipeline
 
 _LOG_LEVELS = {"off": logging.CRITICAL + 10, "info": logging.INFO,
                "trace": logging.DEBUG}
@@ -108,7 +108,11 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
             max_outer_iter=max_iter, gridless_enabled=gridless,
             gridless_tol=gridless_tol)
 
-    result = pipeline.fit(model, sample, config)
+    try:
+        result = pipeline.fit(model, sample, config)
+    except mldeconv.KernelUnderflow as exc:
+        # the grid is too coarse or too narrow for the data: bad input
+        raise click.UsageError(str(exc)) from None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -203,11 +203,14 @@ class GaussianFamily:
             raise ValueError("gaussian kernel parameter must be finite")
         return theta
 
-    def kernel(self, theta, x):
+    def kernel(self, theta, x, out=None):
+        """``phi(x - theta)`` over the broadcast shape; ``out``, an array of
+        that shape, receives the values in place of a new one."""
         theta = self._validate_theta(theta)
         x = np.asarray(x, dtype=float)
-        # One allocation of the broadcast shape, then every step in place.
-        out = np.asarray(np.subtract(x, theta))
+        # At most one allocation of the broadcast shape, then every step
+        # in place.
+        out = np.asarray(np.subtract(x, theta, out=out))
         np.square(out, out=out)
         np.multiply(out, -0.5, out=out)
         np.exp(out, out=out)

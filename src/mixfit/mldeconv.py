@@ -38,7 +38,8 @@ from .families import (
     combine,
 )
 
-__all__ = ["MlModel", "QuadLocalModel", "newton_solve", "starting_iterate"]
+__all__ = ["KernelUnderflow", "MlModel", "QuadLocalModel", "newton_solve",
+           "starting_iterate"]
 
 logger = logging.getLogger("mixfit.mldeconv")
 
@@ -48,6 +49,42 @@ _MAX_HALVINGS = 60
 #: uses the Gaussian product identity: it keeps the factors ``scale`` in
 #: ``[exp(-600), 1]`` and ``odd`` below ``exp(600)``.
 _PRODUCT_SPAN = 600.0
+
+#: Bytes of rows of a ``G x n`` kernel matrix per tile: the passes the
+#: kernel build and the squared products make over one tile stay in cache.
+_TILE_BYTES = 1 << 20
+
+
+def _tile_rows(n):
+    """Rows of a float array with ``n`` columns in one tile: about
+    ``_TILE_BYTES``, at least one row."""
+    return max(1, _TILE_BYTES // (8 * n))
+
+
+def _squared_products(K, w):
+    """``w (K∘K)'``: ``(K∘K) w`` for a weight n-vector, and one such row
+    per weight for an ``m x n`` matrix of weights.
+
+    One pass over ``K``: each row tile is squared into a reused buffer and
+    multiplied by all the weights in one product, so ``K∘K`` is never
+    stored.  A matrix of one tile is squared whole, with no buffer.
+    """
+    G, n = K.shape
+    step = _tile_rows(n)
+    if step >= G:
+        return w @ np.square(K).T
+    buf = np.empty((step, n))
+    out = np.empty(w.shape[:-1] + (G,))
+    for lo in range(0, G, step):
+        tile = np.square(K[lo:lo + step], out=buf[:min(step, G - lo)])
+        np.matmul(w, tile.T, out=out[..., lo:lo + step])
+    return out
+
+
+class KernelUnderflow(ValueError):
+    """Raised when a Newton loop's starting mixture vanishes at an
+    observation: Gaussian kernels underflow to 0 about 38 noise units from
+    their atom, so no likelihood step can start there."""
 
 
 def _uniform_step(grid):
@@ -62,13 +99,17 @@ def _uniform_step(grid):
 
 
 class _Observations:
-    """The sample and at most one grid with its kernel matrices.
+    """The sample and at most one grid with its kernel matrix.
 
     All kernel values at the observations come from this layer, with the
     observations on the last axis.  The grid's kernels are evaluated
     once and stored atom-major, ``K[j, i] = phi(x_i - grid_j)`` of shape
-    ``G x n``, beside their elementwise square ``K2 = K∘K`` for
-    curvature scans.  :meth:`grid_index` finds atoms on the grid: scans
+    ``G x n``, the only ``G x n`` array the layer holds.  It is built
+    one tile of rows (about ``_TILE_BYTES``) at a time, each written in
+    place by the family's kernel, so every pass over a tile stays in
+    cache; the values equal one call over the whole grid bit for bit.
+    Curvature scans square ``K`` tile by tile (see
+    :class:`QuadLocalModel`).  :meth:`grid_index` finds atoms on the grid: scans
     over the whole grid read ``K`` itself, atoms that are all grid
     points read their rows of ``K``, a contiguous gather, and any other
     atoms are evaluated on the fly.
@@ -84,7 +125,7 @@ class _Observations:
     :class:`QuadLocalModel`): ``toep[t] = exp(-(t^2 - t mod 2) h^2 / 4)``,
     the n-vector ``scale = exp(h (x - max x))`` and, for ``j < G - 1``,
     ``odd[j] = exp(h (max x - theta_j) - h^2 / 2)``, so that
-    ``phi(x - theta_j) phi(x - theta_{j+1}) = K2[j] * scale * odd[j]``.
+    ``phi(x - theta_j) phi(x - theta_{j+1}) = K[j]^2 * scale * odd[j]``.
     It is None on grids that are not uniform and on grids whose step
     ``h`` times the distance from the leftmost observation or grid point
     to the largest observation exceeds ``_PRODUCT_SPAN``, where ``odd``
@@ -98,14 +139,15 @@ class _Observations:
         self.x = x
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
         self.K = None
-        self.K2 = None
         self.product = None
         self._last = (None, None, None)     # measure, f(x), K (1/f) / n
         if grid is not None:
-            self.K = self.kernels(self.grid)
+            self.K = np.empty((self.grid.size, x.size))
+            step = _tile_rows(x.size)
+            for lo in range(0, self.grid.size, step):
+                rows = slice(lo, lo + step)
+                self.family.kernel(self.grid[rows, None], x, out=self.K[rows])
             self.K.flags.writeable = False
-            self.K2 = self.K * self.K
-            self.K2.flags.writeable = False
             h, top = _uniform_step(self.grid), x.max()
             if (h is not None
                     and h * (top - min(x.min(), self.grid[0])) <= _PRODUCT_SPAN):
@@ -326,7 +368,8 @@ class QuadLocalModel(core.ConeObjective):
     ``h'M(S, S) h`` along a direction ``h``.  Only :meth:`_lin`,
     :meth:`_gram_block` and the read of ``c2`` tell grid atoms from
     others.  On the grid ``b`` is the layer's matvec at the center,
-    ``c2 = (K∘K) d^2 / n`` is formed once, and ``M`` is read from a
+    ``c2 = (K∘K) d^2 / n`` is formed once by squaring ``K`` one row tile
+    at a time (no ``G x n`` array is stored), and ``M`` is read from a
     store of the rows of the grid atoms that entered the support, each
     formed when first needed, so a solver call reads nothing of length
     n.  Other atoms, and models without a grid, evaluate their kernels.
@@ -336,10 +379,11 @@ class QuadLocalModel(core.ConeObjective):
     phi(x - (a + b)/2)^2``: entries with the same midpoint differ by a
     factor.  With ``t = |a - b|`` that gives ``M[a, b] = exp(-(t^2 - t
     mod 2) h^2 / 4) W[a + b]``, where ``W`` interleaves the diagonal
-    ``M[j, j] = c2[j]`` and the superdiagonal ``M[j, j + 1]``, which
-    takes one more matvec over ``K∘K``.  Each row then costs O(G) and
-    reads no ``K``.  On other grids each batch of new rows is one pass
-    over ``K``.
+    ``M[j, j] = c2[j]`` and the superdiagonal ``M[j, j + 1]``, from
+    ``(K∘K)[:-1] (d^2 scale)``: both come from the same pass over ``K``,
+    one two-column product per squared tile.  Each row then costs O(G)
+    and reads no ``K``.  On other grids each batch of new rows is one
+    pass over ``K``.
     """
 
     family = _Observations.family
@@ -357,13 +401,17 @@ class QuadLocalModel(core.ConeObjective):
         self._d2 = self.d**2
         if sample.K is not None:
             self._b = sample.ratio_mean(sample.grid, center)
-            self._c2 = sample.K2 @ self._d2 / self.n
             self._half = None
-            if sample.product is not None:
+            if sample.product is None:
+                self._c2 = _squared_products(sample.K, self._d2) / self.n
+            else:
                 _, scale, odd = sample.product
+                c2, sup = _squared_products(
+                    sample.K, np.array((self._d2, self._d2 * scale)))
+                self._c2 = c2 / self.n
                 self._half = np.empty(2 * self._c2.size - 1)
                 self._half[0::2] = self._c2
-                self._half[1::2] = odd * (sample.K2[:-1] @ (self._d2 * scale)) / self.n
+                self._half[1::2] = odd * sup[:-1] / self.n
             # grid index -> row of the store, -1 until that row is formed
             self._slot = np.full(sample.grid.size, -1)
             self._gram = np.empty((0, sample.grid.size))
@@ -542,6 +590,16 @@ def _newton_loop(model, start, config):
     model = copy.copy(model)
     model.obs = _Observations(model.x, grid)
     f = start
+    # The certificate's first scan reads this mixture from the layer.
+    vanish = np.flatnonzero(model.obs.mixture(f) <= 0.0)
+    if vanish.size:
+        xi = model.x[vanish[0]]
+        raise KernelUnderflow(
+            f"the starting mixture vanishes at observation {xi:.17g}, "
+            f"{np.abs(grid - xi).min():.3g} from the nearest grid point and "
+            f"{np.abs(f.locations - xi).min(initial=np.inf):.3g} from the "
+            "nearest starting atom: Gaussian kernels underflow beyond about "
+            "38 noise units; widen or refine the grid")
     trace = core.SolverTrace()
     pending = (0, np.nan, ())
     tied_last = False
@@ -627,6 +685,13 @@ def newton_solve(sample, config, start=None):
         A run that hits the cap or stalls (a step whose objective is
         flat to 4 ulp, or no step at all, and then fails the certificate)
         returns its iterate with ``converged`` false.
+
+    Raises
+    ------
+    KernelUnderflow
+        When the start's mixture vanishes at an observation, which lies
+        beyond kernel underflow from every atom of the start: on the
+        default start, from every grid point.
     """
     model = sample if isinstance(sample, MlModel) else MlModel(sample)
     if start is None:

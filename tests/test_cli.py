@@ -391,10 +391,12 @@ class TestInputErrors:
                                       "atom-below-domain", "atom-on-edge",
                                       "eta-inf", "check-tol-negative",
                                       "check-tol-inf", "measure-repeated",
-                                      "measure-weight-zero"])
+                                      "measure-weight-zero", "far-observation"])
     def test_usage_error_without_traceback(self, runner, tmp_path, case):
         sample = tmp_path / "s.txt"
         sample.write_text("0.5\n1.0\n2.0\n")
+        far = tmp_path / "w.txt"
+        far.write_text("0\n0\n0\n0\n0\n200\n")
         out = str(tmp_path / "o")
         check = ["check", str(tmp_path / "m.csv"), str(sample),
                  "--model", "convex-ls"]
@@ -426,6 +428,11 @@ class TestInputErrors:
                                         "strictly increasing"),
             "measure-weight-zero": (check, "m.csv: MixingMeasure weights must "
                                            "be strictly positive"),
+            # Every Gaussian kernel underflows at the observation 200.
+            "far-observation": (["fit", "deconv-ml", str(far), "--grid-size",
+                                 "1", "--out-dir", out],
+                                "vanishes at observation 200, 200 from the "
+                                "nearest grid point"),
         }[case]
         rows = {"atom-below-domain": "-1.0,0.5\n2.0,0.5\n",
                 "atom-on-edge": "0.0,0.5\n2.0,0.5\n",

@@ -8,6 +8,7 @@ driver against a box-constrained quasi-Newton oracle on a frozen grid.
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from mixfit.families import (
     mixture_eval,
 )
 from mixfit.mldeconv import (
+    KernelUnderflow,
     MlModel,
     QuadLocalModel,
     _Observations,
@@ -35,6 +37,31 @@ from mixfit.mldeconv import (
     newton_solve,
     starting_iterate,
 )
+
+
+def _kernel_spy(monkeypatch):
+    """Record every ``GaussianFamily.kernel`` call as ``(theta, shape of the
+    values, whether they went to out=)``."""
+    original = GaussianFamily.kernel
+    calls = []
+
+    def counting(self, theta, obs, out=None):
+        values = original(self, theta, obs, out=out)
+        calls.append((np.array(theta), np.shape(values), out is not None))
+        return values
+
+    monkeypatch.setattr(GaussianFamily, "kernel", counting)
+    return calls
+
+
+def _assert_one_tiled_build(calls, grid, n):
+    """The calls that wrote into ``out=`` cover every grid row exactly once,
+    in order, and no other call evaluated a ``G x n`` kernel."""
+    tiles = [theta for theta, _, into in calls if into]
+    assert len(tiles) >= 1
+    assert np.array_equal(np.concatenate(tiles).ravel(), grid)
+    assert all(t.shape == (t.size, 1) for t in tiles)
+    assert (grid.size, n) not in [shape for _, shape, into in calls if not into]
 
 
 class TestMlObjective:
@@ -371,6 +398,34 @@ class TestGridPathAgreement:
             q.unrestricted_min(grid)
 
 
+class TestSquaredProducts:
+    """A quadratic model's sums over ``K∘K``, squared tile by tile, match
+    the products over the stored square."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30),
+           center=_atoms(-1.0, 1.0, 1),
+           size=st.integers(1, 12),
+           jitter=st.booleans(),
+           tile_rows=st.integers(1, 13))
+    def test_property(self, x, center, size, jitter, tile_rows):
+        x = np.array(x)
+        grid = np.linspace(-2.0, 2.0, size)
+        if jitter and size > 2:
+            grid[1] += 1e-3          # not uniform: no product identity
+        with mock.patch.object(mldeconv, "_TILE_BYTES", tile_rows * 8 * x.size):
+            obs = _Observations(x, grid)
+            quad = QuadLocalModel(obs, center)
+        K2, d2 = obs.K * obs.K, quad.d**2
+        assert_allclose(quad._c2, K2 @ d2 / x.size, rtol=1e-13)
+        assert (obs.product is None) == (jitter and size > 2)
+        if obs.product is not None:
+            _, scale, odd = obs.product
+            assert_allclose(quad._half[1::2],
+                            odd * (K2[:-1] @ (d2 * scale)) / x.size, rtol=1e-13)
+            assert_allclose(quad._half[0::2], quad._c2, rtol=0.0)
+
+
 class TestObservations:
     """Grid atoms read rows of the layer's matrix; other atoms evaluate."""
 
@@ -379,19 +434,15 @@ class TestObservations:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        original = GaussianFamily.kernel
-        calls = []
+        return _kernel_spy(monkeypatch)
 
-        def counting(self, theta, obs):
-            calls.append(np.shape(theta))
-            return original(self, theta, obs)
-
-        monkeypatch.setattr(GaussianFamily, "kernel", counting)
-        return calls
-
-    def test_grid_atoms_read_rows(self, calls):
+    def test_grid_atoms_read_rows(self, calls, monkeypatch):
+        monkeypatch.setattr(mldeconv, "_TILE_BYTES", 4 * 8 * self.X.size)
         obs = _Observations(self.X, self.GRID)
         assert obs.K.shape == (self.GRID.size, self.X.size)
+        # tiles of 4, 4 and 1 rows
+        _assert_one_tiled_build(calls, self.GRID, self.X.size)
+        assert len(calls) == 3
         for theta in (self.GRID[[0, 3, 4, 8]], self.GRID[5], self.GRID):
             calls.clear()
             rows = obs.kernels(theta)
@@ -414,6 +465,26 @@ class TestObservations:
         expect = GaussianFamily().kernel(np.asarray(theta)[..., None], self.X)
         assert out.shape == np.shape(theta) + (self.X.size,)
         assert np.array_equal(out, expect)
+
+    @pytest.mark.parametrize("size, tile_rows", [
+        (1, 1), (1, 4), (2, 1), (2, 2), (9, 4), (9, 9), (9, 1000)])
+    def test_tiled_build_equals_one_call(self, monkeypatch, size, tile_rows):
+        monkeypatch.setattr(mldeconv, "_TILE_BYTES", tile_rows * 8 * self.X.size)
+        grid = np.linspace(-2.0, 2.0, size)
+        K = _Observations(self.X, grid).K
+        assert np.array_equal(K, GaussianFamily().kernel(grid[:, None], self.X))
+        assert K.flags.c_contiguous and not K.flags.writeable
+
+    def test_build_holds_one_matrix(self):
+        x = np.random.default_rng(41).normal(size=2_000)
+        grid = np.linspace(-3.0, 3.0, 200)
+        tracemalloc.start()
+        try:
+            _Observations(x, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * grid.size * x.size * 8
 
     def test_empty_measure(self):
         for obs in (_Observations(self.X, self.GRID), _Observations(self.X)):
@@ -593,6 +664,19 @@ class TestNewtonSolve:
         assert trace.converged
         assert abs(f.total_mass() - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("grid, start, where", [
+        # one grid point 200 noise units from the last observation
+        ([0.0], None, "200 from the nearest grid point"),
+        # a fine grid, but a user start far from the outlier
+        (np.linspace(0.0, 200.0, 401), MixingMeasure([0.0], [1.0]),
+         "0 from the nearest grid point and 200 from the nearest starting"),
+    ])
+    def test_start_beyond_kernel_underflow_raises(self, grid, start, where):
+        x = [0.0, 0.0, 0.0, 0.0, 0.0, 200.0]
+        with pytest.raises(KernelUnderflow, match="observation 200, " + where):
+            newton_solve(x, SolverConfig(grid=np.array(grid)), start=start)
+        assert issubclass(KernelUnderflow, ValueError)
+
 
 class TestSharedKernelMatrix:
     """One G x n kernel matrix per Newton loop, and none after it."""
@@ -604,46 +688,39 @@ class TestSharedKernelMatrix:
         x = np.sort(rng.normal(size=self.N) + rng.exponential(size=self.N))
         return x, np.linspace(x[0], x[-1], self.G)
 
+    @pytest.fixture(autouse=True)
+    def _tiles_of_seven_rows(self, monkeypatch):
+        # 40 grid rows in tiles of 7: five full tiles and a ragged one
+        monkeypatch.setattr(mldeconv, "_TILE_BYTES", 7 * 8 * self.N)
+
     def test_grid_kernels_evaluated_once_per_solve(self, monkeypatch):
         x, grid = self._problem()
-        original = GaussianFamily.kernel
-        shapes = []
-
-        def counting(self, theta, obs):
-            out = original(self, theta, obs)
-            shapes.append(np.shape(out))
-            return out
-
-        monkeypatch.setattr(GaussianFamily, "kernel", counting)
+        calls = _kernel_spy(monkeypatch)
         f, trace = newton_solve(x, SolverConfig(grid=grid, eta=1e-8))
         assert trace.converged and trace.n_iterations >= 3
         # the certificate scans, every quadratic model and every atom on
         # the grid read one matrix: no other kernel is evaluated
-        assert shapes == [(self.G, self.N)]
+        _assert_one_tiled_build(calls, grid, self.N)
+        assert all(into for _, _, into in calls)
 
     def test_final_certificate_scans_the_grid_once(self, monkeypatch):
         x, grid = self._problem()
-        original = GaussianFamily.kernel
-        shapes = []
-
-        def counting(self, theta, obs):
-            out = original(self, theta, obs)
-            shapes.append(np.shape(out))
-            return out
-
-        monkeypatch.setattr(GaussianFamily, "kernel", counting)
+        calls = _kernel_spy(monkeypatch)
         result = pipeline.fit("deconv-ml", x, SolverConfig(grid=grid, eta=1e-8))
         assert result.converged
         # one K inside the Newton loop; without refinement fit returns
         # the certificate the loop stopped on
-        assert shapes.count((self.G, self.N)) == 1
+        _assert_one_tiled_build(calls, grid, self.N)
         assert result.certificate is result.trace.certificate
 
     def test_second_quadratic_model_allocates_no_matrix(self):
         x, grid = self._problem()
         obs = _Observations(x, grid)
         center = MixingMeasure([float(grid[10]), float(grid[25])], [0.5, 0.5])
-        assert obs.K2 is not None
+        # the layer holds K alone: its square is formed a tile at a time
+        assert not hasattr(obs, "K2")
+        layer = [v for v in vars(obs).values() if isinstance(v, np.ndarray)]
+        assert [a.size >= self.N * self.G for a in layer].count(True) == 1
         QuadLocalModel(obs, center)                 # the loop's first model
         tracemalloc.start()
         try:
