@@ -95,6 +95,10 @@ class ConeObjective(ABC):
         measure's weights: ``(measure, deletions, inner_objectives)``."""
         return _reduce_to_cone(self, measure, theta)
 
+    def on(self, grid):
+        """The model all stages of a fit on ``grid`` share: this one."""
+        return self
+
 
 def sorted_sample(sample):
     """Sorted float copy of a sample; ``ValueError`` unless nonempty and finite."""
@@ -169,9 +173,6 @@ class SolverTrace:
     (0 on the first row), the damping factor when the model uses damped
     outer updates (NaN otherwise), and the objective values recorded
     after each inner reduction move that produced this iterate.
-    ``certificate`` is the certificate of the returned iterate when the
-    solver issued one (the likelihood's Newton loop does; :func:`solve`
-    leaves it ``None``).
     """
 
     objective: list = field(default_factory=list)
@@ -181,7 +182,6 @@ class SolverTrace:
     step_size: list = field(default_factory=list)
     inner_objectives: list = field(default_factory=list)
     converged: bool = False
-    certificate: OptimalityCertificate | None = None
 
     def append(self, objective, support_size, min_alt_deriv, deletions,
                step_size=np.nan, inner_objectives=()):

@@ -102,22 +102,19 @@ class _Observations:
     """The sample and at most one grid with its kernel matrix.
 
     All kernel values at the observations come from this layer, with the
-    observations on the last axis.  The grid's kernels are evaluated
-    once and stored atom-major, ``K[j, i] = phi(x_i - grid_j)`` of shape
-    ``G x n``, the only ``G x n`` array the layer holds.  It is built
-    one tile of rows (about ``_TILE_BYTES``) at a time, each written in
-    place by the family's kernel, so every pass over a tile stays in
+    observations on the last axis.  A fit holds one layer on its grid for
+    every stage (:meth:`MlModel.on`).  The grid's kernels are stored
+    atom-major, ``K[j, i] = phi(x_i - grid_j)``, the layer's only
+    ``G x n`` array, built in place one tile of rows (about
+    ``_TILE_BYTES``) at a time so that every pass over a tile stays in
     cache; the values equal one call over the whole grid bit for bit.
-    Curvature scans square ``K`` tile by tile (see
-    :class:`QuadLocalModel`).  :meth:`grid_index` finds atoms on the grid: scans
-    over the whole grid read ``K`` itself, atoms that are all grid
-    points read their rows of ``K``, a contiguous gather, and any other
-    atoms are evaluated on the fly.
+    Scans over the whole grid read ``K``, atoms that are all grid points
+    read their rows (:meth:`grid_index`), and other atoms are evaluated.
 
     The layer keeps the last mixture it evaluated, and on a grid also
-    that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid.
-    Within one Newton step the certificate's scan, the objective and
-    the quadratic model read that one mixture and that one matvec.
+    that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid:
+    a Newton step's certificate scan, objective and quadratic model read
+    that one matvec, and so does a fit's certificate of the last iterate.
 
     On a uniform grid ``theta_j = theta_0 + j h`` the layer also holds
     ``product``, the factors with which a quadratic model forms its Gram
@@ -126,11 +123,8 @@ class _Observations:
     the n-vector ``scale = exp(h (x - max x))`` and, for ``j < G - 1``,
     ``odd[j] = exp(h (max x - theta_j) - h^2 / 2)``, so that
     ``phi(x - theta_j) phi(x - theta_{j+1}) = K[j]^2 * scale * odd[j]``.
-    It is None on grids that are not uniform and on grids whose step
-    ``h`` times the distance from the leftmost observation or grid point
-    to the largest observation exceeds ``_PRODUCT_SPAN``, where ``odd``
-    would overflow or ``scale`` lose precision to subnormals; their
-    models read ``K``.
+    It is None on grids that are not uniform or span more than
+    ``_PRODUCT_SPAN`` allows; their models read ``K``.
     """
 
     family = GaussianFamily()
@@ -225,6 +219,15 @@ class MlModel:
         self.n = x.size
         self.domain = (float(x[0]), float(x[-1]))
         self.obs = _Observations(x)
+
+    def on(self, grid):
+        """This model if its layer holds ``grid``, else a shallow copy
+        with a layer on ``grid``, this model's left as it is."""
+        if isinstance(self.obs.grid_index(grid), slice):
+            return self
+        model = copy.copy(self)
+        model.obs = _Observations(self.x, grid)
+        return model
 
     def objective(self, measure):
         """``-(1/n) sum log f(x_i) + mass``; +inf when f vanishes at a point."""
@@ -582,13 +585,11 @@ def _damped_update(model, current, candidate, current_value):
 def _newton_loop(model, start, config):
     """Shared sequential-quadratic iteration for the relaxed likelihood."""
     grid = config.grid
-    # A loop-local copy holds the grid's kernel matrix, which the
-    # certificate and every quadratic model read; it dies with the loop.
-    # Its layer keeps the iterate's mixture and grid matvec K (1/f) / n:
-    # the certificate's scan forms them, and the objective and the
-    # quadratic model at the same iterate read them (d = 1/f there).
-    model = copy.copy(model)
-    model.obs = _Observations(model.x, grid)
+    # The layer on the grid, the fit's own or a weight polish's new one,
+    # holds the K that the certificate and every quadratic model read,
+    # and the iterate's mixture and matvec K (1/f) / n, which the
+    # objective and the quadratic model at that iterate reuse.
+    model = model.on(grid)
     f = start
     # The certificate's first scan reads this mixture from the layer.
     vanish = np.flatnonzero(model.obs.mixture(f) <= 0.0)
@@ -656,8 +657,6 @@ def _newton_loop(model, start, config):
                      f.size, f_new.size, " (tie)" if tied_last else "")
         f = f_new
 
-    # Every exit above leaves ``cert`` describing the returned iterate.
-    trace.certificate = cert
     return f, trace
 
 
@@ -667,7 +666,8 @@ def newton_solve(sample, config, start=None):
     Parameters
     ----------
     sample : array_like or MlModel
-        Observations, or the likelihood model that already holds them.
+        Observations, or the likelihood model that holds them; the loop
+        reads its layer when that holds ``config.grid``.
     config : core.SolverConfig
         Grid, outer tolerance ``eta`` (certificate threshold on the
         grid), and iteration caps.
@@ -681,10 +681,10 @@ def newton_solve(sample, config, start=None):
     measure : MixingMeasure
     trace : core.SolverTrace
         One row per Newton iteration; ``step_size`` holds the damping
-        factor and ``certificate`` the returned measure's certificate.
-        A run that hits the cap or stalls (a step whose objective is
-        flat to 4 ulp, or no step at all, and then fails the certificate)
-        returns its iterate with ``converged`` false.
+        factor; ``converged`` means the returned measure's certificate
+        passes.  A run that hits the cap or stalls (a step whose
+        objective is flat to 4 ulp, or no step at all) returns its
+        iterate with ``converged`` false.
 
     Raises
     ------

@@ -310,24 +310,25 @@ def fit(model_kind, sample, config):
     set and the grid stage converged, refinement: :func:`core.solve` over
     the grid (for ``convex-ls`` also 4 001 points of the domain) from the
     polished grid solution, with :func:`gridless.fine_tune` as the polish
-    after each reduction.  Returns the certificate at ``config.eta`` and
-    ``config.support_tol`` on the grid: the grid stage's own when it
-    issued one and refinement did not run, a fresh one otherwise.  Logs
-    one info line per stage it runs.
+    after each reduction.  Every stage, and the final measure's
+    certificate at ``config.eta`` and ``config.support_tol``, read one
+    model on the grid (``model.on``); the result keeps the grid-free one.
+    Logs one info line per stage it runs.
     """
     spec = model_spec(model_kind)
     started = time.perf_counter()
     model = spec.model(sample)
-    measure, trace = spec.solve(model, config)
+    work = model.on(config.grid)
+    measure, trace = spec.solve(work, config)
     logger.info("grid stage %s after %d iterations with %d atoms",
                 "converged" if trace.converged else "did not converge",
                 trace.n_iterations, measure.size)
-    cert, ft_trace = trace.certificate, None
+    ft_trace = None
     if config.gridless_enabled and trace.converged:
         ft_trace = gridless.FineTuneTrace()
 
         def polish(f):
-            f, more = gridless.fine_tune(model, f, config)
+            f, more = gridless.fine_tune(work, f, config)
             ft_trace.objective += more.objective
             ft_trace.steps += more.steps
             ft_trace.converged, ft_trace.stop_reason = more.converged, more.stop_reason
@@ -337,16 +338,14 @@ def fit(model_kind, sample, config):
         if spec.scan_points:
             scan = np.union1d(scan, build_grid(
                 *model.domain, spec.scan_points, model.family))
-        measure, refined = core.solve(model, replace(config, grid=scan),
+        measure, refined = core.solve(work, replace(config, grid=scan),
                                       polish(measure), polish)
         ft_trace.insertions = refined.n_iterations
         logger.info("refinement stopped after %d steps and %d insertions "
                     "with %d atoms: %s", ft_trace.steps, ft_trace.insertions,
                     measure.size, ft_trace.stop_reason)
-        cert = None
-    if cert is None:
-        cert = core.check_optimality(model, measure, config.grid, config.eta,
-                                     config.support_tol)
+    cert = core.check_optimality(work, measure, config.grid, config.eta,
+                                 config.support_tol)
     logger.info("certificate %s: grid min %.3e, support max %.3e",
                 "passed" if cert.passed else "failed", cert.min_grid_alt,
                 cert.max_abs_support)

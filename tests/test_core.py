@@ -379,7 +379,6 @@ class TestSolve:
         f, trace = solve(m, SolverConfig(grid=grid, eta=1e-10, max_outer_iter=1))
         assert not trace.converged
         assert trace.n_iterations == 1
-        assert trace.certificate is None    # solve issues no certificate
 
 
 class _AtomRepickingModel(_ScriptedModel):

@@ -157,6 +157,11 @@ class TestObjective:
         oracle = 0.5 * sq - float(np.mean(mixture_eval(TRI, f, x)))
         assert_allclose(m.objective(f), oracle, atol=1e-9)
 
+    def test_on_any_grid_is_the_model(self):
+        # its scans are closed forms, so every stage of a fit reads it
+        m = LsModel(np.array([0.2, 0.7, 1.5]))
+        assert m.on(np.linspace(0.1, 3.0, 7)) is m
+
 
 class TestDirectionalDerivative:
     def test_pinned_empty(self):

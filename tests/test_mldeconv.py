@@ -621,7 +621,7 @@ class TestNewtonSolve:
             gridless_enabled=True))
         assert len(built) == 1
 
-    def test_trace_holds_the_certificate_of_the_result(self):
+    def test_converged_matches_a_fresh_certificate(self):
         rng = np.random.default_rng(43)
         x = rng.normal(size=60) + rng.exponential(size=60)
         grid = np.linspace(x.min(), x.max(), 25)
@@ -630,8 +630,10 @@ class TestNewtonSolve:
                                   support_tol=1e-7)
             f, trace = newton_solve(x, config)
             fresh = check_optimality(MlModel(x), f, grid, 1e-8, 1e-7)
-            assert trace.certificate == fresh
-            assert trace.certificate.passed == trace.converged
+            assert fresh.passed == trace.converged
+            assert cap == 10_000 or not trace.converged
+            # the fit's certificate, read from its layer, is the same
+            assert pipeline.fit("deconv-ml", x, config).certificate == fresh
 
     def test_no_worse_than_the_median_start(self):
         # Tiny samples, sparse and wide, with ties from rounding, on the
@@ -706,12 +708,54 @@ class TestSharedKernelMatrix:
     def test_final_certificate_scans_the_grid_once(self, monkeypatch):
         x, grid = self._problem()
         calls = _kernel_spy(monkeypatch)
-        result = pipeline.fit("deconv-ml", x, SolverConfig(grid=grid, eta=1e-8))
+        config = SolverConfig(grid=grid, eta=1e-8)
+        result = pipeline.fit("deconv-ml", x, config)
         assert result.converged
-        # one K inside the Newton loop; without refinement fit returns
-        # the certificate the loop stopped on
+        # one K for the Newton loop and the final certificate, which reads
+        # the matvec the loop's last scan left in the layer
         _assert_one_tiled_build(calls, grid, self.N)
-        assert result.certificate is result.trace.certificate
+        assert result.certificate == check_optimality(
+            MlModel(x), result.measure, grid, config.eta, config.support_tol)
+
+    def test_refined_fit_builds_the_grid_rows_once(self, monkeypatch):
+        x, grid = self._problem()
+        calls = _kernel_spy(monkeypatch)
+        layers = []
+        build = _Observations.__init__
+
+        def recording(self, x, grid=None):
+            layers.append(grid)
+            build(self, x, grid)
+
+        monkeypatch.setattr(_Observations, "__init__", recording)
+        result = pipeline.fit("deconv-ml", x, SolverConfig(
+            grid=grid, eta=1e-8, gridless_enabled=True))
+        assert result.converged and result.fine_tune_trace.steps > 0
+        # the grid stage, refinement's scans, the polish and the final
+        # certificate share one layer on the grid; the weight polishes
+        # build small ones on their atoms and the scanned point
+        built = [g for g in layers if g is not None]
+        tiles = [t for t, _, into in calls if into]
+        assert np.array_equal(np.concatenate(tiles).ravel(), np.concatenate(built))
+        large = [g for g in built if g.size >= self.G // 4]
+        assert len(large) == 1 and np.array_equal(large[0], grid)
+        assert len(built) > 1
+        assert (grid.size, self.N) not in [s for _, s, into in calls if not into]
+        assert result.model.obs.K is None
+
+    def test_on_returns_the_model_that_holds_the_grid(self):
+        x, grid = self._problem()
+        model = MlModel(x)
+        work = model.on(grid)
+        assert work is not model and work.obs.grid is grid
+        assert work.on(grid) is work
+        assert work.on(grid.copy()) is work
+        assert model.obs.grid is None and model.obs.K is None
+        for other in (grid[::2], np.append(grid, grid[-1] + 1.0)):
+            polish = work.on(other)
+            assert polish is not work and polish.x is work.x
+            assert np.array_equal(polish.obs.grid, other)
+            assert work.obs.grid is grid
 
     def test_second_quadratic_model_allocates_no_matrix(self):
         x, grid = self._problem()
@@ -907,7 +951,6 @@ class TestGridStageStall:
         assert trace.step_size[1] == 0.0
         fresh = check_optimality(MlModel(x), start, config.grid, config.eta,
                                  config.support_tol)
-        assert trace.certificate == fresh
         assert not fresh.passed
 
     def test_fit_returns_without_refinement(self, stalled):

@@ -28,9 +28,13 @@ def _ls_refined_problem(seed):
 class TestConverged:
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["convex-ls", "deconv-ml"]),
-           seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60))
-    def test_result_carries_the_certificate_it_reports(self, kind, seed, n):
-        # criterion 5's recipes, grids and refinement at drawn seeds and n
+           seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60),
+           refine=st.booleans())
+    def test_result_carries_the_certificate_it_reports(self, kind, seed, n,
+                                                       refine):
+        # criterion 5's recipes and grids at drawn seeds and n, with and
+        # without refinement: the certificate the fit reads from its
+        # layer is the one `mixfit check` issues on the grid-free model
         rng = np.random.default_rng(seed)
         if kind == "convex-ls":
             x = rng.exponential(size=n)
@@ -38,7 +42,7 @@ class TestConverged:
         else:
             x = rng.normal(size=n) + rng.exponential(size=n)
             grid, eta = np.linspace(x.min(), x.max(), 30), 1e-8
-        config = SolverConfig(grid=grid, eta=eta, gridless_enabled=True,
+        config = SolverConfig(grid=grid, eta=eta, gridless_enabled=refine,
                               gridless_tol=1e-6)
         result = pipeline.fit(kind, x, config)
         assert result.certificate == core.check_optimality(
