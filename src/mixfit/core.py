@@ -204,6 +204,7 @@ class OptimalityCertificate:
 
     ``min_grid_alt`` is the minimum of the rescaled directional
     derivative over the grid (the quantity the solver terminates on),
+    ``grid_alt`` that read-only scan, which ``==`` and ``repr`` ignore,
     ``min_grid_raw`` the raw counterpart, and ``max_abs_support`` the
     largest absolute raw derivative over the support atoms, where
     stationarity demands an exact zero.
@@ -216,6 +217,7 @@ class OptimalityCertificate:
     support_size: int
     grid_tol: float
     support_tol: float
+    grid_alt: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self):
@@ -438,6 +440,7 @@ def check_optimality(model, measure, grid, tol, support_tol=None):
     grid = np.asarray(grid, dtype=float)
     support_tol = tol if support_tol is None else support_tol
     alt = np.asarray(model.alt_dir_deriv_vertex(grid, measure), dtype=float)
+    alt.flags.writeable = False
     if type(model).alt_dir_deriv_vertex is type(model).dir_deriv_vertex:
         raw = alt
     else:
@@ -451,4 +454,5 @@ def check_optimality(model, measure, grid, tol, support_tol=None):
         support_size=measure.size,
         grid_tol=float(tol),
         support_tol=float(support_tol),
+        grid_alt=alt,
     )

@@ -17,9 +17,8 @@ model of ``ml`` around the current mixture ``g``,
 minimizes it over the cone with the support reduction solver, and
 moves toward that minimizer on the true objective: the full step, or,
 when the objective still falls at its end, the exact minimizer of the
-likelihood along the segment, with halving backtracking as the
-fallback.  Near the solution full steps are accepted and the scheme
-converges at Newton speed.
+likelihood along the segment.  Near the solution full steps are
+accepted and the scheme converges at Newton speed.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ __all__ = ["KernelUnderflow", "MlModel", "QuadLocalModel", "newton_solve",
 
 logger = logging.getLogger("mixfit.mldeconv")
 
+#: ``MlModel.segment_step``'s iteration cap; the benchmark tracer reads it.
 _MAX_HALVINGS = 60
 
 #: Largest ``h * (max x - min(min x, theta_0))`` for which a uniform grid
@@ -546,39 +546,32 @@ def _blend(current, candidate, lam):
 def _damped_update(model, current, candidate, current_value):
     """Step along the segment toward the quadratic minimizer.
 
-    The first trial is the full step.  When ``model.segment_step`` puts
-    the minimizer along the segment inside it, that point replaces the
-    full step if its objective lies more than 4 ulp below the full
-    step's, or the full step's is not finite; ties keep the full step.  The
-    chosen trial returns if its true objective is at most 4 ulp above
-    ``current_value``; otherwise the step halves from 1/2, and the first
-    halving trial within 4 ulp returns.  An infinite or NaN objective
-    (the mixture vanishes at an observation) never qualifies.  Every
-    trial keeps the atoms of weight at least ``core.PURGE_THRESHOLD``, so
-    the value returned is its measure's own and an empty trial never
-    returns.  The step is ``tied`` unless its objective lies more than 4
-    ulp below ``current_value``: near the optimum the remaining gain,
-    quadratic in a tiny certificate gap, is no longer representable, and
-    the caller certifies or stops right after.  When no trial of
-    ``_MAX_HALVINGS`` qualifies, the current iterate returns as a tie at
-    step 0.  Returns ``(measure, value, step, tied)``.
+    The trial is the full step, or the minimizer along the segment
+    (``model.segment_step``) when that lies inside it and its objective
+    lies more than 4 ulp below the full step's, or the full step's is not
+    finite.  It returns if its objective is at most 4 ulp above
+    ``current_value``, else the current iterate returns at step 0; an
+    infinite or NaN objective never qualifies.  Every trial drops the
+    atoms below ``core.PURGE_THRESHOLD``, so the value returned is its
+    measure's own and an empty trial never returns.  The step is ``tied``
+    unless its objective lies more than 4 ulp below ``current_value``:
+    near the optimum the remaining gain, quadratic in a tiny certificate
+    gap, is no longer representable, and the caller certifies or stops
+    right after.  Returns ``(measure, value, step, tied)``.
     """
     tol = 4.0 * np.spacing(abs(current_value))
-    lam = 1.0
-    for _ in range(_MAX_HALVINGS):
-        trial = _blend(current, candidate, lam)
-        exact = model.segment_step(current, trial) if lam == 1.0 else 1.0
-        value, step = model.objective(trial), lam
-        if exact < 1.0:
-            inner = _blend(current, candidate, exact)
-            inner_value = model.objective(inner)
-            floor = (value - 4.0 * np.spacing(abs(value))
-                     if np.isfinite(value) else np.inf)
-            if inner_value < floor:
-                trial, value, step = inner, inner_value, exact
-        if value <= current_value + tol:
-            return trial, value, step, not value < current_value - tol
-        lam *= 0.5
+    trial = _blend(current, candidate, 1.0)
+    exact = model.segment_step(current, trial)
+    value, step = model.objective(trial), 1.0
+    if exact < 1.0:
+        inner = _blend(current, candidate, exact)
+        inner_value = model.objective(inner)
+        floor = (value - 4.0 * np.spacing(abs(value))
+                 if np.isfinite(value) else np.inf)
+        if inner_value < floor:
+            trial, value, step = inner, inner_value, exact
+    if value <= current_value + tol:
+        return trial, value, step, not value < current_value - tol
     return current, current_value, 0.0, True
 
 
@@ -604,11 +597,11 @@ def _newton_loop(model, start, config):
     trace = core.SolverTrace()
     pending = (0, np.nan, ())
     tied_last = False
+    value = model.objective(f)
 
     for it in range(config.max_outer_iter + 1):
         cert = core.check_optimality(model, f, grid, config.eta,
                                      config.support_tol)
-        value = model.objective(f)
         trace.append(value, f.size, cert.min_grid_alt, *pending)
         if cert.passed:
             trace.converged = True
@@ -655,7 +648,7 @@ def _newton_loop(model, start, config):
         logger.debug("Newton step %d: objective %.12g -> %.12g, lam %.3g, "
                      "support %d -> %d%s", it, value, new_value, lam,
                      f.size, f_new.size, " (tie)" if tied_last else "")
-        f = f_new
+        f, value = f_new, new_value
 
     return f, trace
 

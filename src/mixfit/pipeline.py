@@ -375,7 +375,7 @@ def emit_curves(out_dir, result):
 
     Density and distribution curves use 512 points covering the range
     of the model's sample extended by 10% on each side; the certificate curve is
-    evaluated exactly on the solve grid, where its sign is guaranteed.
+    the certificate's own scan of the solve grid, where its sign is guaranteed.
     """
     out_dir = str(out_dir)
     spec = model_spec(result.model_kind)
@@ -402,7 +402,7 @@ def emit_curves(out_dir, result):
     _write_curve(
         f"{out_dir}/curve_directional_derivative.csv",
         ["theta", "alt_dir_deriv"],
-        [grid, np.asarray(model.alt_dir_deriv_vertex(grid, measure))])
+        [grid, result.certificate.grid_alt])
 
     ecdf = np.searchsorted(x, xs, side="right") / x.size
     _write_curve(

@@ -10,6 +10,7 @@ baseline step lengths.
 import itertools
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -609,6 +610,17 @@ class TestCheckOptimality:
         a = check_optimality(m, f, np.array([2.0]), 1e-6)
         b = check_optimality(m, f, np.array([2.0]), 1e-6, support_tol=1e-6)
         assert a == b
+
+    def test_keeps_its_read_only_scan(self):
+        m = LsModel(np.array([1.0, 3.0]))
+        f = MixingMeasure([2.0], [0.6])
+        grid = np.linspace(0.5, 5.0, 7)
+        cert = check_optimality(m, f, grid, 1e-8)
+        assert np.array_equal(cert.grid_alt, m.alt_dir_deriv_vertex(grid, f))
+        assert not cert.grid_alt.flags.writeable
+        # the scan takes no part in == or repr
+        bare = replace(cert, grid_alt=None)
+        assert cert == bare and repr(cert) == repr(bare)
 
 
 class _CountingModel:

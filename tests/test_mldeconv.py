@@ -656,6 +656,29 @@ class TestNewtonSolve:
             best = model.objective(g)
             assert model.objective(f) <= best + 1e-9 * abs(best), seed
 
+    @pytest.mark.parametrize("gridless", [False, True])
+    def test_singular_warm_start_starts_empty(self, monkeypatch, gridless):
+        # A step inside its segment keeps the atoms of both ends, more
+        # than this tied sample's three distinct observations: the next
+        # warm start's system is singular, so that subproblem starts empty.
+        x = np.array([-2.9, -2.9, -1.9, -1.9, -2.9, -2.9, -1.9, -0.2])
+        starts = []
+        solve = core.solve
+
+        def recording(model, config, start=None, local=None):
+            if isinstance(model, QuadLocalModel):
+                starts.append(start)
+            return solve(model, config, start, local)
+
+        monkeypatch.setattr(core, "solve", recording)
+        grid = pipeline.build_grid(*pipeline.default_grid_spec("deconv-ml", x),
+                                   GaussianFamily())
+        result = pipeline.fit("deconv-ml", x, SolverConfig(
+            grid=grid, eta=1e-8, gridless_enabled=gridless))
+        assert result.converged
+        assert 0.0 < result.trace.step_size[1] < 1.0
+        assert [start is None for start in starts].count(True) == 1
+
     def test_custom_start(self):
         rng = np.random.default_rng(23)
         x = rng.normal(size=30)
@@ -742,6 +765,21 @@ class TestSharedKernelMatrix:
         assert len(built) > 1
         assert (grid.size, self.N) not in [s for _, s, into in calls if not into]
         assert result.model.obs.K is None
+
+    def test_curves_evaluate_no_grid_kernels(self, monkeypatch, tmp_path):
+        x, grid = self._problem()
+        result = pipeline.fit("deconv-ml", x, SolverConfig(grid=grid, eta=1e-8))
+        calls = _kernel_spy(monkeypatch)
+        pipeline.emit_curves(tmp_path, result)
+        # the certificate curve is the final certificate's scan
+        assert (grid.size, self.N) not in [shape for _, shape, _ in calls]
+        curve = np.loadtxt(tmp_path / "curve_directional_derivative.csv",
+                           delimiter=",", skiprows=1)
+        assert np.array_equal(curve[:, 1], result.certificate.grid_alt)
+        assert curve[:, 1].min() == result.certificate.min_grid_alt
+        # the tiled K gives the untiled scan bit for bit
+        assert np.array_equal(
+            curve[:, 1], MlModel(x).alt_dir_deriv_vertex(grid, result.measure))
 
     def test_on_returns_the_model_that_holds_the_grid(self):
         x, grid = self._problem()
@@ -979,23 +1017,23 @@ class TestGridStageStall:
 
 
 class _RiggedObjective:
-    """Objective scripted as a function of the step size.
+    """Objective scripted per trial, with a scripted ``segment_step``.
 
-    Trial ``k`` has step ``2**-k``; the trials are kept in ``trials``.
-    The exact step along the segment is the full step, so the halving
-    trials are the only others.
+    The first trial is the full step, the second, if any, the step to
+    ``exact``; the trials are kept in ``trials``.
     """
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, values, exact=1.0):
+        self.values = values
+        self.exact = exact
         self.trials = []
 
     def objective(self, measure):
         self.trials.append(measure)
-        return self.fn(2.0 ** (1 - len(self.trials)))
+        return self.values[len(self.trials) - 1]
 
     def segment_step(self, current, candidate):
-        return 1.0
+        return self.exact
 
 
 class TestDampedUpdate:
@@ -1003,79 +1041,94 @@ class TestDampedUpdate:
     CANDIDATE = MixingMeasure([1.0], [1.0])
 
     def test_full_step_when_it_decreases(self):
-        model = _RiggedObjective(lambda lam: 5.0 - lam)
+        model = _RiggedObjective([4.0])
         trial, value, lam, tied = _damped_update(
             model, self.CURRENT, self.CANDIDATE, 5.0)
         assert lam == 1.0 and not tied
         assert value == 4.0
 
-    def test_halves_past_infinite_trials(self):
-        model = _RiggedObjective(
-            lambda lam: np.inf if lam > 0.55 else 5.0 - lam)
-        trial, value, lam, tied = _damped_update(
-            model, self.CURRENT, self.CANDIDATE, 5.0)
-        assert lam == 0.5 and not tied
+    def test_vanishing_candidate_takes_the_interior_step(self):
+        # The candidate's kernel underflows at x = 50, so the full step's
+        # objective is infinite.  Along the segment the likelihood is
+        # -(log(0.2 + 0.8 lam) + log(0.2 (1 - lam))) / 2 + 0.4 + 0.6 lam
+        # plus a constant, minimal at lam = 1/6.
+        model = MlModel([0.0, 50.0])
+        current = MixingMeasure([0.0, 50.0], [0.2, 0.2])
+        candidate = MixingMeasure([0.0], [1.0])
+        current_value = model.objective(current)
+        assert model.objective(candidate) == np.inf
+        trial, value, lam, tied = _damped_update(model, current, candidate,
+                                                 current_value)
+        assert 0.0 < lam < 1.0 and not tied
+        assert_allclose(lam, 1.0 / 6.0, rtol=1e-10)
+        assert np.isfinite(value) and value < current_value
+        assert value == model.objective(MixingMeasure(trial.locations,
+                                                      trial.weights))
 
     def test_tie_accepted_when_flat(self):
-        model = _RiggedObjective(lambda lam: 5.0)
+        model = _RiggedObjective([5.0])
         trial, value, lam, tied = _damped_update(
             model, self.CURRENT, self.CANDIDATE, 5.0)
         assert tied and lam == 1.0 and value == 5.0
 
     def test_one_ulp_decrease_is_a_tie(self):
-        model = _RiggedObjective(lambda lam: np.nextafter(5.0, 0.0))
+        model = _RiggedObjective([np.nextafter(5.0, 0.0)])
         trial, value, lam, tied = _damped_update(
             model, self.CURRENT, self.CANDIDATE, 5.0)
         assert tied and lam == 1.0 and value < 5.0
 
     def test_stall_when_objective_always_worse(self):
-        model = _RiggedObjective(lambda lam: 5.0 + max(lam, 1e-3))
+        model = _RiggedObjective([6.0, 5.001], exact=0.5)
         trial, value, lam, tied = _damped_update(
             model, self.CURRENT, self.CANDIDATE, 5.0)
+        assert len(model.trials) == 2
         assert trial is self.CURRENT
         assert (value, lam, tied) == (5.0, 0.0, True)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), current_value=st.sampled_from(
-        [5.0, 2.730203582645328, -0.75, 1e-300, 0.0, 3e5]))
-    def test_largest_step_within_four_ulp(self, data, current_value):
-        # trial k (step 2**-k) scores values[k]; past the drawn ones every
-        # trial scores ``rest``
+        [5.0, 2.730203582645328, -0.75, 1e-300, 0.0, 3e5]),
+           exact=st.sampled_from([1.0, 0.5, 0.3, 1e-13]))
+    def test_largest_step_within_four_ulp(self, data, current_value, exact):
+        # the full step scores ``full`` and the step to ``exact`` scores
+        # ``inner``, drawn near ``current_value`` or near ``full``
         ulp = np.spacing(abs(current_value))
         tol = 4.0 * ulp
-        score = st.one_of(
-            st.sampled_from([np.inf, np.nan]),
-            st.integers(-12, 12).map(lambda j: current_value + j * ulp),
-            st.floats(1e-6, 10.0).map(lambda d: current_value - d))
-        values = data.draw(st.lists(score, max_size=mldeconv._MAX_HALVINGS))
-        rest = data.draw(st.sampled_from(
-            [np.inf, np.nan, current_value + 5 * ulp]))
 
-        def fn(lam):
-            k = round(-math.log2(lam))
-            return values[k] if k < len(values) else rest
+        def near(value):
+            return st.one_of(
+                st.sampled_from([np.inf, np.nan]),
+                st.integers(-12, 12).map(
+                    lambda j: value + j * np.spacing(abs(value))),
+                st.floats(1e-6, 10.0).map(lambda d: value - d))
 
-        model = _RiggedObjective(fn)
+        full = data.draw(near(current_value))
+        inner = data.draw(near(full) if np.isfinite(full)
+                          else near(current_value))
+        model = _RiggedObjective([full, inner], exact)
         trial, value, lam, tied = _damped_update(
             model, self.CURRENT, self.CANDIDATE, current_value)
+        steps = [1.0] if exact == 1.0 else [1.0, exact]
+        assert len(model.trials) == len(steps)
         # the candidate atom sits at 1.0 with the step as its weight, and
         # leaves every trial once that weight is below the purge threshold
-        for k, t in enumerate(model.trials):
-            step = 2.0**-k
+        for step, t in zip(steps, model.trials):
             expect = [step] if step >= core.PURGE_THRESHOLD else []
             assert_allclose(t.weights[t.locations == 1.0], expect)
-        scores = [fn(2.0**-k) for k in range(mldeconv._MAX_HALVINGS)]
-        ok = [k for k, v in enumerate(scores) if v <= current_value + tol]
-        if not ok:
+        # the interior step wins only more than 4 ulp below the full
+        # step's finite objective, or below a full step that is not finite
+        floor = (full - 4.0 * np.spacing(abs(full)) if np.isfinite(full)
+                 else np.inf)
+        k = 1 if exact < 1.0 and inner < floor else 0
+        score = [full, inner][k]
+        if not score <= current_value + tol:
             assert trial is self.CURRENT
             assert (value, lam, tied) == (current_value, 0.0, True)
             return
-        assert lam == 2.0**-ok[0]
-        assert value == scores[ok[0]] <= current_value + tol
+        assert lam == steps[k]
+        assert value == score
         assert tied == (not value < current_value - tol)
-        if not tied:
-            assert value < current_value - tol
-        assert trial is model.trials[ok[0]]
+        assert trial is model.trials[k]
 
     def test_full_step_drops_atoms_below_the_purge_threshold(self):
         model = MlModel([-1.0, 0.0, 0.5, 2.0])
