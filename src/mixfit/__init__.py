@@ -17,8 +17,7 @@ top level holds the solver entry points; everything else is imported
 from its module (``mixfit.pipeline``, ``mixfit.lsconvex``, ...).
 """
 
-from .baselines import dir_deriv_measure, fedorov_wynn_step, vertex_exchange_step
-from .core import SolverConfig, check_optimality, solve
+from .core import SolverConfig, check_optimality, dir_deriv_measure, solve
 from .families import MixingMeasure, SignedMixingMeasure, combine
 from .gridless import fine_tune
 
@@ -29,10 +28,8 @@ __all__ = [
     "check_optimality",
     "combine",
     "dir_deriv_measure",
-    "fedorov_wynn_step",
     "fine_tune",
     "solve",
-    "vertex_exchange_step",
 ]
 
 __version__ = "0.1.0"

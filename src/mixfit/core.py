@@ -13,9 +13,7 @@ a descent direction steeper than a tolerance, which together with
 stationarity on the support is a global optimality certificate for the
 cone problem.
 
-Models plug in through :class:`ConeObjective`.  The classical
-unit-mass hull rules the solver is compared with live in
-:mod:`mixfit.baselines`.
+Models plug in through :class:`ConeObjective`.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ __all__ = [
     "cholesky_solve",
     "solve",
     "check_optimality",
+    "dir_deriv_measure",
 ]
 
 logger = logging.getLogger("mixfit.core")
@@ -456,3 +455,16 @@ def check_optimality(model, measure, grid, tol, support_tol=None):
         support_tol=float(support_tol),
         grid_alt=alt,
     )
+
+
+def dir_deriv_measure(model, direction, measure):
+    """``D_phi(h; f)`` for an atomic signed direction ``h``.
+
+    The derivative is linear in the direction, so it is the weighted
+    sum of the vertex derivatives over the atoms of ``h``.
+    """
+    if direction.size == 0:
+        return 0.0
+    vals = np.asarray(
+        model.dir_deriv_vertex(direction.locations, measure), dtype=float)
+    return float(vals @ direction.weights)

@@ -502,12 +502,6 @@ class QuadLocalModel(core.ConeObjective):
             "close to resolve, merge them")
         return SignedMixingMeasure(support, alpha)
 
-    def segment_curvature(self, direction):
-        """Exact curvature ``(1/n) sum (d_i h(x_i))^2 = h'M(S, S) h``."""
-        S, h = direction.locations, direction.weights
-        at = self.obs.grid_index(S)
-        return float(h @ self._gram_block(S, at, S, at) @ h)
-
 
 def starting_iterate(sample, grid):
     """A cover of the sorted sample by cells one noise unit wide.

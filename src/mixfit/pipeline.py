@@ -222,6 +222,9 @@ def build_grid(grid_min, grid_max, grid_size, family):
     """Equally spaced candidate grid, restricted to the family's domain."""
     if grid_size < 1:
         raise ValueError("grid size must be positive")
+    if not (np.isfinite(grid_min) and np.isfinite(grid_max)):
+        raise ValueError(f"grid min {grid_min:g} and grid max {grid_max:g} "
+                         "must be finite")
     if grid_max < grid_min:
         raise ValueError("grid max must not be below grid min")
     grid = np.linspace(grid_min, grid_max, grid_size)

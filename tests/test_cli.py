@@ -391,7 +391,9 @@ class TestInputErrors:
                                       "atom-below-domain", "atom-on-edge",
                                       "eta-inf", "check-tol-negative",
                                       "check-tol-inf", "measure-repeated",
-                                      "measure-weight-zero", "far-observation"])
+                                      "measure-weight-zero", "far-observation",
+                                      "grid-min-inf", "grid-max-inf",
+                                      "grid-max-nan"])
     def test_usage_error_without_traceback(self, runner, tmp_path, case):
         sample = tmp_path / "s.txt"
         sample.write_text("0.5\n1.0\n2.0\n")
@@ -433,6 +435,16 @@ class TestInputErrors:
                                  "1", "--out-dir", out],
                                 "vanishes at observation 200, 200 from the "
                                 "nearest grid point"),
+            # np.linspace turns an infinite bound into nan grid points.
+            "grid-min-inf": (["fit", "deconv-ml", str(sample), "--grid-min",
+                              "-inf", "--out-dir", out],
+                             "grid min -inf and grid max 2 must be finite"),
+            "grid-max-inf": (["fit", "deconv-ml", str(sample), "--grid-max",
+                              "inf", "--out-dir", out],
+                             "grid min 0.5 and grid max inf must be finite"),
+            "grid-max-nan": (["fit", "deconv-ml", str(sample), "--grid-max",
+                              "nan", "--out-dir", out],
+                             "grid min 0.5 and grid max nan must be finite"),
         }[case]
         rows = {"atom-below-domain": "-1.0,0.5\n2.0,0.5\n",
                 "atom-on-edge": "0.0,0.5\n2.0,0.5\n",

@@ -227,8 +227,9 @@ class TestQuadModel:
         x, center, q = self._setup()
         theta = 0.9
         _, c2 = q.quad_coefficients(theta, center)
-        assert_allclose(q.segment_curvature(SignedMixingMeasure([theta], [1.0])),
-                        c2, rtol=1e-13)
+        S, w = np.array([theta]), np.array([1.0])
+        at = q.obs.grid_index(S)
+        assert_allclose(w @ q._gram_block(S, at, S, at) @ w, c2, rtol=1e-13)
 
     def test_grid_cache_matches_fresh_evaluation(self):
         x, center, _ = self._setup()
@@ -330,7 +331,10 @@ class TestGridPathAgreement:
             assert_allclose(model.objective(measure),
                             w.sum() - 2.0 * fd.mean() + 0.5 * (fd**2).mean(),
                             rtol=1e-12, atol=1e-12 * q_size)
-            assert_allclose(model.segment_curvature(measure), (fd**2).mean(),
+            S = measure.locations
+            at = model.obs.grid_index(S)
+            assert_allclose(w @ model._gram_block(S, at, S, at) @ w,
+                            (fd**2).mean(),
                             rtol=1e-12, atol=1e-12 * (size**2).mean())
         # the normal equations, on grid atoms and on the measure's, where
         # the system is conditioned well enough that rounding stays orders
