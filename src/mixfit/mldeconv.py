@@ -51,7 +51,7 @@ _MAX_HALVINGS = 60
 _PRODUCT_SPAN = 600.0
 
 #: Bytes of rows of a ``G x n`` kernel matrix per tile: the passes the
-#: kernel build and the squared products make over one tile stay in cache.
+#: kernel build and the curvatures make over one tile stay in cache.
 _TILE_BYTES = 1 << 20
 
 
@@ -59,26 +59,6 @@ def _tile_rows(n):
     """Rows of a float array with ``n`` columns in one tile: about
     ``_TILE_BYTES``, at least one row."""
     return max(1, _TILE_BYTES // (8 * n))
-
-
-def _squared_products(K, w):
-    """``w (K∘K)'``: ``(K∘K) w`` for a weight n-vector, and one such row
-    per weight for an ``m x n`` matrix of weights.
-
-    One pass over ``K``: each row tile is squared into a reused buffer and
-    multiplied by all the weights in one product, so ``K∘K`` is never
-    stored.  A matrix of one tile is squared whole, with no buffer.
-    """
-    G, n = K.shape
-    step = _tile_rows(n)
-    if step >= G:
-        return w @ np.square(K).T
-    buf = np.empty((step, n))
-    out = np.empty(w.shape[:-1] + (G,))
-    for lo in range(0, G, step):
-        tile = np.square(K[lo:lo + step], out=buf[:min(step, G - lo)])
-        np.matmul(w, tile.T, out=out[..., lo:lo + step])
-    return out
 
 
 class KernelUnderflow(ValueError):
@@ -116,15 +96,19 @@ class _Observations:
     a Newton step's certificate scan, objective and quadratic model read
     that one matvec, and so does a fit's certificate of the last iterate.
 
+    Every sum over ``K`` is formed here: ``b``, and for a quadratic model
+    with weights ``d^2`` its curvatures ``c2`` and ``W``
+    (:meth:`curvatures`) and its Gram rows (:meth:`gram_rows`).
+
     On a uniform grid ``theta_j = theta_0 + j h`` the layer also holds
-    ``product``, the factors with which a quadratic model forms its Gram
-    rows from the Gaussian product identity without reading ``K`` (see
+    ``product``, the factors with which it forms Gram rows from the
+    Gaussian product identity without reading ``K`` (see
     :class:`QuadLocalModel`): ``toep[t] = exp(-(t^2 - t mod 2) h^2 / 4)``,
     the n-vector ``scale = exp(h (x - max x))`` and, for ``j < G - 1``,
     ``odd[j] = exp(h (max x - theta_j) - h^2 / 2)``, so that
     ``phi(x - theta_j) phi(x - theta_{j+1}) = K[j]^2 * scale * odd[j]``.
     It is None on grids that are not uniform or span more than
-    ``_PRODUCT_SPAN`` allows; their models read ``K``.
+    ``_PRODUCT_SPAN`` allows; their Gram rows are passes over ``K``.
     """
 
     family = GaussianFamily()
@@ -198,6 +182,39 @@ class _Observations:
         if self._last[2] is None:
             self._last = (measure, fx, self.K @ (1.0 / fx) / self.x.size)
         return self._last[2]
+
+    def curvatures(self, d2):
+        """``c2 = (K∘K) d2 / n`` over the grid, and ``W``, which interleaves
+        ``c2`` and ``odd * ((K∘K)[:-1] (d2 scale)) / n`` on a uniform grid
+        and is None on others.
+
+        One pass over ``K``: each row tile is squared into a reused buffer
+        and multiplied by the weight vectors in one product, so ``K∘K`` is
+        never stored.
+        """
+        G, n = self.K.shape
+        w = d2 if self.product is None else np.array((d2, d2 * self.product[1]))
+        step = min(_tile_rows(n), G)
+        buf = np.empty((step, n))
+        sums = np.empty(w.shape[:-1] + (G,))
+        for lo in range(0, G, step):
+            tile = np.square(self.K[lo:lo + step], out=buf[:min(step, G - lo)])
+            np.matmul(w, tile.T, out=sums[..., lo:lo + step])
+        if self.product is None:
+            return sums / n, None
+        W = np.empty(2 * G - 1)
+        W[0::2] = c2 = sums[0] / n
+        W[1::2] = self.product[2] * sums[1, :-1] / n
+        return c2, W
+
+    def gram_rows(self, new, d2, W):
+        """``K[new] diag(d2) K' / n`` for grid indices ``new``: O(G) per row
+        from the product identity given :meth:`curvatures`' ``W``, else one
+        pass over ``K`` for any count."""
+        if W is None:
+            return (self.K[new] * d2) @ self.K.T / self.x.size
+        j = np.arange(self.grid.size)
+        return self.product[0][np.abs(new[:, None] - j)] * W[new[:, None] + j]
 
 
 class MlModel:
@@ -370,23 +387,21 @@ class QuadLocalModel(core.ConeObjective):
     normal equations ``M(S, S) alpha = 2 b(S) - 1`` and curvature
     ``h'M(S, S) h`` along a direction ``h``.  Only :meth:`_lin`,
     :meth:`_gram_block` and the read of ``c2`` tell grid atoms from
-    others.  On the grid ``b`` is the layer's matvec at the center,
-    ``c2 = (K∘K) d^2 / n`` is formed once by squaring ``K`` one row tile
-    at a time (no ``G x n`` array is stored), and ``M`` is read from a
-    store of the rows of the grid atoms that entered the support, each
-    formed when first needed, so a solver call reads nothing of length
-    n.  Other atoms, and models without a grid, evaluate their kernels.
+    others.  The model holds only this algebra and reads no ``K``: on the
+    grid the layer forms ``b`` (its matvec at the center), ``c2 = (K∘K)
+    d^2 / n`` and ``W`` in one pass (:meth:`_Observations.curvatures`),
+    and the Gram rows of the grid atoms that enter the support, each when
+    first needed (:meth:`_Observations.gram_rows`).  ``M`` is read from
+    that store of rows, so a solver call reads nothing of length n.
+    Other atoms, and models without a grid, evaluate their kernels.
 
     On a uniform grid (the layer's ``product``) the rows come from the
     Gaussian product identity ``phi(x - a) phi(x - b) = exp(-(a - b)^2 / 4)
     phi(x - (a + b)/2)^2``: entries with the same midpoint differ by a
     factor.  With ``t = |a - b|`` that gives ``M[a, b] = exp(-(t^2 - t
     mod 2) h^2 / 4) W[a + b]``, where ``W`` interleaves the diagonal
-    ``M[j, j] = c2[j]`` and the superdiagonal ``M[j, j + 1]``, from
-    ``(K∘K)[:-1] (d^2 scale)``: both come from the same pass over ``K``,
-    one two-column product per squared tile.  Each row then costs O(G)
-    and reads no ``K``.  On other grids each batch of new rows is one
-    pass over ``K``.
+    ``M[j, j] = c2[j]`` and the superdiagonal ``M[j, j + 1]``, so each row
+    costs O(G).
     """
 
     family = _Observations.family
@@ -402,19 +417,9 @@ class QuadLocalModel(core.ConeObjective):
         self.n = self.x.size
         self.d = 1.0 / gx
         self._d2 = self.d**2
-        if sample.K is not None:
+        if sample.grid is not None:
             self._b = sample.ratio_mean(sample.grid, center)
-            self._half = None
-            if sample.product is None:
-                self._c2 = _squared_products(sample.K, self._d2) / self.n
-            else:
-                _, scale, odd = sample.product
-                c2, sup = _squared_products(
-                    sample.K, np.array((self._d2, self._d2 * scale)))
-                self._c2 = c2 / self.n
-                self._half = np.empty(2 * self._c2.size - 1)
-                self._half[0::2] = self._c2
-                self._half[1::2] = odd * sup[:-1] / self.n
+            self._c2, self._half = sample.curvatures(self._d2)
             # grid index -> row of the store, -1 until that row is formed
             self._slot = np.full(sample.grid.size, -1)
             self._gram = np.empty((0, sample.grid.size))
@@ -437,19 +442,10 @@ class QuadLocalModel(core.ConeObjective):
         if missing.any():
             new = np.arange(self._slot.size)[at_rows][missing]
             self._slot[new] = np.arange(len(self._gram), len(self._gram) + new.size)
-            self._gram = np.concatenate((self._gram, self._weighted_gram(new)))
+            self._gram = np.concatenate(
+                (self._gram, self.obs.gram_rows(new, self._d2, self._half)))
             slots = self._slot[at_rows]
         return self._gram[slots][:, at_cols]
-
-    def _weighted_gram(self, new):
-        """``K[new] diag(d^2) K' / n``: O(G) per row from the product
-        identity on a uniform grid, else one pass over ``K`` for any count."""
-        if self._half is None:
-            K = self.obs.K
-            return (K[new] * self._d2) @ K.T / self.n
-        toep = self.obs.product[0]
-        j = np.arange(toep.size)
-        return toep[np.abs(new[:, None] - j)] * self._half[new[:, None] + j]
 
     def objective(self, measure):
         S, w = measure.locations, measure.weights
@@ -573,9 +569,9 @@ def _newton_loop(model, start, config):
     """Shared sequential-quadratic iteration for the relaxed likelihood."""
     grid = config.grid
     # The layer on the grid, the fit's own or a weight polish's new one,
-    # holds the K that the certificate and every quadratic model read,
-    # and the iterate's mixture and matvec K (1/f) / n, which the
-    # objective and the quadratic model at that iterate reuse.
+    # forms every sum over K that the certificate and the quadratic models
+    # read, and keeps the iterate's mixture and matvec K (1/f) / n, which
+    # the objective and the quadratic model at that iterate reuse.
     model = model.on(grid)
     f = start
     # The certificate's first scan reads this mixture from the layer.

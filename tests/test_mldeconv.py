@@ -403,8 +403,8 @@ class TestGridPathAgreement:
 
 
 class TestSquaredProducts:
-    """A quadratic model's sums over ``K∘K``, squared tile by tile, match
-    the products over the stored square."""
+    """The layer's curvatures, squared tile by tile, match the products
+    over the stored square of ``K``."""
 
     @settings(max_examples=80, deadline=None)
     @given(x=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30),
@@ -419,15 +419,38 @@ class TestSquaredProducts:
             grid[1] += 1e-3          # not uniform: no product identity
         with mock.patch.object(mldeconv, "_TILE_BYTES", tile_rows * 8 * x.size):
             obs = _Observations(x, grid)
-            quad = QuadLocalModel(obs, center)
-        K2, d2 = obs.K * obs.K, quad.d**2
-        assert_allclose(quad._c2, K2 @ d2 / x.size, rtol=1e-13)
-        assert (obs.product is None) == (jitter and size > 2)
+            d2 = (1.0 / obs.mixture(center))**2
+            c2, W = obs.curvatures(d2)
+        K2 = obs.K * obs.K
+        assert_allclose(c2, K2 @ d2 / x.size, rtol=1e-13)
+        assert (obs.product is None) == (jitter and size > 2) == (W is None)
         if obs.product is not None:
             _, scale, odd = obs.product
-            assert_allclose(quad._half[1::2],
-                            odd * (K2[:-1] @ (d2 * scale)) / x.size, rtol=1e-13)
-            assert_allclose(quad._half[0::2], quad._c2, rtol=0.0)
+            assert_allclose(W[1::2], odd * (K2[:-1] @ (d2 * scale)) / x.size,
+                            rtol=1e-13)
+            assert_allclose(W[0::2], c2, rtol=0.0)
+
+    @pytest.mark.parametrize("size, jitter", [(1, False), (2, False), (9, False),
+                                              (9, True), (40, False)])
+    def test_one_tile_holds_the_grid(self, size, jitter):
+        # one tile squares all of K, bit for bit as the whole square does
+        x = np.random.default_rng(43).normal(size=25)
+        grid = np.linspace(-2.0, 2.0, size)
+        if jitter:
+            grid[1] += 1e-3
+        obs = _Observations(x, grid)
+        assert mldeconv._tile_rows(x.size) >= size
+        d2 = (1.0 / obs.mixture(MixingMeasure([0.0], [1.0])))**2
+        c2, W = obs.curvatures(d2)
+        w = d2 if obs.product is None else np.array((d2, d2 * obs.product[1]))
+        sums = w @ np.square(obs.K).T
+        if jitter:
+            assert W is None
+            assert np.array_equal(c2, sums / x.size)
+        else:
+            assert np.array_equal(c2, sums[0] / x.size)
+            assert np.array_equal(W[0::2], c2)
+            assert np.array_equal(W[1::2], obs.product[2] * sums[1, :-1] / x.size)
 
 
 class TestObservations:
@@ -917,16 +940,16 @@ class TestGramStore:
         assert obs.product is not None
         monkeypatch.setattr(obs, "K", _Unread())
         formed = []
-        original = QuadLocalModel._weighted_gram
+        original = _Observations.gram_rows
 
-        def recording(self, new):
+        def recording(self, new, d2, W):
             formed.extend(new.tolist())
-            return original(self, new)
+            return original(self, new, d2, W)
 
         def forbidden(self, *args):
             raise AssertionError("the solve read n-sized data")
 
-        monkeypatch.setattr(QuadLocalModel, "_weighted_gram", recording)
+        monkeypatch.setattr(_Observations, "gram_rows", recording)
         monkeypatch.setattr(_Observations, "mixture", forbidden)
         monkeypatch.setattr(_Observations, "kernels", forbidden)
         f, trace = core.solve(quad, SolverConfig(grid=grid, eta=1e-10))
