@@ -112,7 +112,7 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
         result = pipeline.fit(model, sample, config)
     except mldeconv.KernelUnderflow as exc:
         # the grid is too coarse or too narrow for the data: bad input
-        raise click.UsageError(str(exc)) from None
+        raise click.UsageError(f"{exc}; widen or refine the grid") from None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

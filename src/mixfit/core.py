@@ -19,6 +19,7 @@ Models plug in through :class:`ConeObjective`.
 from __future__ import annotations
 
 import logging
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -154,6 +155,8 @@ class SolverConfig:
         object.__setattr__(self, "grid", grid)
         if not (0.0 < self.eta < np.inf):
             raise ValueError("eta must be positive and finite")
+        if not isinstance(self.max_outer_iter, numbers.Integral):
+            raise ValueError("max_outer_iter must be an integer")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be at least 1")
         if not (0.0 <= self.gridless_tol < np.inf):

@@ -235,9 +235,6 @@ def _mixture_sum(fn, measure, x):
     """``sum_i w_i fn(theta_i, x)``, shaped like ``x``; zero for an empty
     measure."""
     x = np.asarray(x, dtype=float)
-    if measure.size == 0:
-        out = np.zeros(x.shape)
-        return out if out.ndim else 0.0
     out = fn(measure.locations, x[..., None]) @ measure.weights
     return out if out.ndim else float(out)
 

@@ -82,9 +82,6 @@ class LsModel(core.ConeObjective):
         ``C``, ``E`` of ``c``, ``c tau``, so no ``G x p`` array is built.
         """
         theta = np.asarray(theta, dtype=float)
-        if measure.size == 0:
-            out = np.zeros(theta.shape)
-            return out if out.ndim else 0.0
         tau, c = measure.locations, measure.weights
         zero = np.zeros(1)
         a = c / tau
@@ -118,8 +115,6 @@ class LsModel(core.ConeObjective):
 
     def objective(self, measure):
         """``1/2 int f^2 - int f dF_n`` for an atomic (signed) mixture."""
-        if measure.size == 0:
-            return 0.0
         w = measure.weights
         G = self._gram(measure.locations)
         b = self._linear_term(measure.locations)
@@ -153,8 +148,6 @@ class LsModel(core.ConeObjective):
 
     def segment_curvature(self, direction):
         """Exact ``int h^2`` for a signed direction; phi is quadratic."""
-        if direction.size == 0:
-            return 0.0
         w = direction.weights
         return float(w @ self._gram(direction.locations) @ w)
 
@@ -163,8 +156,6 @@ class LsModel(core.ConeObjective):
     def location_gradient(self, measure):
         """Gradient of ``phi`` in the atom locations at fixed weights, the
         location part of :meth:`newton_system`."""
-        if measure.size == 0:
-            return np.zeros(0)
         return self.newton_system(measure)[0][:measure.size]
 
     def newton_system(self, measure):

@@ -23,7 +23,6 @@ accepted and the scheme converges at Newton speed.
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import replace
 
@@ -62,9 +61,9 @@ def _tile_rows(n):
 
 
 class KernelUnderflow(ValueError):
-    """Raised when a Newton loop's starting mixture vanishes at an
-    observation: Gaussian kernels underflow to 0 about 38 noise units from
-    their atom, so no likelihood step can start there."""
+    """Raised when a likelihood mixture vanishes at an observation:
+    Gaussian kernels underflow to 0 about 38 noise units from their atom,
+    so no likelihood derivative or quadratic model exists there."""
 
 
 def _uniform_step(grid):
@@ -78,29 +77,41 @@ def _uniform_step(grid):
     return h if off <= 4.0 * np.spacing(np.abs(grid).max()) else None
 
 
-class _Observations:
-    """The sample and at most one grid with its kernel matrix.
+class MlModel:
+    """Relaxed negative log likelihood for Gaussian location mixtures.
 
-    All kernel values at the observations come from this layer, with the
-    observations on the last axis.  A fit holds one layer on its grid for
-    every stage (:meth:`MlModel.on`).  The grid's kernels are stored
-    atom-major, ``K[j, i] = phi(x_i - grid_j)``, the layer's only
+    Exposes the objective, its directional derivatives (used for the
+    optimality certificate and as the termination scan of the outer
+    Newton loop), and the Newton system for gridless refinement.
+    The certificate derivative needs no rescaling here: the kernels
+    share a common shape, so the raw derivative is already comparable
+    across the grid.  ``domain``, the data range, bounds the default
+    grid and the refined atoms.
+
+    ``MlModel(sample, grid=None)`` holds the sorted sample, shared with
+    ``sample`` when that is a model, and at most one grid with its kernel
+    matrix; every kernel value at the observations comes from it, with
+    the observations on the last axis.  A fit holds one model on its grid
+    for every stage (:meth:`on`).  The grid's kernels are stored
+    atom-major, ``K[j, i] = phi(x_i - grid_j)``, the model's only
     ``G x n`` array, built in place one tile of rows (about
     ``_TILE_BYTES``) at a time so that every pass over a tile stays in
     cache; the values equal one call over the whole grid bit for bit.
     Scans over the whole grid read ``K``, atoms that are all grid points
     read their rows (:meth:`grid_index`), and other atoms are evaluated.
 
-    The layer keeps the last mixture it evaluated, and on a grid also
+    The model keeps the last mixture it evaluated, and on a grid also
     that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid:
     a Newton step's certificate scan, objective and quadratic model read
     that one matvec, and so does a fit's certificate of the last iterate.
+    :meth:`positive_mixture` is the one check that the mixture is
+    positive at every observation.
 
     Every sum over ``K`` is formed here: ``b``, and for a quadratic model
     with weights ``d^2`` its curvatures ``c2`` and ``W``
     (:meth:`curvatures`) and its Gram rows (:meth:`gram_rows`).
 
-    On a uniform grid ``theta_j = theta_0 + j h`` the layer also holds
+    On a uniform grid ``theta_j = theta_0 + j h`` the model also holds
     ``product``, the factors with which it forms Gram rows from the
     Gaussian product identity without reading ``K`` (see
     :class:`QuadLocalModel`): ``toep[t] = exp(-(t^2 - t mod 2) h^2 / 4)``,
@@ -113,8 +124,11 @@ class _Observations:
 
     family = GaussianFamily()
 
-    def __init__(self, x, grid=None):
-        self.x = x
+    def __init__(self, sample, grid=None):
+        self.x = x = (sample.x if isinstance(sample, MlModel)
+                      else core.sorted_sample(sample))
+        self.n = x.size
+        self.domain = (float(x[0]), float(x[-1]))
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
         self.K = None
         self.product = None
@@ -133,6 +147,12 @@ class _Observations:
                 self.product = (np.exp(-0.25 * h * h * (t * t - t % 2)),
                                 np.exp(h * (x - top)),
                                 np.exp(h * (top - self.grid[:-1]) - 0.5 * h * h))
+
+    def on(self, grid):
+        """This model if it holds ``grid``, else a model on ``grid`` that
+        shares this one's sample."""
+        held = isinstance(self.grid_index(grid), slice)
+        return self if held else MlModel(self, grid)
 
     def grid_index(self, theta):
         """Rows of ``K`` that hold the kernels at ``theta``, or None.
@@ -168,19 +188,39 @@ class _Observations:
             self._last = (measure, fx, None)
         return self._last[1]
 
+    def positive_mixture(self, measure, kern=None):
+        """:meth:`mixture`, checked positive at every observation.
+
+        Raises ``KernelUnderflow`` naming the first observation where it
+        vanishes, with its distances to the nearest grid point, when the
+        model holds a grid, and to the nearest atom.
+        """
+        fx = self.mixture(measure, kern)
+        vanish = fx <= 0.0
+        if vanish.any():
+            xi = self.x[vanish.argmax()]
+            near = " and ".join(
+                f"{np.abs(points - xi).min():.3g} from the nearest {name}"
+                for name, points in (("grid point", self.grid),
+                                     ("atom", measure.locations))
+                if points is not None and points.size)
+            cause = ("Gaussian kernels underflow beyond about 38 noise units"
+                     if measure.size else "the measure has no atoms")
+            raise KernelUnderflow(
+                f"the mixture vanishes at observation {xi:.17g}"
+                f"{', ' if near else ''}{near}: {cause}")
+        return fx
+
     def ratio_mean(self, theta, measure):
         """``(1/n) sum_i phi(x_i - theta) / f(x_i)`` for the measure's mixture.
 
         The vector over the whole grid is kept with the last mixture.
-        Raises when the mixture vanishes at an observation.
         """
-        fx = self.mixture(measure)
-        if (fx <= 0.0).any():
-            raise ValueError("mixture must be positive at every observation")
+        fx = self.positive_mixture(measure)
         if not isinstance(self.grid_index(theta), slice):
-            return self.kernels(theta) @ (1.0 / fx) / self.x.size
+            return self.kernels(theta) @ (1.0 / fx) / self.n
         if self._last[2] is None:
-            self._last = (measure, fx, self.K @ (1.0 / fx) / self.x.size)
+            self._last = (measure, fx, self.K @ (1.0 / fx) / self.n)
         return self._last[2]
 
     def curvatures(self, d2):
@@ -212,50 +252,20 @@ class _Observations:
         from the product identity given :meth:`curvatures`' ``W``, else one
         pass over ``K`` for any count."""
         if W is None:
-            return (self.K[new] * d2) @ self.K.T / self.x.size
+            return (self.K[new] * d2) @ self.K.T / self.n
         j = np.arange(self.grid.size)
         return self.product[0][np.abs(new[:, None] - j)] * W[new[:, None] + j]
 
-
-class MlModel:
-    """Relaxed negative log likelihood for Gaussian location mixtures.
-
-    Exposes the objective, its directional derivatives (used for the
-    optimality certificate and as the termination scan of the outer
-    Newton loop), and the Newton system for gridless refinement.
-    The certificate derivative needs no rescaling here: the kernels
-    share a common shape, so the raw derivative is already comparable
-    across the grid.  ``domain``, the data range, bounds the default
-    grid and the refined atoms.
-    """
-
-    family = _Observations.family
-
-    def __init__(self, sample):
-        self.x = x = core.sorted_sample(sample)
-        self.n = x.size
-        self.domain = (float(x[0]), float(x[-1]))
-        self.obs = _Observations(x)
-
-    def on(self, grid):
-        """This model if its layer holds ``grid``, else a shallow copy
-        with a layer on ``grid``, this model's left as it is."""
-        if isinstance(self.obs.grid_index(grid), slice):
-            return self
-        model = copy.copy(self)
-        model.obs = _Observations(self.x, grid)
-        return model
-
     def objective(self, measure):
         """``-(1/n) sum log f(x_i) + mass``; +inf when f vanishes at a point."""
-        fx = self.obs.mixture(measure)
+        fx = self.mixture(measure)
         if (fx <= 0.0).any():
             return np.inf
         return float(-np.log(fx).mean() + measure.total_mass())
 
     def dir_deriv_vertex(self, theta, measure):
         """``1 - (1/n) sum f_theta(x_i) / f(x_i)``."""
-        out = 1.0 - self.obs.ratio_mean(theta, measure)
+        out = 1.0 - self.ratio_mean(theta, measure)
         return out if out.ndim else float(out)
 
     alt_dir_deriv_vertex = dir_deriv_vertex
@@ -277,10 +287,8 @@ class MlModel:
         ``H_thetatheta = -delta_jk w_j mean(E_j r) + w_j w_k mean(D_j D_k r^2)``.
         """
         theta, w = measure.locations, measure.weights
-        kern = self.obs.kernels(theta)
-        fx = self.obs.mixture(measure, kern)
-        if (fx <= 0.0).any():
-            raise ValueError("mixture must be positive at every observation")
+        kern = self.kernels(theta)
+        fx = self.positive_mixture(measure, kern)
         z = self.x - theta[:, None]
         kr = kern / fx
         dr = z * kr
@@ -303,12 +311,12 @@ class MlModel:
         observation; then a Newton iteration on the slope, safeguarded by
         bisection of its bracket in ``(0, 1)``, to 1e-12.  The iterate's
         mixture must be positive at every observation.  Both mixtures
-        come from the layer, the iterate's first: in the Newton loop the
-        layer still holds it, and the candidate's stays there for its
+        come from :meth:`mixture`, the iterate's first: in the Newton loop
+        the model still holds it, and the candidate's stays there for its
         objective.
         """
-        fx = self.obs.mixture(current)
-        cx = self.obs.mixture(candidate)
+        fx = self.mixture(current)
+        cx = self.mixture(candidate)
         r = cx - fx
         dm = candidate.total_mass() - current.total_mass()
         # A candidate mixture that vanishes or nearly underflows at an
@@ -360,9 +368,9 @@ class QuadLocalModel(core.ConeObjective):
 
     Parameters
     ----------
-    sample : ndarray
-        Observations (any order), or a Newton loop's observation layer,
-        whose grid then replaces ``grid``.
+    sample : ndarray or MlModel
+        Observations (any order), or the likelihood model the quadratic
+        expands, whose grid then replaces ``grid``.
     center : MixingMeasure
         Expansion point ``g``; must be positive at every observation.
     grid : ndarray, optional
@@ -388,14 +396,15 @@ class QuadLocalModel(core.ConeObjective):
     ``h'M(S, S) h`` along a direction ``h``.  Only :meth:`_lin`,
     :meth:`_gram_block` and the read of ``c2`` tell grid atoms from
     others.  The model holds only this algebra and reads no ``K``: on the
-    grid the layer forms ``b`` (its matvec at the center), ``c2 = (K∘K)
-    d^2 / n`` and ``W`` in one pass (:meth:`_Observations.curvatures`),
-    and the Gram rows of the grid atoms that enter the support, each when
-    first needed (:meth:`_Observations.gram_rows`).  ``M`` is read from
+    grid the likelihood model forms ``b`` (its matvec at the center),
+    ``c2 = (K∘K) d^2 / n`` and ``W`` in one pass
+    (:meth:`MlModel.curvatures`), and the Gram rows of the grid atoms
+    that enter the support, each when first needed
+    (:meth:`MlModel.gram_rows`).  ``M`` is read from
     that store of rows, so a solver call reads nothing of length n.
     Other atoms, and models without a grid, evaluate their kernels.
 
-    On a uniform grid (the layer's ``product``) the rows come from the
+    On a uniform grid (the likelihood model's ``product``) the rows come from the
     Gaussian product identity ``phi(x - a) phi(x - b) = exp(-(a - b)^2 / 4)
     phi(x - (a + b)/2)^2``: entries with the same midpoint differ by a
     factor.  With ``t = |a - b|`` that gives ``M[a, b] = exp(-(t^2 - t
@@ -404,38 +413,33 @@ class QuadLocalModel(core.ConeObjective):
     costs O(G).
     """
 
-    family = _Observations.family
+    family = MlModel.family
 
     def __init__(self, sample, center, grid=None):
-        if not isinstance(sample, _Observations):
-            sample = _Observations(np.asarray(sample, dtype=float).ravel(), grid)
-        gx = sample.mixture(center)
-        if (gx <= 0.0).any():
-            raise ValueError("expansion mixture must be positive at every observation")
-        self.obs = sample
-        self.x = sample.x
-        self.n = self.x.size
-        self.d = 1.0 / gx
+        model = sample if isinstance(sample, MlModel) else MlModel(sample, grid)
+        self.model = model
+        self.x, self.n = model.x, model.n
+        self.d = 1.0 / model.positive_mixture(center)
         self._d2 = self.d**2
-        if sample.grid is not None:
-            self._b = sample.ratio_mean(sample.grid, center)
-            self._c2, self._half = sample.curvatures(self._d2)
+        if model.grid is not None:
+            self._b = model.ratio_mean(model.grid, center)
+            self._c2, self._half = model.curvatures(self._d2)
             # grid index -> row of the store, -1 until that row is formed
-            self._slot = np.full(sample.grid.size, -1)
-            self._gram = np.empty((0, sample.grid.size))
+            self._slot = np.full(model.grid.size, -1)
+            self._gram = np.empty((0, model.grid.size))
 
     def _lin(self, theta, at):
         """``b(theta)``; ``at`` is the grid index of ``theta``, or None."""
         if at is not None:
             return self._b[at]
-        return self.obs.kernels(theta) @ self.d / self.n
+        return self.model.kernels(theta) @ self.d / self.n
 
     def _gram_block(self, rows, at_rows, cols, at_cols):
         """``M(rows, cols)``, given the grid indices of both, or None.
 
         On the grid it reads the store, forming the missing rows."""
         if at_rows is None or at_cols is None:
-            kernels = self.obs.kernels
+            kernels = self.model.kernels
             return (kernels(rows) * self._d2) @ kernels(cols).T / self.n
         slots = self._slot[at_rows]
         missing = slots < 0
@@ -443,13 +447,13 @@ class QuadLocalModel(core.ConeObjective):
             new = np.arange(self._slot.size)[at_rows][missing]
             self._slot[new] = np.arange(len(self._gram), len(self._gram) + new.size)
             self._gram = np.concatenate(
-                (self._gram, self.obs.gram_rows(new, self._d2, self._half)))
+                (self._gram, self.model.gram_rows(new, self._d2, self._half)))
             slots = self._slot[at_rows]
         return self._gram[slots][:, at_cols]
 
     def objective(self, measure):
         S, w = measure.locations, measure.weights
-        at = self.obs.grid_index(S)
+        at = self.model.grid_index(S)
         return float(w.sum() - 2.0 * (w @ self._lin(S, at))
                      + 0.5 * (w @ self._gram_block(S, at, S, at) @ w))
 
@@ -461,11 +465,11 @@ class QuadLocalModel(core.ConeObjective):
         """
         theta = np.asarray(theta, dtype=float)
         S = measure.locations
-        idx, at = self.obs.grid_index(theta), self.obs.grid_index(S)
+        idx, at = self.model.grid_index(theta), self.model.grid_index(S)
         c1 = (1.0 - 2.0 * self._lin(theta, idx)
               + measure.weights @ self._gram_block(S, at, theta, idx))
         c2 = (self._c2[idx] if idx is not None
-              else self.obs.kernels(theta)**2 @ self._d2 / self.n)
+              else self.model.kernels(theta)**2 @ self._d2 / self.n)
         if np.ndim(c1):
             return np.asarray(c1), np.asarray(c2)
         return float(c1), float(c2)
@@ -490,7 +494,7 @@ class QuadLocalModel(core.ConeObjective):
         support = np.asarray(support, dtype=float)
         if support.size == 0:
             return SignedMixingMeasure.empty()
-        at = self.obs.grid_index(support)
+        at = self.model.grid_index(support)
         alpha = core.cholesky_solve(
             self._gram_block(support, at, support, at),
             2.0 * self._lin(support, at) - 1.0,
@@ -568,22 +572,13 @@ def _damped_update(model, current, candidate, current_value):
 def _newton_loop(model, start, config):
     """Shared sequential-quadratic iteration for the relaxed likelihood."""
     grid = config.grid
-    # The layer on the grid, the fit's own or a weight polish's new one,
+    # The model on the grid, the fit's own or a weight polish's new one,
     # forms every sum over K that the certificate and the quadratic models
     # read, and keeps the iterate's mixture and matvec K (1/f) / n, which
-    # the objective and the quadratic model at that iterate reuse.
+    # the objective and the quadratic model at that iterate reuse.  Its
+    # first certificate scan checks that the start's mixture is positive.
     model = model.on(grid)
     f = start
-    # The certificate's first scan reads this mixture from the layer.
-    vanish = np.flatnonzero(model.obs.mixture(f) <= 0.0)
-    if vanish.size:
-        xi = model.x[vanish[0]]
-        raise KernelUnderflow(
-            f"the starting mixture vanishes at observation {xi:.17g}, "
-            f"{np.abs(grid - xi).min():.3g} from the nearest grid point and "
-            f"{np.abs(f.locations - xi).min(initial=np.inf):.3g} from the "
-            "nearest starting atom: Gaussian kernels underflow beyond about "
-            "38 noise units; widen or refine the grid")
     trace = core.SolverTrace()
     pending = (0, np.nan, ())
     tied_last = False
@@ -611,7 +606,7 @@ def _newton_loop(model, start, config):
             logger.debug("Newton iteration cap %d reached, certificate gap %.3e",
                          config.max_outer_iter, cert.gap)
             break
-        quad = QuadLocalModel(model.obs, f)
+        quad = QuadLocalModel(model, f)
         # Early quadratic subproblems need only a loose solve.  The gap is
         # measured on the quadratic model's own curvature-normalized scale
         # (the scale its scan terminates on; the raw likelihood gap can sit
@@ -650,7 +645,7 @@ def newton_solve(sample, config, start=None):
     ----------
     sample : array_like or MlModel
         Observations, or the likelihood model that holds them; the loop
-        reads its layer when that holds ``config.grid``.
+        reuses that model when it holds ``config.grid``.
     config : core.SolverConfig
         Grid, outer tolerance ``eta`` (certificate threshold on the
         grid), and iteration caps.

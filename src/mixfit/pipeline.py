@@ -18,6 +18,7 @@ Curves are CSV with a header row naming the columns.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -220,6 +221,8 @@ def default_grid_spec(model_kind, sample):
 
 def build_grid(grid_min, grid_max, grid_size, family):
     """Equally spaced candidate grid, restricted to the family's domain."""
+    if not isinstance(grid_size, numbers.Integral):
+        raise ValueError("grid size must be an integer")
     if grid_size < 1:
         raise ValueError("grid size must be positive")
     if not (np.isfinite(grid_min) and np.isfinite(grid_max)):

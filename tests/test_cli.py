@@ -356,8 +356,13 @@ class TestCheckCommand:
         assert res.exit_code == 1
         assert "passed: false" in res.output
 
-    @pytest.mark.parametrize("rows", ["", "100,1\n"], ids=["empty", "far"])
-    def test_vanishing_likelihood_mixture_fails(self, runner, tmp_path, rows):
+    @pytest.mark.parametrize("rows, why", [
+        ("", ": the measure has no atoms"),
+        ("100,1\n", ", 102 from the nearest atom: Gaussian kernels underflow "
+                    "beyond about 38 noise units"),
+    ], ids=["empty", "far"])
+    def test_vanishing_likelihood_mixture_fails(self, runner, tmp_path, rows,
+                                                why):
         # The mixture is 0 at some observation: the likelihood is infinite
         # there, so the measure is not optimal and has no certificate.
         p = tmp_path / "sample.txt"
@@ -367,8 +372,8 @@ class TestCheckCommand:
         res = _invoke(runner, ["check", str(tmp_path / "m.csv"), str(p),
                                "--model", "deconv-ml"])
         assert res.exit_code == 1
-        assert res.output == ("passed: false (mixture must be positive at "
-                              "every observation)\n")
+        assert res.output == ("passed: false (the mixture vanishes at "
+                              f"observation -2.0147686270949832{why})\n")
         assert isinstance(res.exception, SystemExit)
 
     def test_empty_ls_measure_prints_certificate(self, runner, tmp_path):

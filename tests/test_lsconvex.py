@@ -14,6 +14,7 @@ from scipy import integrate
 
 from mixfit.core import SolverConfig, check_optimality, solve
 from mixfit.families import (
+    GaussianFamily,
     MixingMeasure,
     SignedMixingMeasure,
     TriangularFamily,
@@ -440,3 +441,29 @@ class TestModelValidation:
     def test_domain(self):
         m = LsModel(np.array([1.0, 2.0]))
         assert m.domain == (1.0, 6.0)
+
+
+_EMPTY = MixingMeasure.empty()
+
+
+@pytest.mark.parametrize("call, expect", [
+    (lambda m: m.H(1.5, _EMPTY), 0.0),
+    (lambda m: m.H(np.array([0.5, 3.0]), _EMPTY), np.zeros(2)),
+    (lambda m: m.objective(_EMPTY), 0.0),
+    (lambda m: m.objective(SignedMixingMeasure.empty()), 0.0),
+    (lambda m: m.segment_curvature(SignedMixingMeasure.empty()), 0.0),
+    (lambda m: m.location_gradient(_EMPTY), np.zeros(0)),
+    (lambda m: mixture_eval(TRI, _EMPTY, 1.5), 0.0),
+    (lambda m: mixture_eval(GaussianFamily(), _EMPTY, np.array([-1.0, 2.0])),
+     np.zeros(2)),
+    (lambda m: mixture_cdf(TRI, _EMPTY, np.ones((2, 3))), np.zeros((2, 3))),
+], ids=["H-scalar", "H-array", "objective", "objective-signed",
+        "segment-curvature", "location-gradient", "mixture-scalar",
+        "mixture-array", "cdf-array"])
+def test_empty_measure_takes_the_general_path(call, expect):
+    """Empty measures run the same code as others: scalars give the float
+    0.0, arrays zeros of their shape, the location gradient no entries."""
+    out = call(LsModel(np.array([0.5, 1.0, 2.0])))
+    assert type(out) is type(expect)
+    assert np.shape(out) == np.shape(expect) and np.array_equal(out, expect)
+    assert not np.signbit(out).any()

@@ -6,6 +6,7 @@ driver against a box-constrained quasi-Newton oracle on a frozen grid.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from mixfit import core, mldeconv, pipeline
+from mixfit import core, gridless, mldeconv, pipeline
 from mixfit.cli import main
 from mixfit.core import SolverConfig, check_optimality
 from mixfit.families import (
@@ -32,7 +33,6 @@ from mixfit.mldeconv import (
     KernelUnderflow,
     MlModel,
     QuadLocalModel,
-    _Observations,
     _damped_update,
     newton_solve,
     starting_iterate,
@@ -194,7 +194,7 @@ class TestMlNewtonSystem:
 class TestQuadModel:
     def _setup(self, seed=13, n=18):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=n)
+        x = np.sort(rng.normal(size=n))
         center = MixingMeasure([-0.5, 0.6], [0.55, 0.5])
         return x, center, QuadLocalModel(x, center)
 
@@ -228,7 +228,7 @@ class TestQuadModel:
         theta = 0.9
         _, c2 = q.quad_coefficients(theta, center)
         S, w = np.array([theta]), np.array([1.0])
-        at = q.obs.grid_index(S)
+        at = q.model.grid_index(S)
         assert_allclose(w @ q._gram_block(S, at, S, at) @ w, c2, rtol=1e-13)
 
     def test_grid_cache_matches_fresh_evaluation(self):
@@ -282,7 +282,9 @@ class TestQuadModel:
             q.unrestricted_min(np.array([-1.0, 1.0]))
 
     def test_center_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(KernelUnderflow,
+                           match="^the mixture vanishes at observation 0: "
+                                 "the measure has no atoms$"):
             QuadLocalModel(np.array([0.0]), MixingMeasure.empty())
 
 
@@ -306,11 +308,12 @@ def _atoms(lo, hi, min_size):
 
 
 class TestGridPathAgreement:
-    """The grid layer's matvecs give the layer-free coefficients."""
+    """The grid model's matvecs give the grid-free coefficients."""
 
     def _check(self, x, center, grid, measure):
+        x = np.sort(x)              # the models' order, for free.d
         on_grid = QuadLocalModel(x, center, grid=grid)
-        assert on_grid.obs.K is not None
+        assert on_grid.model.K is not None
         free = QuadLocalModel(x, center)
         a1, a2 = on_grid.quad_coefficients(grid, measure)
         b1, b2 = free.quad_coefficients(grid, measure)
@@ -327,13 +330,13 @@ class TestGridPathAgreement:
         kd = fam.kernel(measure.locations, x[:, None]) * free.d[:, None]
         w, fd, size = measure.weights, kd @ measure.weights, kd @ np.abs(measure.weights)
         q_size = np.abs(w).sum() + 2.0 * size.mean() + 0.5 * (size**2).mean()
-        for model in (on_grid, free):
-            assert_allclose(model.objective(measure),
+        for quad in (on_grid, free):
+            assert_allclose(quad.objective(measure),
                             w.sum() - 2.0 * fd.mean() + 0.5 * (fd**2).mean(),
                             rtol=1e-12, atol=1e-12 * q_size)
             S = measure.locations
-            at = model.obs.grid_index(S)
-            assert_allclose(w @ model._gram_block(S, at, S, at) @ w,
+            at = quad.model.grid_index(S)
+            assert_allclose(w @ quad._gram_block(S, at, S, at) @ w,
                             (fd**2).mean(),
                             rtol=1e-12, atol=1e-12 * (size**2).mean())
         # the normal equations, on grid atoms and on the measure's, where
@@ -384,11 +387,11 @@ class TestGridPathAgreement:
                           max_size=4))
     def test_property_on_grid_atoms(self, x, center, grid, atoms):
         """Measures on grid points take the Gram-store path; it agrees
-        with the layer-free model and the explicit products."""
+        with the grid-free model and the explicit products."""
         x, grid = np.array(x), np.sort(grid)
         measure = SignedMixingMeasure.from_atoms(
             [grid[a % grid.size] for a, _ in atoms], [w for _, w in atoms])
-        assert _Observations(x, grid).grid_index(measure.locations) is not None
+        assert MlModel(x, grid).grid_index(measure.locations) is not None
         self._check(x, center, grid, measure)
 
     @pytest.mark.parametrize("grid", [[-1.0, 1.0], [-0.5, 0.5], [-1.0, 0.3, 1.0]])
@@ -397,13 +400,13 @@ class TestGridPathAgreement:
         # so the Gram rows are too
         grid = np.array(grid)
         q = QuadLocalModel(np.array([0.0]), MixingMeasure([0.0], [1.0]), grid=grid)
-        assert q.obs.grid_index(grid) is not None
+        assert q.model.grid_index(grid) is not None
         with pytest.raises(ValueError, match="merge them"):
             q.unrestricted_min(grid)
 
 
 class TestSquaredProducts:
-    """The layer's curvatures, squared tile by tile, match the products
+    """The model's curvatures, squared tile by tile, match the products
     over the stored square of ``K``."""
 
     @settings(max_examples=80, deadline=None)
@@ -418,14 +421,14 @@ class TestSquaredProducts:
         if jitter and size > 2:
             grid[1] += 1e-3          # not uniform: no product identity
         with mock.patch.object(mldeconv, "_TILE_BYTES", tile_rows * 8 * x.size):
-            obs = _Observations(x, grid)
-            d2 = (1.0 / obs.mixture(center))**2
-            c2, W = obs.curvatures(d2)
-        K2 = obs.K * obs.K
+            model = MlModel(x, grid)
+            d2 = (1.0 / model.mixture(center))**2
+            c2, W = model.curvatures(d2)
+        K2 = model.K * model.K
         assert_allclose(c2, K2 @ d2 / x.size, rtol=1e-13)
-        assert (obs.product is None) == (jitter and size > 2) == (W is None)
-        if obs.product is not None:
-            _, scale, odd = obs.product
+        assert (model.product is None) == (jitter and size > 2) == (W is None)
+        if model.product is not None:
+            _, scale, odd = model.product
             assert_allclose(W[1::2], odd * (K2[:-1] @ (d2 * scale)) / x.size,
                             rtol=1e-13)
             assert_allclose(W[0::2], c2, rtol=0.0)
@@ -438,25 +441,25 @@ class TestSquaredProducts:
         grid = np.linspace(-2.0, 2.0, size)
         if jitter:
             grid[1] += 1e-3
-        obs = _Observations(x, grid)
+        model = MlModel(x, grid)
         assert mldeconv._tile_rows(x.size) >= size
-        d2 = (1.0 / obs.mixture(MixingMeasure([0.0], [1.0])))**2
-        c2, W = obs.curvatures(d2)
-        w = d2 if obs.product is None else np.array((d2, d2 * obs.product[1]))
-        sums = w @ np.square(obs.K).T
+        d2 = (1.0 / model.mixture(MixingMeasure([0.0], [1.0])))**2
+        c2, W = model.curvatures(d2)
+        w = d2 if model.product is None else np.array((d2, d2 * model.product[1]))
+        sums = w @ np.square(model.K).T
         if jitter:
             assert W is None
             assert np.array_equal(c2, sums / x.size)
         else:
             assert np.array_equal(c2, sums[0] / x.size)
             assert np.array_equal(W[0::2], c2)
-            assert np.array_equal(W[1::2], obs.product[2] * sums[1, :-1] / x.size)
+            assert np.array_equal(W[1::2], model.product[2] * sums[1, :-1] / x.size)
 
 
 class TestObservations:
-    """Grid atoms read rows of the layer's matrix; other atoms evaluate."""
+    """Grid atoms read rows of the model's matrix; other atoms evaluate."""
 
-    X = np.random.default_rng(37).normal(size=30)
+    X = np.sort(np.random.default_rng(37).normal(size=30))
     GRID = np.linspace(-2.0, 2.0, 9)
 
     @pytest.fixture
@@ -465,14 +468,14 @@ class TestObservations:
 
     def test_grid_atoms_read_rows(self, calls, monkeypatch):
         monkeypatch.setattr(mldeconv, "_TILE_BYTES", 4 * 8 * self.X.size)
-        obs = _Observations(self.X, self.GRID)
-        assert obs.K.shape == (self.GRID.size, self.X.size)
+        model = MlModel(self.X, self.GRID)
+        assert model.K.shape == (self.GRID.size, self.X.size)
         # tiles of 4, 4 and 1 rows
         _assert_one_tiled_build(calls, self.GRID, self.X.size)
         assert len(calls) == 3
         for theta in (self.GRID[[0, 3, 4, 8]], self.GRID[5], self.GRID):
             calls.clear()
-            rows = obs.kernels(theta)
+            rows = model.kernels(theta)
             assert calls == []
             fresh = GaussianFamily().kernel(theta[..., None], self.X)
             assert rows.shape == fresh.shape
@@ -485,9 +488,9 @@ class TestObservations:
         0.3,                     # a scalar
     ])
     def test_other_atoms_are_evaluated(self, calls, theta):
-        obs = _Observations(self.X, self.GRID)
+        model = MlModel(self.X, self.GRID)
         calls.clear()
-        out = obs.kernels(theta)
+        out = model.kernels(theta)
         assert len(calls) == 1
         expect = GaussianFamily().kernel(np.asarray(theta)[..., None], self.X)
         assert out.shape == np.shape(theta) + (self.X.size,)
@@ -498,7 +501,7 @@ class TestObservations:
     def test_tiled_build_equals_one_call(self, monkeypatch, size, tile_rows):
         monkeypatch.setattr(mldeconv, "_TILE_BYTES", tile_rows * 8 * self.X.size)
         grid = np.linspace(-2.0, 2.0, size)
-        K = _Observations(self.X, grid).K
+        K = MlModel(self.X, grid).K
         assert np.array_equal(K, GaussianFamily().kernel(grid[:, None], self.X))
         assert K.flags.c_contiguous and not K.flags.writeable
 
@@ -507,16 +510,16 @@ class TestObservations:
         grid = np.linspace(-3.0, 3.0, 200)
         tracemalloc.start()
         try:
-            _Observations(x, grid)
+            MlModel(x, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * grid.size * x.size * 8
 
     def test_empty_measure(self):
-        for obs in (_Observations(self.X, self.GRID), _Observations(self.X)):
-            assert obs.kernels(np.empty(0)).shape == (0, self.X.size)
-            assert np.array_equal(obs.mixture(MixingMeasure.empty()),
+        for model in (MlModel(self.X, self.GRID), MlModel(self.X)):
+            assert model.kernels(np.empty(0)).shape == (0, self.X.size)
+            assert np.array_equal(model.mixture(MixingMeasure.empty()),
                                   np.zeros(self.X.size))
 
     @settings(max_examples=60, deadline=None)
@@ -527,15 +530,15 @@ class TestObservations:
                                               st.floats(-3.0, 3.0)),
                                     st.floats(0.05, 1.0)), max_size=4))
     def test_mixture_matches_mixture_eval(self, x, grid, atoms):
-        x, grid = np.array(x), np.sort(grid)
+        x, grid = np.sort(x), np.sort(grid)
         # integer picks are grid points, floats are anywhere
         locations = [float(grid[a % grid.size]) if isinstance(a, int) else a
                      for a, _ in atoms]
         measure = (MixingMeasure.from_atoms(locations, [w for _, w in atoms])
                    if atoms else MixingMeasure.empty())
         expect = mixture_eval(GaussianFamily(), measure, x)
-        for obs in (_Observations(x, grid), _Observations(x)):
-            assert_allclose(obs.mixture(measure), expect, rtol=1e-12)
+        for model in (MlModel(x, grid), MlModel(x)):
+            assert_allclose(model.mixture(measure), expect, rtol=1e-12)
 
 
 class TestStartingIterate:
@@ -636,9 +639,9 @@ class TestNewtonSolve:
         built = []
         original = MlModel.__init__
 
-        def counting(self, sample):
-            built.append(1)
-            original(self, sample)
+        def counting(self, sample, grid=None):
+            built.append(isinstance(sample, MlModel))
+            original(self, sample, grid)
 
         monkeypatch.setattr(MlModel, "__init__", counting)
         rng = np.random.default_rng(41)
@@ -646,7 +649,8 @@ class TestNewtonSolve:
         pipeline.fit("deconv-ml", x, SolverConfig(
             grid=np.linspace(x.min(), x.max(), 12), eta=1e-8,
             gridless_enabled=True))
-        assert len(built) == 1
+        # one model reads the sample; the models on grids share it
+        assert built.count(False) == 1 and built.count(True) > 1
 
     def test_converged_matches_a_fresh_certificate(self):
         rng = np.random.default_rng(43)
@@ -659,7 +663,7 @@ class TestNewtonSolve:
             fresh = check_optimality(MlModel(x), f, grid, 1e-8, 1e-7)
             assert fresh.passed == trace.converged
             assert cap == 10_000 or not trace.converged
-            # the fit's certificate, read from its layer, is the same
+            # the fit's certificate, read from its model, is the same
             assert pipeline.fit("deconv-ml", x, config).certificate == fresh
 
     def test_no_worse_than_the_median_start(self):
@@ -721,13 +725,55 @@ class TestNewtonSolve:
         ([0.0], None, "200 from the nearest grid point"),
         # a fine grid, but a user start far from the outlier
         (np.linspace(0.0, 200.0, 401), MixingMeasure([0.0], [1.0]),
-         "0 from the nearest grid point and 200 from the nearest starting"),
+         "0 from the nearest grid point and 200 from the nearest atom"),
     ])
     def test_start_beyond_kernel_underflow_raises(self, grid, start, where):
         x = [0.0, 0.0, 0.0, 0.0, 0.0, 200.0]
         with pytest.raises(KernelUnderflow, match="observation 200, " + where):
             newton_solve(x, SolverConfig(grid=np.array(grid)), start=start)
         assert issubclass(KernelUnderflow, ValueError)
+
+
+class TestKernelUnderflow:
+    """Every likelihood entry checks its mixture through one method, which
+    names the first observation where the mixture vanishes; the objective
+    is infinite there instead."""
+
+    X = np.array([0.0, 0.0, 1.0, 200.0])
+    GRID = np.linspace(0.0, 100.0, 5)
+    START = MixingMeasure([0.0], [1.0])
+    ATOM = ("200 from the nearest atom: Gaussian kernels underflow beyond "
+            "about 38 noise units")
+    ON_GRID = "100 from the nearest grid point and " + ATOM
+
+    @pytest.mark.parametrize("entry", [
+        "derivative", "derivative-on-grid", "newton-system", "quadratic",
+        "quadratic-from-model", "newton-solve", "fine-tune", "certificate"])
+    def test_entry_names_the_observation(self, entry):
+        model, f, grid = MlModel(self.X), self.START, self.GRID
+        # (whether the model that checks holds the grid, the call)
+        on_grid, call = {
+            "derivative": (False, lambda: model.dir_deriv_vertex(0.5, f)),
+            "derivative-on-grid": (True, lambda: MlModel(
+                self.X, grid).dir_deriv_vertex(grid, f)),
+            "newton-system": (False, lambda: model.newton_system(f)),
+            "quadratic": (False, lambda: QuadLocalModel(self.X, f)),
+            "quadratic-from-model": (True, lambda: QuadLocalModel(
+                MlModel(self.X, grid), f)),
+            "newton-solve": (True, lambda: newton_solve(
+                self.X, SolverConfig(grid=grid), start=f)),
+            "fine-tune": (False, lambda: gridless.fine_tune(
+                model, f, SolverConfig(grid=grid, gridless_enabled=True))),
+            "certificate": (False,
+                            lambda: check_optimality(model, f, grid, 1e-8)),
+        }[entry]
+        where = self.ON_GRID if on_grid else self.ATOM
+        with pytest.raises(KernelUnderflow,
+                           match="^the mixture vanishes at observation 200, "
+                                 + re.escape(where) + "$"):
+            call()
+        assert model.objective(f) == np.inf
+        assert MlModel(self.X, grid).objective(f) == np.inf
 
 
 class TestSharedKernelMatrix:
@@ -762,7 +808,7 @@ class TestSharedKernelMatrix:
         result = pipeline.fit("deconv-ml", x, config)
         assert result.converged
         # one K for the Newton loop and the final certificate, which reads
-        # the matvec the loop's last scan left in the layer
+        # the matvec the loop's last scan left in the model
         _assert_one_tiled_build(calls, grid, self.N)
         assert result.certificate == check_optimality(
             MlModel(x), result.measure, grid, config.eta, config.support_tol)
@@ -770,28 +816,28 @@ class TestSharedKernelMatrix:
     def test_refined_fit_builds_the_grid_rows_once(self, monkeypatch):
         x, grid = self._problem()
         calls = _kernel_spy(monkeypatch)
-        layers = []
-        build = _Observations.__init__
+        models = []
+        build = MlModel.__init__
 
         def recording(self, x, grid=None):
-            layers.append(grid)
+            models.append(grid)
             build(self, x, grid)
 
-        monkeypatch.setattr(_Observations, "__init__", recording)
+        monkeypatch.setattr(MlModel, "__init__", recording)
         result = pipeline.fit("deconv-ml", x, SolverConfig(
             grid=grid, eta=1e-8, gridless_enabled=True))
         assert result.converged and result.fine_tune_trace.steps > 0
         # the grid stage, refinement's scans, the polish and the final
-        # certificate share one layer on the grid; the weight polishes
+        # certificate share one model on the grid; the weight polishes
         # build small ones on their atoms and the scanned point
-        built = [g for g in layers if g is not None]
+        built = [g for g in models if g is not None]
         tiles = [t for t, _, into in calls if into]
         assert np.array_equal(np.concatenate(tiles).ravel(), np.concatenate(built))
         large = [g for g in built if g.size >= self.G // 4]
         assert len(large) == 1 and np.array_equal(large[0], grid)
         assert len(built) > 1
         assert (grid.size, self.N) not in [s for _, s, into in calls if not into]
-        assert result.model.obs.K is None
+        assert result.model.K is None
 
     def test_curves_evaluate_no_grid_kernels(self, monkeypatch, tmp_path):
         x, grid = self._problem()
@@ -812,28 +858,28 @@ class TestSharedKernelMatrix:
         x, grid = self._problem()
         model = MlModel(x)
         work = model.on(grid)
-        assert work is not model and work.obs.grid is grid
+        assert work is not model and work.grid is grid
         assert work.on(grid) is work
         assert work.on(grid.copy()) is work
-        assert model.obs.grid is None and model.obs.K is None
+        assert model.grid is None and model.K is None
         for other in (grid[::2], np.append(grid, grid[-1] + 1.0)):
             polish = work.on(other)
             assert polish is not work and polish.x is work.x
-            assert np.array_equal(polish.obs.grid, other)
-            assert work.obs.grid is grid
+            assert np.array_equal(polish.grid, other)
+            assert work.grid is grid
 
     def test_second_quadratic_model_allocates_no_matrix(self):
         x, grid = self._problem()
-        obs = _Observations(x, grid)
+        model = MlModel(x, grid)
         center = MixingMeasure([float(grid[10]), float(grid[25])], [0.5, 0.5])
-        # the layer holds K alone: its square is formed a tile at a time
-        assert not hasattr(obs, "K2")
-        layer = [v for v in vars(obs).values() if isinstance(v, np.ndarray)]
-        assert [a.size >= self.N * self.G for a in layer].count(True) == 1
-        QuadLocalModel(obs, center)                 # the loop's first model
+        # the model holds K alone: its square is formed a tile at a time
+        assert not hasattr(model, "K2")
+        held = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+        assert [a.size >= self.N * self.G for a in held].count(True) == 1
+        QuadLocalModel(model, center)                 # the loop's first model
         tracemalloc.start()
         try:
-            quad = QuadLocalModel(obs, center)
+            quad = QuadLocalModel(model, center)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -888,10 +934,10 @@ class TestGramStore:
     @staticmethod
     def _rows(x, grid, new):
         """Rows ``new`` of the model's store and of the pass over ``K``."""
-        obs = _Observations(x, grid)
-        quad = QuadLocalModel(obs, starting_iterate(x, grid))
+        model = MlModel(x, grid)
+        quad = QuadLocalModel(model, starting_iterate(x, grid))
         rows = quad._gram_block(grid[new], new, grid, slice(None))
-        return obs, rows, (obs.K[new] * quad.d**2) @ obs.K.T / x.size
+        return model, rows, (model.K[new] * quad.d**2) @ model.K.T / x.size
 
     @pytest.mark.parametrize("size", [1, 2, 3, 40])
     def test_identity_rows_match_the_k_pass(self, size):
@@ -899,8 +945,8 @@ class TestGramStore:
         grid = np.linspace(x[0], x[-1], size)
         for new in ([0], [size - 1], np.unique([0, size // 3, size // 2, size - 1])):
             new = np.asarray(new)
-            obs, rows, reference = self._rows(x, grid, new)
-            assert obs.product is not None
+            model, rows, reference = self._rows(x, grid, new)
+            assert model.product is not None
             assert_allclose(rows, reference, rtol=1e-12, atol=0.0)
 
     def test_other_grids_take_the_k_pass(self):
@@ -911,8 +957,8 @@ class TestGramStore:
         for other in (np.union1d(grid[::3], [0.123, 2.345]),
                       np.linspace(-3000.0, 3000.0, 61)):
             new = np.array([0, other.size // 2, other.size - 1])
-            obs, rows, reference = self._rows(x, other, new)
-            assert obs.product is None
+            model, rows, reference = self._rows(x, other, new)
+            assert model.product is None
             assert_allclose(rows, reference, rtol=1e-12, atol=0.0)
 
     def test_fit_is_the_same_without_the_identity(self, monkeypatch):
@@ -920,10 +966,10 @@ class TestGramStore:
         lo, hi, _ = pipeline.default_grid_spec("deconv-ml", x)
         config = SolverConfig(
             grid=pipeline.build_grid(lo, hi, 200, GaussianFamily()), eta=1e-8)
-        assert _Observations(x, config.grid).product is not None
+        assert MlModel(x, config.grid).product is not None
         fast = pipeline.fit("deconv-ml", x, config)
         monkeypatch.setattr(mldeconv, "_uniform_step", lambda grid: None)
-        assert _Observations(x, config.grid).product is None
+        assert MlModel(x, config.grid).product is None
         slow = pipeline.fit("deconv-ml", x, config)
         assert fast.converged and slow.converged
         assert fast.trace.n_iterations == slow.trace.n_iterations
@@ -934,13 +980,13 @@ class TestGramStore:
 
     def test_rows_formed_once_and_no_sample_read_in_a_solve(self, monkeypatch):
         x, grid = TestSharedKernelMatrix()._problem()
-        obs = _Observations(x, grid)
-        quad = QuadLocalModel(obs, MixingMeasure(grid[[10, 25]], [0.5, 0.5]))
+        model = MlModel(x, grid)
+        quad = QuadLocalModel(model, MixingMeasure(grid[[10, 25]], [0.5, 0.5]))
         # on the uniform grid the rows come from the product identity
-        assert obs.product is not None
-        monkeypatch.setattr(obs, "K", _Unread())
+        assert model.product is not None
+        monkeypatch.setattr(model, "K", _Unread())
         formed = []
-        original = _Observations.gram_rows
+        original = MlModel.gram_rows
 
         def recording(self, new, d2, W):
             formed.extend(new.tolist())
@@ -949,9 +995,9 @@ class TestGramStore:
         def forbidden(self, *args):
             raise AssertionError("the solve read n-sized data")
 
-        monkeypatch.setattr(_Observations, "gram_rows", recording)
-        monkeypatch.setattr(_Observations, "mixture", forbidden)
-        monkeypatch.setattr(_Observations, "kernels", forbidden)
+        monkeypatch.setattr(MlModel, "gram_rows", recording)
+        monkeypatch.setattr(MlModel, "mixture", forbidden)
+        monkeypatch.setattr(MlModel, "kernels", forbidden)
         f, trace = core.solve(quad, SolverConfig(grid=grid, eta=1e-10))
         assert trace.converged and trace.n_iterations >= 2
         assert len(formed) == len(set(formed))
@@ -976,13 +1022,13 @@ class TestGramStore:
         assert peak < size * size * 8 / 4
         # the same fit with only the whole grid found on it: every atom's
         # kernels are evaluated and every sum runs over the sample
-        original = _Observations.grid_index
+        original = MlModel.grid_index
 
         def whole_grid_only(self, theta):
             idx = original(self, theta)
             return idx if isinstance(idx, slice) else None
 
-        monkeypatch.setattr(_Observations, "grid_index", whole_grid_only)
+        monkeypatch.setattr(MlModel, "grid_index", whole_grid_only)
         reference = pipeline.fit("deconv-ml", x, config)
         assert reference.converged
         assert_allclose(result.model.objective(result.measure),
@@ -1166,7 +1212,7 @@ class TestDampedUpdate:
         assert lam == 1.0 and not tied
         assert trial.locations.tolist() == [0.0]
         assert trial.weights.tolist() == [1.0]
-        # a fresh measure, so the value is not read from the layer's cache
+        # a fresh measure, so the value is not read from the model's cache
         assert value == model.objective(MixingMeasure([0.0], [1.0]))
 
     @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from mixfit.core import SolverConfig
+from mixfit.core import SolverConfig, solve
 from mixfit.families import (
     GaussianFamily,
     MixingMeasure,
@@ -20,6 +20,7 @@ from mixfit.families import (
 )
 from mixfit.lsconvex import LsModel
 from mixfit.mldeconv import MlModel, QuadLocalModel
+from mixfit.pipeline import build_grid
 
 NAN, INF = np.nan, np.inf
 X = np.array([0.5, 1.0, 2.0])
@@ -42,6 +43,11 @@ class _Gram(LsModel):
 def _far_measure():
     # Every observation lies 100 from the atom, where phi underflows to 0.
     return MixingMeasure([100.0], [1.0])
+
+
+# The one positivity check names the first observation where it fails.
+_VANISHES = ("the mixture vanishes at observation 0.5, 99.5 from the nearest "
+             "atom: Gaussian kernels underflow beyond about 38 noise units")
 
 
 CASES = {
@@ -109,14 +115,17 @@ CASES = {
         "rank-deficient quadratic subproblem: support points too close to "
         "resolve, merge them"),
     "likelihood-derivative": (
-        lambda: MlModel(X).dir_deriv_vertex(X, _far_measure()),
-        "mixture must be positive at every observation"),
+        lambda: MlModel(X).dir_deriv_vertex(X, _far_measure()), _VANISHES),
     "likelihood-gradient": (
-        lambda: MlModel(X).location_gradient(_far_measure()),
-        "mixture must be positive at every observation"),
+        lambda: MlModel(X).location_gradient(_far_measure()), _VANISHES),
     "quadratic-center": (lambda: QuadLocalModel(X, _far_measure()),
-                         "expansion mixture must be positive at every "
-                         "observation"),
+                         _VANISHES),
+    # Counts must be integers: a float fails later, deep in the solve.
+    "iteration-cap-float": (
+        lambda: SolverConfig(grid=[1.5, 4.0], max_outer_iter=2.5),
+        "max_outer_iter must be an integer"),
+    "grid-size-float": (lambda: build_grid(0, 1, 2.0, GaussianFamily()),
+                        "grid size must be an integer"),
 }
 
 
@@ -125,3 +134,9 @@ def test_check_message(case):
     call, message = CASES[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    config = SolverConfig(grid=[1.5, 4.0], max_outer_iter=np.int64(2))
+    assert solve(LsModel(X), config)[1].n_iterations <= 2
+    assert build_grid(0, 1, np.int32(3), GaussianFamily()).size == 3
