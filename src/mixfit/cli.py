@@ -135,18 +135,20 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", type=click.Choice(tuple(pipeline.MODELS)),
               required=True)
-@click.option("--tol", type=float, default=1e-8,
-              help="Certificate tolerance for both parts.")
+@click.option("--tol", type=float, default=None,
+              help="Certificate tolerance for both parts (default: fit's).")
 def check(measure_path, input_path, model, tol):
     """Check a persisted measure for optimality against INPUT.
 
     Evaluates the cone-optimality certificate on the model's default
-    grid.  Exits 0 exactly when the certificate passes.
+    grid at ``fit``'s tolerances.  Exits 0 exactly when it passes.
     """
     spec = pipeline.model_spec(model)
     with _bad_input():
-        if not 0.0 < tol < float("inf"):
+        if tol is not None and not 0.0 < tol < float("inf"):
             raise ValueError("--tol must be positive and finite")
+        grid_tol, support_tol = (tol, tol) if tol else (
+            spec.eta, core.SolverConfig.support_tol)
         sample = pipeline.ingest(input_path, nonnegative=spec.nonnegative)
         measure = pipeline.read_measure(measure_path)
         lo, hi = spec.model.family.domain
@@ -158,7 +160,8 @@ def check(measure_path, input_path, model, tol):
         grid = pipeline.build_grid(
             *pipeline.default_grid_spec(model, sample), spec.model.family)
     try:
-        cert = core.check_optimality(spec.model(sample), measure, grid, tol)
+        cert = core.check_optimality(spec.model(sample), measure, grid,
+                                     grid_tol, support_tol)
     except ValueError as exc:
         # A likelihood mixture that vanishes at an observation has no
         # certificate: the objective is infinite there, so not optimal.
@@ -169,7 +172,8 @@ def check(measure_path, input_path, model, tol):
     click.echo(f"argmin_theta: {cert.argmin_theta:.17g}")
     click.echo(f"max_abs_support: {cert.max_abs_support:.17g}")
     click.echo(f"support_size: {cert.support_size}")
-    click.echo(f"tol: {tol:.17g}")
+    click.echo(f"grid_tol: {grid_tol:.17g}")
+    click.echo(f"support_tol: {support_tol:.17g}")
     click.echo(f"passed: {'true' if cert.passed else 'false'}")
     if not cert.passed:
         sys.exit(1)

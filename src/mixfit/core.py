@@ -429,7 +429,7 @@ def solve(model, config, start=None, local=None):
     return f, trace
 
 
-def check_optimality(model, measure, grid, tol, support_tol=None):
+def check_optimality(model, measure, grid, tol, support_tol=None, scan=None):
     """Evaluate the cone-optimality certificate for a measure.
 
     The grid part requires the rescaled directional derivative to stay
@@ -437,11 +437,12 @@ def check_optimality(model, measure, grid, tol, support_tol=None):
     raw derivative to vanish (within ``support_tol``, default ``tol``)
     at every atom.  Both conditions together certify a global minimum
     over the grid-generated cone.  A model whose rescaled derivative is
-    its raw one is scanned once.
+    its raw one is scanned once, or not at all given that ``scan``.
     """
     grid = np.asarray(grid, dtype=float)
     support_tol = tol if support_tol is None else support_tol
-    alt = np.asarray(model.alt_dir_deriv_vertex(grid, measure), dtype=float)
+    alt = np.array(model.alt_dir_deriv_vertex(grid, measure) if scan is None
+                   else scan, dtype=float)
     alt.flags.writeable = False
     if type(model).alt_dir_deriv_vertex is type(model).dir_deriv_vertex:
         raw = alt

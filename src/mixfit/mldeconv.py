@@ -24,6 +24,7 @@ accepted and the scheme converges at Newton speed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -53,11 +54,32 @@ _PRODUCT_SPAN = 600.0
 #: kernel build and the curvatures make over one tile stay in cache.
 _TILE_BYTES = 1 << 20
 
+#: ``ceil(6 s) + 16`` node rows interpolate ``phi`` and ``phi^2`` to 1e-15
+#: over a span of ``s`` = 0.1 to 50 noise units.  They need every grid point
+#: within ``_NODE_GAP`` of an observation (beyond about 4.7, curvatures turn
+#: negative) and serve a step while ``max Kc (1/f) / n`` and ``max Kc^2 d^2
+#: / n`` stay below ``_NODE_LIMITS``, which a start far from the data breaks.
+_NODES_PER_UNIT, _NODE_FLOOR, _NODE_GAP, _NODE_LIMITS = 6.0, 16, 4.0, (1e3, 1e6)
+
 
 def _tile_rows(n):
     """Rows of a float array with ``n`` columns in one tile: about
     ``_TILE_BYTES``, at least one row."""
     return max(1, _TILE_BYTES // (8 * n))
+
+
+def _barycentric(theta, nodes):
+    """The matrix of barycentric interpolation from the Chebyshev points
+    ``nodes`` to ``theta`` (Berrut & Trefethen 2004)."""
+    w = (-1.0) ** np.arange(nodes.size)
+    w[[0, -1]] *= 0.5
+    diff = theta[:, None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = w / diff
+        L /= L.sum(axis=1, keepdims=True)
+    hit = (diff == 0.0).any(axis=1)
+    L[hit] = diff[hit] == 0.0
+    return L
 
 
 class KernelUnderflow(ValueError):
@@ -89,37 +111,36 @@ class MlModel:
     grid and the refined atoms.
 
     ``MlModel(sample, grid=None)`` holds the sorted sample, shared with
-    ``sample`` when that is a model, and at most one grid with its kernel
-    matrix; every kernel value at the observations comes from it, with
-    the observations on the last axis.  A fit holds one model on its grid
-    for every stage (:meth:`on`).  The grid's kernels are stored
-    atom-major, ``K[j, i] = phi(x_i - grid_j)``, the model's only
-    ``G x n`` array, built in place one tile of rows (about
-    ``_TILE_BYTES``) at a time so that every pass over a tile stays in
-    cache; the values equal one call over the whole grid bit for bit.
-    Scans over the whole grid read ``K``, atoms that are all grid points
-    read their rows (:meth:`grid_index`), and other atoms are evaluated.
+    ``sample`` when that is a model, and at most one grid; every kernel
+    value at the observations comes from it, observations on the last
+    axis.  A fit holds one model on its grid for every stage (:meth:`on`).
+    It stores the grid's kernels ``K[j, i] = phi(x_i - grid_j)``, built
+    one tile of rows (about ``_TILE_BYTES``) at a time, or, where ``K``
+    would outgrow a tile on a uniform grid with ``2 r <= G`` and every
+    point within ``_NODE_GAP`` of an observation, ``nodes``: rows ``Kc[k]
+    = phi(x - t_k)`` at ``r`` Chebyshev points of the grid's span, their
+    squares, and the barycentric matrices ``L`` to the grid and ``Lmid``
+    to its midpoints; ``K`` is smooth in the grid point.  A node model
+    builds and keeps ``K`` for a step the node sums cannot serve
+    (``_NODE_LIMITS``).  Atoms read their rows of a stored ``K``
+    (:meth:`grid_index`) or are evaluated, never interpolated.
 
     The model keeps the last mixture it evaluated, and on a grid also
-    that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid:
-    a Newton step's certificate scan, objective and quadratic model read
-    that one matvec, and so does a fit's certificate of the last iterate.
-    :meth:`positive_mixture` is the one check that the mixture is
-    positive at every observation.
+    that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid,
+    which a Newton step's certificate scan, objective and quadratic model
+    read, and a fit's certificate of the last iterate; a Newton step may
+    read it from node rows, a certificate never (:meth:`ratio_mean`).
+    :meth:`positive_mixture` is the one positivity check of the mixture.
+    Every other sum over ``K`` is formed here too: a quadratic model's
+    curvatures (:meth:`curvatures`) and Gram rows (:meth:`gram_rows`).
 
-    Every sum over ``K`` is formed here: ``b``, and for a quadratic model
-    with weights ``d^2`` its curvatures ``c2`` and ``W``
-    (:meth:`curvatures`) and its Gram rows (:meth:`gram_rows`).
-
-    On a uniform grid ``theta_j = theta_0 + j h`` the model also holds
-    ``product``, the factors with which it forms Gram rows from the
-    Gaussian product identity without reading ``K`` (see
-    :class:`QuadLocalModel`): ``toep[t] = exp(-(t^2 - t mod 2) h^2 / 4)``,
-    the n-vector ``scale = exp(h (x - max x))`` and, for ``j < G - 1``,
-    ``odd[j] = exp(h (max x - theta_j) - h^2 / 2)``, so that
-    ``phi(x - theta_j) phi(x - theta_{j+1}) = K[j]^2 * scale * odd[j]``.
-    It is None on grids that are not uniform or span more than
-    ``_PRODUCT_SPAN`` allows; their Gram rows are passes over ``K``.
+    On a uniform grid ``theta_j = theta_0 + j h`` the model holds
+    ``product``, the factors of its Gram rows by the Gaussian product
+    identity (see :class:`QuadLocalModel`): ``toep[t] = exp(-(t^2 - t mod
+    2) h^2 / 4)``, ``scale = exp(h (x - max x))`` and ``odd[j] = exp(h (max
+    x - theta_j) - h^2 / 2)``, so that ``phi(x - theta_j) phi(x -
+    theta_{j+1}) = K[j]^2 * scale * odd[j]``.  It is None on grids that
+    are not uniform or span more than ``_PRODUCT_SPAN`` allows.
     """
 
     family = GaussianFamily()
@@ -130,16 +151,9 @@ class MlModel:
         self.n = x.size
         self.domain = (float(x[0]), float(x[-1]))
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
-        self.K = None
-        self.product = None
-        self._last = (None, None, None)     # measure, f(x), K (1/f) / n
+        self.K = self.product = self.nodes = None
+        self._last = (None, None, None, True)   # measure, f(x), b, b exact
         if grid is not None:
-            self.K = np.empty((self.grid.size, x.size))
-            step = _tile_rows(x.size)
-            for lo in range(0, self.grid.size, step):
-                rows = slice(lo, lo + step)
-                self.family.kernel(self.grid[rows, None], x, out=self.K[rows])
-            self.K.flags.writeable = False
             h, top = _uniform_step(self.grid), x.max()
             if (h is not None
                     and h * (top - min(x.min(), self.grid[0])) <= _PRODUCT_SPAN):
@@ -147,6 +161,34 @@ class MlModel:
                 self.product = (np.exp(-0.25 * h * h * (t * t - t % 2)),
                                 np.exp(h * (x - top)),
                                 np.exp(h * (top - self.grid[:-1]) - 0.5 * h * h))
+                self.nodes = self._node_rows(h)
+            if self.nodes is None:
+                self.K = self._evaluate(self.grid)
+
+    def _evaluate(self, theta):
+        """Read-only ``phi(x - theta)``, built a tile of rows at a time."""
+        out = np.empty((theta.size, self.n))
+        step = _tile_rows(self.n)
+        for lo in range(0, theta.size, step):
+            self.family.kernel(theta[lo:lo + step, None], self.x,
+                               out=out[lo:lo + step])
+        out.flags.writeable = False
+        return out
+
+    def _node_rows(self, h):
+        """``(Kc, Kc^2, L, Lmid)`` on a grid that qualifies, else None;
+        ``Lmid`` interpolates at the grid midpoints, times ``exp(-h^2/4)``."""
+        grid, x = self.grid, self.x
+        r = math.ceil(_NODES_PER_UNIT * (grid[-1] - grid[0])) + _NODE_FLOOR
+        up = x.searchsorted(grid).clip(1, self.n - 1)
+        if (grid.size <= _tile_rows(self.n) or 2 * r > grid.size or np.minimum(
+                abs(grid - x[up - 1]), abs(x[up] - grid)).max() > _NODE_GAP):
+            return None
+        t = 0.5 * (grid[0] + grid[-1]
+                   + np.ptp(grid) * np.cos(np.linspace(0.0, np.pi, r)))
+        Kc = self._evaluate(t)
+        return (Kc, np.square(Kc), _barycentric(grid, t),
+                np.exp(-0.25 * h * h) * _barycentric(0.5 * (grid[:-1] + grid[1:]), t))
 
     def on(self, grid):
         """This model if it holds ``grid``, else a model on ``grid`` that
@@ -155,12 +197,12 @@ class MlModel:
         return self if held else MlModel(self, grid)
 
     def grid_index(self, theta):
-        """Rows of ``K`` that hold the kernels at ``theta``, or None.
+        """Grid indices of ``theta``, or None.
 
         The whole grid maps to ``slice(None)``.  None when there is no
         grid or some atom is off it.
         """
-        if self.K is None:
+        if self.grid is None:
             return None
         theta = np.asarray(theta, dtype=float)
         if theta is self.grid or (theta.shape == self.grid.shape
@@ -173,7 +215,7 @@ class MlModel:
         """``phi(x_i - theta)``, observations along the last axis."""
         theta = np.asarray(theta, dtype=float)
         idx = self.grid_index(theta)
-        if idx is None:
+        if idx is None or self.K is None:
             return self.family.kernel(theta[..., None], self.x)
         return self.K[idx]
 
@@ -185,7 +227,7 @@ class MlModel:
                 kern = self.kernels(measure.locations)
             fx = measure.weights @ kern
             fx.flags.writeable = False
-            self._last = (measure, fx, None)
+            self._last = (measure, fx, None, True)
         return self._last[1]
 
     def positive_mixture(self, measure, kern=None):
@@ -211,27 +253,61 @@ class MlModel:
                 f"{', ' if near else ''}{near}: {cause}")
         return fx
 
-    def ratio_mean(self, theta, measure):
+    def _scan(self, theta, ratio):
+        """``K_theta ratio / n``, exactly: one product per tile of
+        ``_tile_rows(n)`` rows from row 0, so every model forms a scan over
+        the same ``theta`` bit for bit alike and holds at most one tile."""
+        theta = np.asarray(theta, dtype=float)
+        flat, step = theta.ravel(), _tile_rows(self.n)
+        if flat.size <= step:
+            return self.kernels(theta) @ ratio / self.n
+        whole = self.K is not None and isinstance(self.grid_index(theta), slice)
+        out = np.concatenate([
+            (self.K[lo:lo + step] if whole else self.kernels(flat[lo:lo + step]))
+            @ ratio for lo in range(0, flat.size, step)])
+        return (out / self.n).reshape(theta.shape)
+
+    def _node_sums(self, weights, square):
+        """``Kc w / n`` (``Kc^2`` with ``square``); None without node rows or
+        above ``_NODE_LIMITS``, where ``K`` is built and kept instead."""
+        u = None if self.nodes is None else self.nodes[square] @ weights / self.n
+        if u is not None and u.max() > _NODE_LIMITS[square]:
+            self.K, u = (self._evaluate(self.grid) if self.K is None else self.K), None
+        return u
+
+    def ratio_mean(self, theta, measure, exact=True):
         """``(1/n) sum_i phi(x_i - theta) / f(x_i)`` for the measure's mixture.
 
-        The vector over the whole grid is kept with the last mixture.
+        The vector ``b`` over the whole grid is kept with the last mixture;
+        with ``exact`` false it may be ``L (Kc (1/f) / n)``, for a Newton
+        step.  Every other value is :meth:`_scan`'s.
         """
         fx = self.positive_mixture(measure)
         if not isinstance(self.grid_index(theta), slice):
-            return self.kernels(theta) @ (1.0 / fx) / self.n
-        if self._last[2] is None:
-            self._last = (measure, fx, self.K @ (1.0 / fx) / self.n)
+            return self._scan(theta, 1.0 / fx)
+        if self._last[2] is None or (exact and not self._last[3]):
+            u = None if exact else self._node_sums(1.0 / fx, False)
+            b = self._scan(self.grid, 1.0 / fx) if u is None else self.nodes[2] @ u
+            self._last = (measure, fx, b, u is None)
         return self._last[2]
 
     def curvatures(self, d2):
         """``c2 = (K∘K) d2 / n`` over the grid, and ``W``, which interleaves
-        ``c2`` and ``odd * ((K∘K)[:-1] (d2 scale)) / n`` on a uniform grid
-        and is None on others.
+        ``c2`` and the superdiagonal ``K[j] diag(d2) K[j + 1]' / n`` on a
+        uniform grid and is None on others.
 
-        One pass over ``K``: each row tile is squared into a reused buffer
-        and multiplied by the weight vectors in one product, so ``K∘K`` is
-        never stored.
+        From node rows, ``v = Kc^2 d2 / n`` gives ``c2 = L v`` and, by the
+        product identity, the superdiagonal ``Lmid v``.  Else one pass over
+        ``K`` gives it as ``odd * ((K∘K)[:-1] (d2 scale)) / n``: each row
+        tile is squared into a reused buffer and multiplied by the weight
+        vectors in one product, so ``K∘K`` is never stored.
         """
+        v = self._node_sums(d2, True)
+        if v is not None:
+            c2 = self.nodes[2] @ v
+            W = np.empty(2 * c2.size - 1)
+            W[0::2], W[1::2] = c2, self.nodes[3] @ v
+            return c2, W
         G, n = self.K.shape
         w = d2 if self.product is None else np.array((d2, d2 * self.product[1]))
         step = min(_tile_rows(n), G)
@@ -396,13 +472,13 @@ class QuadLocalModel(core.ConeObjective):
     ``h'M(S, S) h`` along a direction ``h``.  Only :meth:`_lin`,
     :meth:`_gram_block` and the read of ``c2`` tell grid atoms from
     others.  The model holds only this algebra and reads no ``K``: on the
-    grid the likelihood model forms ``b`` (its matvec at the center),
-    ``c2 = (K∘K) d^2 / n`` and ``W`` in one pass
-    (:meth:`MlModel.curvatures`), and the Gram rows of the grid atoms
-    that enter the support, each when first needed
-    (:meth:`MlModel.gram_rows`).  ``M`` is read from
-    that store of rows, so a solver call reads nothing of length n.
-    Other atoms, and models without a grid, evaluate their kernels.
+    grid the likelihood model forms ``b`` (its vector at the center),
+    ``c2 = (K∘K) d^2 / n`` and ``W`` (:meth:`MlModel.curvatures`), from
+    node rows where it holds them and in one pass over ``K`` otherwise,
+    and the Gram rows of the grid atoms that enter the support, each when
+    first needed (:meth:`MlModel.gram_rows`).  ``M`` is read from that
+    store of rows, so a solver call reads nothing of length n.  Other
+    atoms, and models without a grid, evaluate their kernels.
 
     On a uniform grid (the likelihood model's ``product``) the rows come from the
     Gaussian product identity ``phi(x - a) phi(x - b) = exp(-(a - b)^2 / 4)
@@ -422,7 +498,7 @@ class QuadLocalModel(core.ConeObjective):
         self.d = 1.0 / model.positive_mixture(center)
         self._d2 = self.d**2
         if model.grid is not None:
-            self._b = model.ratio_mean(model.grid, center)
+            self._b = model.ratio_mean(model.grid, center, exact=False)
             self._c2, self._half = model.curvatures(self._d2)
             # grid index -> row of the store, -1 until that row is formed
             self._slot = np.full(model.grid.size, -1)
@@ -585,8 +661,13 @@ def _newton_loop(model, start, config):
     value = model.objective(f)
 
     for it in range(config.max_outer_iter + 1):
+        # A pass read from node sums (``_last[3]`` false) is confirmed exactly.
+        scan = 1.0 - model.ratio_mean(grid, f, exact=False)
         cert = core.check_optimality(model, f, grid, config.eta,
-                                     config.support_tol)
+                                     config.support_tol, scan)
+        if cert.passed and not model._last[3]:
+            cert = core.check_optimality(model, f, grid, config.eta,
+                                         config.support_tol)
         trace.append(value, f.size, cert.min_grid_alt, *pending)
         if cert.passed:
             trace.converged = True

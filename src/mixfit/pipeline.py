@@ -199,7 +199,8 @@ MODELS = {
         solve=lambda model, config: mldeconv.newton_solve(model, config),
         scan_points=0,
         mixing_cdf=lambda theta: -expm1(-np.maximum(theta, 0.0)),
-        density=lambda x: np.exp(0.5 - x) * ndtr(x - 1.0)),
+        # capped where exp(0.5 - x) overflows and ndtr(x - 1) is 0: not nan
+        density=lambda x: np.exp(np.minimum(0.5 - x, 709.0)) * ndtr(x - 1.0)),
 }
 
 

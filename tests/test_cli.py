@@ -142,7 +142,9 @@ class TestMeasureRoundTrip:
         ("x,1.0", "line 3: not a number: 'x'"),
         ("1.0,nan", "line 3: non-finite value"),
         ("inf,1.0", "line 3: non-finite value"),
-    ])
+    ], ids=[   # fixed names, so that a message edit renames no test
+        "1.0,abc-line 3: not a number: 'abc'", "x,1.0-line 3: not a number: 'x'",
+        "1.0,nan-line 3: non-finite value", "inf,1.0-line 3: non-finite value"])
     def test_bad_field_names_path_and_line(self, tmp_path, row, message):
         p = tmp_path / "m.csv"
         p.write_text(f"theta,weight\n0.5,1.0\n{row}\n")
@@ -375,6 +377,31 @@ class TestCheckCommand:
         assert res.output == ("passed: false (the mixture vanishes at "
                               f"observation -2.0147686270949832{why})\n")
         assert isinstance(res.exception, SystemExit)
+
+    def test_defaults_to_the_tolerances_fit_certifies_with(self, runner,
+                                                          tmp_path):
+        # fit fails this measure's certificate at convex-ls's eta 1e-10;
+        # check used to pass it at 1e-8 for both halves
+        p = tmp_path / "sample.txt"
+        p.write_text("9085.981764677768\n11602.566459262558\n"
+                     "2303.222569805761\n")
+        out = tmp_path / "fit"
+        res = _invoke(runner, ["fit", "convex-ls", str(p), "--max-iter", "2",
+                               "--no-gridless", "--out-dir", str(out)])
+        assert res.exit_code == 1
+        check = ["check", str(out / "measure.csv"), str(p),
+                 "--model", "convex-ls"]
+        res = _invoke(runner, check)
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert "grid_tol: 1e-10" in lines and "support_tol: 1e-08" in lines
+        assert -1e-8 < float(lines[0].split(": ")[1]) < -1e-10
+        assert lines[-1] == "passed: false"
+        # an explicit --tol sets both halves
+        res = _invoke(runner, check + ["--tol", "1e-8"])
+        assert res.exit_code == 0
+        assert {"grid_tol: 1e-08", "support_tol: 1e-08",
+                "passed: true"} <= set(res.output.splitlines())
 
     def test_empty_ls_measure_prints_certificate(self, runner, tmp_path):
         p = tmp_path / "sample.txt"

@@ -726,7 +726,9 @@ class TestNewtonSolve:
         # a fine grid, but a user start far from the outlier
         (np.linspace(0.0, 200.0, 401), MixingMeasure([0.0], [1.0]),
          "0 from the nearest grid point and 200 from the nearest atom"),
-    ])
+    ], ids=[   # fixed names, so that a message edit renames no test
+        "grid0-None-200 from the nearest grid point",
+        "grid1-start1-0 from the nearest grid point and 200 from the nearest atom"])
     def test_start_beyond_kernel_underflow_raises(self, grid, start, where):
         x = [0.0, 0.0, 0.0, 0.0, 0.0, 200.0]
         with pytest.raises(KernelUnderflow, match="observation 200, " + where):
@@ -909,6 +911,110 @@ class TestSharedKernelMatrix:
                 todo.extend(vars(obj).values())
         assert arrays
         assert max(a.size for a in arrays) <= self.N
+
+
+def _node_sample(n=2000, seed=1):
+    """A sample and a 300-point grid on its range that hold node rows."""
+    x = pipeline.simulate_sample("exp-normal-mixture", n, seed)
+    return x, np.linspace(x.min(), x.max(), 300)
+
+
+class TestNodeRows:
+    """Grid sums from Chebyshev node rows where the grid qualifies, the
+    exact rows where a hazard rules them out, and exact certificates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(40, 600), extra=st.integers(1, 40),
+           reach=st.floats(0.0, 1.0), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_node_sums_match_exact_sums(self, size, extra, reach, ties, seed):
+        # n just above the size at which K outgrows one tile, and spans up
+        # to the node rule's limit 2 r <= G
+        n = mldeconv._TILE_BYTES // (8 * size) + extra
+        limit = (size // 2 - mldeconv._NODE_FLOOR) / mldeconv._NODES_PER_UNIT
+        x = np.random.default_rng(seed).uniform(0.0, max(0.05, reach * limit), n)
+        if ties:
+            x[1::2] = x[::2][:n // 2]
+        grid = np.linspace(x.min(), x.max(), size)
+        model = MlModel(x, grid)
+        assert model.nodes is not None and model.K is None
+        f = starting_iterate(x, grid)
+        d = 1.0 / model.positive_mixture(f)
+        K = GaussianFamily().kernel(grid[:, None], model.x)
+        Kc = model.nodes[0]
+        u, v = Kc @ d / n, np.square(Kc) @ d**2 / n
+        b = model.ratio_mean(grid, f, exact=False)
+        assert not model._last[3]             # read from the node rows
+        assert np.abs(b - K @ d / n).max() <= 1e-13 * np.abs(u).max()
+        c2, W = model.curvatures(d**2)
+        assert np.array_equal(W[0::2], c2)
+        assert np.abs(c2 - np.square(K) @ d**2 / n).max() <= 1e-13 * v.max()
+        assert (np.abs(W[1::2] - (K[:-1] * K[1:]) @ d**2 / n).max()
+                <= 1e-13 * v.max())
+        assert model.K is None
+
+    @pytest.mark.parametrize("case", ["gap", "tiny", "non-uniform", "coarse"])
+    def test_hazards_select_exact_rows(self, case):
+        x, grid = _node_sample()
+        if case == "gap":
+            # grid points 4.5 noise units from every observation
+            x = np.append(x, x.max() + 9.0)
+            grid = np.linspace(x.min(), x.max(), grid.size)
+        elif case == "tiny":
+            x, grid = np.array([0.5, 0.5, 2.0]), np.linspace(0.5, 2.0, 500)
+        elif case == "non-uniform":
+            grid[1] += 1e-3
+        else:
+            grid = grid[::3]                  # 2 r > G
+        model = MlModel(x, grid)
+        assert model.nodes is None and model.K is not None
+        f = starting_iterate(x, grid)
+        assert np.array_equal(model.ratio_mean(grid, f, exact=False),
+                              MlModel(x).ratio_mean(grid, f))
+        assert model._last[3]
+
+    def test_a_near_outlier_keeps_node_rows(self):
+        # the gap case's outlier 2 noise units nearer: 3.5 from the grid
+        x, grid = _node_sample()
+        x = np.append(x, x.max() + 7.0)
+        assert MlModel(x, np.linspace(x.min(), x.max(), grid.size)).nodes is not None
+
+    def test_far_start_steps_on_exact_rows(self):
+        x, grid = _node_sample()
+        config = SolverConfig(grid=grid, eta=1e-8)
+        covered = MlModel(x, grid)
+        f, trace = newton_solve(covered, config)
+        assert trace.converged and covered.K is None
+        # one atom at the left end: max Kc (1/f) / n reaches 7e27
+        far = MlModel(x, grid)
+        g, far_trace = newton_solve(far, config,
+                                    start=MixingMeasure([grid[0]], [1.0]))
+        assert far_trace.converged and far.K is not None
+        assert np.array_equal(far.K, GaussianFamily().kernel(grid[:, None], far.x))
+        best = covered.objective(f)
+        assert abs(far.objective(g) - best) <= 4.0 * np.spacing(best)
+
+    def test_fit_certificate_is_the_exact_one(self, monkeypatch):
+        x, grid = _node_sample()
+        assert MlModel(x, grid).nodes is not None
+        config = SolverConfig(grid=grid, eta=1e-8)
+        calls, scans = _kernel_spy(monkeypatch), []
+        exact_scan = MlModel._scan
+
+        def recording(self, theta, ratio):
+            scans.append(np.size(theta))
+            return exact_scan(self, theta, ratio)
+
+        monkeypatch.setattr(MlModel, "_scan", recording)
+        result = pipeline.fit("deconv-ml", x, config)
+        assert result.converged
+        # the loop's last row is the exact scan that confirmed it, and the
+        # fit's certificate reads that scan again: one pass over the grid
+        assert scans.count(grid.size) == 1
+        assert result.trace.min_alt_deriv[-1] == result.certificate.min_grid_alt
+        assert result.certificate == check_optimality(
+            MlModel(x), result.measure, grid, config.eta, config.support_tol)
+        assert (grid.size, x.size) not in [s for _, s, into in calls if not into]
 
 
 class _Unread:

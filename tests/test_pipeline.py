@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from mixfit import core, gridless, mldeconv, pipeline
 from mixfit.core import SolverConfig
@@ -371,3 +372,23 @@ class TestInfoLog:
         assert info[0].startswith("grid stage converged")
         assert info[1].startswith("refinement stopped")
         assert info[2].startswith("certificate passed")
+
+
+class TestCurves:
+    def test_true_density_is_finite_on_wide_data(self, tmp_path):
+        # exp(0.5 - x) overflows far left of the data, where ndtr is 0:
+        # the density curve used to hold nan there
+        x = np.random.default_rng(4).normal(size=12) * 2000
+        result = pipeline.fit("deconv-ml", x, _default_config("deconv-ml", x))
+        pipeline.emit_curves(tmp_path, result)
+        xs, _, true = np.loadtxt(tmp_path / "curve_mixture_density.csv",
+                                 delimiter=",", skiprows=1).T
+        assert np.isfinite(true).all() and (true >= 0.0).all()
+        probe = np.concatenate((xs, np.linspace(-800.0, 800.0, 160_001)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = np.exp(0.5 - probe) * ndtr(probe - 1.0)
+        new = pipeline.MODELS["deconv-ml"].density(probe)
+        assert np.isfinite(new).all()
+        finite = np.isfinite(old)
+        assert (~finite).any()
+        np.testing.assert_allclose(new[finite], old[finite], rtol=1e-14, atol=0)
