@@ -113,6 +113,12 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
     except mldeconv.KernelUnderflow as exc:
         # the grid is too coarse or too narrow for the data: bad input
         raise click.UsageError(f"{exc}; widen or refine the grid") from None
+    except FloatingPointError:
+        # The model's arithmetic overflows or underflows at this scale
+        # (convex-ls near 1e-160): bad input until fits are unit-free.
+        raise click.UsageError(
+            f"the directional derivative scan is not finite on data of "
+            f"scale {float(abs(sample).max()):.3g}; rescale the data") from None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -234,11 +234,20 @@ class OptimalityCertificate:
         return max(0.0, -self.min_grid_alt, self.max_abs_support)
 
 
-def _max_abs_support(model, measure):
-    """Largest absolute raw derivative at the atoms, 0 without atoms."""
+def _max_abs_support(model, measure, grid=None, raw=None):
+    """Largest absolute raw derivative at the atoms, 0 without atoms.
+
+    Given ``raw``, the raw derivative over ``grid``, a measure whose atoms
+    are all grid points reads it there and evaluates nothing.
+    """
     if measure.size == 0:
         return 0.0
-    return float(np.abs(model.dir_deriv_vertex(measure.locations, measure)).max())
+    atoms = measure.locations
+    if raw is not None:
+        at = np.minimum(grid.searchsorted(atoms), grid.size - 1)
+        if (grid[at] == atoms).all():
+            return float(np.abs(raw[at]).max())
+    return float(np.abs(model.dir_deriv_vertex(atoms, measure)).max())
 
 
 def min_alt_dir_deriv(model, measure, grid):
@@ -437,7 +446,9 @@ def check_optimality(model, measure, grid, tol, support_tol=None, scan=None):
     raw derivative to vanish (within ``support_tol``, default ``tol``)
     at every atom.  Both conditions together certify a global minimum
     over the grid-generated cone.  A model whose rescaled derivative is
-    its raw one is scanned once, or not at all given that ``scan``.
+    its raw one is scanned once, or not at all given that ``scan``.  When
+    every atom is a grid point, the support part reads the raw scan at
+    the atoms instead of evaluating the derivative there.
     """
     grid = np.asarray(grid, dtype=float)
     support_tol = tol if support_tol is None else support_tol
@@ -453,7 +464,7 @@ def check_optimality(model, measure, grid, tol, support_tol=None, scan=None):
         min_grid_alt=float(alt[idx]),
         min_grid_raw=float(raw.min()),
         argmin_theta=float(grid[idx]),
-        max_abs_support=_max_abs_support(model, measure),
+        max_abs_support=_max_abs_support(model, measure, grid, raw),
         support_size=measure.size,
         grid_tol=float(tol),
         support_tol=float(support_tol),

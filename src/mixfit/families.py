@@ -26,7 +26,7 @@ __all__ = [
     "merge_atoms",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def merge_atoms(locations, weights):
@@ -209,19 +209,20 @@ class GaussianFamily:
         theta = self._validate_theta(theta)
         x = np.asarray(x, dtype=float)
         # At most one allocation of the broadcast shape, then every step
-        # in place.
+        # in place; a multiply by the reciprocal costs a third of a divide
+        # and keeps every value within 2 ulp.
         out = np.asarray(np.subtract(x, theta, out=out))
         np.square(out, out=out)
         np.multiply(out, -0.5, out=out)
         np.exp(out, out=out)
-        np.divide(out, _SQRT_2PI, out=out)
+        np.multiply(out, _INV_SQRT_2PI, out=out)
         return out if out.ndim else float(out)
 
     def theta_deriv(self, theta, x):
         theta = self._validate_theta(theta)
         x = np.asarray(x, dtype=float)
         z = x - theta
-        out = z * np.exp(-0.5 * z**2) / _SQRT_2PI
+        out = z * np.exp(-0.5 * z**2) * _INV_SQRT_2PI
         return out if out.ndim else float(out)
 
     def cdf(self, theta, x):

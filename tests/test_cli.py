@@ -425,12 +425,15 @@ class TestInputErrors:
                                       "check-tol-inf", "measure-repeated",
                                       "measure-weight-zero", "far-observation",
                                       "grid-min-inf", "grid-max-inf",
-                                      "grid-max-nan"])
+                                      "grid-max-nan", "ls-scale-1e-160"])
     def test_usage_error_without_traceback(self, runner, tmp_path, case):
         sample = tmp_path / "s.txt"
         sample.write_text("0.5\n1.0\n2.0\n")
         far = tmp_path / "w.txt"
         far.write_text("0\n0\n0\n0\n0\n200\n")
+        tiny = tmp_path / "tiny.txt"
+        np.savetxt(tiny, np.random.default_rng(7).exponential(size=60) * 1e-160,
+                   fmt="%.17g")
         out = str(tmp_path / "o")
         check = ["check", str(tmp_path / "m.csv"), str(sample),
                  "--model", "convex-ls"]
@@ -477,6 +480,11 @@ class TestInputErrors:
             "grid-max-nan": (["fit", "deconv-ml", str(sample), "--grid-max",
                               "nan", "--out-dir", out],
                              "grid min 0.5 and grid max nan must be finite"),
+            # 2 / theta^2 overflows on the default grid of this sample.
+            "ls-scale-1e-160": (["fit", "convex-ls", str(tiny), "--out-dir",
+                                 out], "the directional derivative scan is "
+                                       "not finite on data of scale 3.8e-160"
+                                       "; rescale the data\n"),
         }[case]
         rows = {"atom-below-domain": "-1.0,0.5\n2.0,0.5\n",
                 "atom-on-edge": "0.0,0.5\n2.0,0.5\n",

@@ -25,6 +25,7 @@ from mixfit.core import (
     SingularSystem,
     SolverConfig,
     SolverTrace,
+    _max_abs_support,
     _reduce_to_cone,
     check_optimality,
     cholesky_solve,
@@ -33,6 +34,7 @@ from mixfit.core import (
 )
 from mixfit.families import MixingMeasure, SignedMixingMeasure
 from mixfit.lsconvex import LsModel
+from mixfit.mldeconv import MlModel
 
 
 class TestMinAltScan:
@@ -653,6 +655,42 @@ class TestCertificateScans:
         assert m.scans.count(self.GRID.size) == 2
         assert cert.min_grid_raw == -1.0
         assert cert.min_grid_alt == -0.5
+
+    @pytest.mark.parametrize("atoms, support, evaluated", [
+        ([2.0, 4.0], 3.0, False), ([2.0, 2.5], 1.5, True)],
+        ids=["on-grid", "one-off-grid"])
+    def test_support_half_reads_the_raw_scan_on_the_grid(self, atoms, support,
+                                                         evaluated):
+        m = _RescaledCountingModel()
+        cert = check_optimality(m, MixingMeasure(atoms, [1.0, 1.0]),
+                                self.GRID, 1e-8)
+        assert m.scans == [self.GRID.size] * 2 + [len(atoms)] * evaluated
+        assert cert.max_abs_support == support
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["ls", "ml", "ml-on-grid"]),
+           n=st.integers(2, 3000), size=st.integers(1, 400),
+           atoms=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_scan_read_matches_the_atoms_evaluated(self, kind, n, size, atoms,
+                                                   seed):
+        # Atoms on the grid; the ML scans span several tiles for n above
+        # about 330, so the read and the evaluation may round apart.
+        rng = np.random.default_rng(seed)
+        if kind == "ls":
+            x = rng.exponential(size=n) + 1e-3
+            grid = np.linspace(x.min(), 3.0 * x.max(), size)
+            model = LsModel(x)
+        else:
+            x = rng.normal(size=n) + rng.exponential(size=n)
+            grid = np.linspace(x.min(), x.max(), size)
+            model = MlModel(x) if kind == "ml" else MlModel(x, grid)
+        at = np.sort(rng.choice(size, min(atoms, size), replace=False))
+        measure = MixingMeasure(grid[at], rng.dirichlet(np.ones(at.size)))
+        cert = check_optimality(model, measure, grid, 1e-8)
+        raw = np.asarray(model.dir_deriv_vertex(grid, measure))
+        assert cert.max_abs_support == np.abs(raw[at]).max()
+        assert (abs(cert.max_abs_support - _max_abs_support(model, measure))
+                <= 1e-14 * (1.0 + np.abs(raw).max()))
 
 
 def _spd_system(n):

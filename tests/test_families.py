@@ -42,6 +42,28 @@ class TestKernelValues:
         assert_allclose(GAU.kernel(1.0, 2.0),
                         math.exp(-0.5) / math.sqrt(2 * math.pi), rtol=1e-15)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the reference needs extended precision")
+    def test_gaussian_within_two_ulp(self):
+        # On a dyadic z grid -z^2/2 is exact, so the extended-precision
+        # reference is exp(-z^2/2)/sqrt(2 pi) itself.
+        z = np.arange(-37 * 1024, 37 * 1024 + 1) / 1024.0
+        ld = z.astype(np.longdouble)
+        ref = np.exp(-0.5 * ld * ld) / np.sqrt(2.0 * np.arccos(np.longdouble(-1.0)))
+        err = np.abs(GAU.kernel(0.0, z) - ref) / np.spacing(ref.astype(float))
+        assert err.max() <= 2.0
+
+    def test_gaussian_shapes_and_out(self):
+        assert isinstance(GAU.kernel(1.0, 2.0), float)
+        theta, x = np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5])
+        values = GAU.kernel(theta[:, None], x)
+        assert values.shape == (3, 2)
+        assert np.array_equal(values, [[GAU.kernel(t, xi) for xi in x]
+                                       for t in theta])
+        out = np.empty((3, 2))
+        assert GAU.kernel(theta[:, None], x, out=out) is out
+        assert np.array_equal(out, values)
+
     def test_triangular_domain_error(self):
         with pytest.raises(ValueError):
             TRI.kernel(0.0, 0.5)

@@ -692,7 +692,7 @@ class TestNewtonSolve:
         # A step inside its segment keeps the atoms of both ends, more
         # than this tied sample's three distinct observations: the next
         # warm start's system is singular, so that subproblem starts empty.
-        x = np.array([-2.9, -2.9, -1.9, -1.9, -2.9, -2.9, -1.9, -0.2])
+        x = np.array([-2.9, -2.9, -2.0, -2.0, -2.9, -2.9, -2.0, -0.2])
         starts = []
         solve = core.solve
 
@@ -1015,6 +1015,25 @@ class TestNodeRows:
         assert result.certificate == check_optimality(
             MlModel(x), result.measure, grid, config.eta, config.support_tol)
         assert (grid.size, x.size) not in [s for _, s, into in calls if not into]
+
+    def test_final_certificate_evaluates_no_kernel(self, monkeypatch):
+        # Its atoms are grid points: the support half reads the kept exact
+        # scan, as the grid half does, and the model keeps the mixture, so
+        # not even the atoms' (p, n) block is evaluated.
+        x, grid = _node_sample()
+        calls, per_check = _kernel_spy(monkeypatch), []
+        check = core.check_optimality
+
+        def recording(*args, **kwargs):
+            start = len(calls)
+            cert = check(*args, **kwargs)
+            per_check.append([shape for _, shape, _ in calls[start:]])
+            return cert
+
+        monkeypatch.setattr(core, "check_optimality", recording)
+        result = pipeline.fit("deconv-ml", x, SolverConfig(grid=grid, eta=1e-8))
+        assert result.converged and len(per_check) >= 2
+        assert per_check[-1] == []
 
 
 class _Unread:
