@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import core, mldeconv, pipeline
 
@@ -42,6 +43,15 @@ def _bad_input():
         yield
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+
+
+def _not_finite(sample):
+    """The usage error for a directional derivative scan that is not finite:
+    the model's arithmetic overflows or underflows at the data's scale
+    (``convex-ls`` near 1e-160) until fits are unit-free."""
+    return click.UsageError(
+        f"the directional derivative scan is not finite on data of "
+        f"scale {float(abs(sample).max()):.3g}; rescale the data")
 
 
 @click.group()
@@ -114,11 +124,7 @@ def fit_command(model, input_path, grid_min, grid_max, grid_size, eta,
         # the grid is too coarse or too narrow for the data: bad input
         raise click.UsageError(f"{exc}; widen or refine the grid") from None
     except FloatingPointError:
-        # The model's arithmetic overflows or underflows at this scale
-        # (convex-ls near 1e-160): bad input until fits are unit-free.
-        raise click.UsageError(
-            f"the directional derivative scan is not finite on data of "
-            f"scale {float(abs(sample).max()):.3g}; rescale the data") from None
+        raise _not_finite(sample) from None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -147,7 +153,8 @@ def check(measure_path, input_path, model, tol):
     """Check a persisted measure for optimality against INPUT.
 
     Evaluates the cone-optimality certificate on the model's default
-    grid at ``fit``'s tolerances.  Exits 0 exactly when it passes.
+    grid at ``fit``'s tolerances.  Exits 0 exactly when it passes; a scan
+    that is not finite at the data's scale exits 2, as ``fit`` does.
     """
     spec = pipeline.model_spec(model)
     with _bad_input():
@@ -173,6 +180,9 @@ def check(measure_path, input_path, model, tol):
         # certificate: the objective is infinite there, so not optimal.
         click.echo(f"passed: false ({exc})")
         sys.exit(1)
+    if not (np.isfinite(cert.grid_alt).all()
+            and np.isfinite(cert.max_abs_support)):
+        raise _not_finite(sample)
     click.echo(f"min_grid_alt: {cert.min_grid_alt:.17g}")
     click.echo(f"min_grid_raw: {cert.min_grid_raw:.17g}")
     click.echo(f"argmin_theta: {cert.argmin_theta:.17g}")

@@ -122,7 +122,11 @@ class LsModel(core.ConeObjective):
 
     def dir_deriv_vertex(self, theta, measure):
         theta = np.asarray(theta, dtype=float)
-        out = 2.0 / theta**2 * (self.H(theta, measure) - self.Y_n(theta))
+        # Near 1e-160 theta^2 underflows and the scan is not finite; the
+        # callers that read it say so (``core.min_alt_dir_deriv``, ``mixfit
+        # check``), so the arithmetic warns nothing on its own.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = 2.0 / theta**2 * (self.H(theta, measure) - self.Y_n(theta))
         return out if out.ndim else float(out)
 
     def alt_dir_deriv_vertex(self, theta, measure):

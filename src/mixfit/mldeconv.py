@@ -61,11 +61,20 @@ _TILE_BYTES = 1 << 20
 #: / n`` stay below ``_NODE_LIMITS``, which a start far from the data breaks.
 _NODES_PER_UNIT, _NODE_FLOOR, _NODE_GAP, _NODE_LIMITS = 6.0, 16, 4.0, (1e3, 1e6)
 
+#: Rows per block of an exact scan on a node grid: the block's first row is
+#: evaluated, each later one follows from the row before by one multiply.
+_BLOCK_ROWS = 8
+
 
 def _tile_rows(n):
     """Rows of a float array with ``n`` columns in one tile: about
     ``_TILE_BYTES``, at least one row."""
     return max(1, _TILE_BYTES // (8 * n))
+
+
+def _node_count(grid):
+    """``r``, the Chebyshev node rows for the span of ``grid``."""
+    return math.ceil(_NODES_PER_UNIT * (grid[-1] - grid[0])) + _NODE_FLOOR
 
 
 def _barycentric(theta, nodes):
@@ -115,15 +124,22 @@ class MlModel:
     value at the observations comes from it, observations on the last
     axis.  A fit holds one model on its grid for every stage (:meth:`on`).
     It stores the grid's kernels ``K[j, i] = phi(x_i - grid_j)``, built
-    one tile of rows (about ``_TILE_BYTES``) at a time, or, where ``K``
-    would outgrow a tile on a uniform grid with ``2 r <= G`` and every
-    point within ``_NODE_GAP`` of an observation, ``nodes``: rows ``Kc[k]
-    = phi(x - t_k)`` at ``r`` Chebyshev points of the grid's span, their
-    squares, and the barycentric matrices ``L`` to the grid and ``Lmid``
-    to its midpoints; ``K`` is smooth in the grid point.  A node model
-    builds and keeps ``K`` for a step the node sums cannot serve
-    (``_NODE_LIMITS``).  Atoms read their rows of a stored ``K``
-    (:meth:`grid_index`) or are evaluated, never interpolated.
+    one tile of rows (about ``_TILE_BYTES``) at a time, or, on a node grid
+    (:meth:`_node_step`: ``K`` would outgrow a tile on a uniform grid with
+    ``2 r <= G`` and every point within ``_NODE_GAP`` of an observation),
+    ``nodes``: rows ``Kc[k] = phi(x - t_k)`` at ``r`` Chebyshev points of
+    the grid's span, their squares, and the barycentric matrices ``L`` to
+    the grid and ``Lmid`` to its midpoints; ``K`` is smooth in the grid
+    point.  A node model builds and keeps ``K`` for a step the node sums
+    cannot serve (``_NODE_LIMITS``).  Atoms read their rows of a stored
+    ``K`` (:meth:`grid_index`) or are evaluated, never interpolated.  An
+    exact scan over a node grid runs the Gaussian shift recurrence
+    (:meth:`_shift_scan`), which evaluates one row in ``_BLOCK_ROWS`` and
+    stays within a few 1e-15 of the tiled product near 0, whether or not
+    ``K`` is stored; every other scan reads or evaluates its rows a tile at
+    a time.  The path depends on the points and the sample alone, so a
+    fit's certificate and one from a model without a grid agree bit for
+    bit (:meth:`_scan`).
 
     The model keeps the last mixture it evaluated, and on a grid also
     that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid,
@@ -151,19 +167,20 @@ class MlModel:
         self.n = x.size
         self.domain = (float(x[0]), float(x[-1]))
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
-        self.K = self.product = self.nodes = None
+        self.K = self.product = self.nodes = self._grid_step = None
         self._last = (None, None, None, True)   # measure, f(x), b, b exact
         if grid is not None:
-            h, top = _uniform_step(self.grid), x.max()
-            if (h is not None
-                    and h * (top - min(x.min(), self.grid[0])) <= _PRODUCT_SPAN):
+            h, top = _uniform_step(self.grid), x[-1]
+            if h is not None and h * (top - min(x[0], self.grid[0])) <= _PRODUCT_SPAN:
                 t = np.arange(self.grid.size)
                 self.product = (np.exp(-0.25 * h * h * (t * t - t % 2)),
                                 np.exp(h * (x - top)),
                                 np.exp(h * (top - self.grid[:-1]) - 0.5 * h * h))
-                self.nodes = self._node_rows(h)
-            if self.nodes is None:
+            self._grid_step = self._node_step(self.grid)
+            if self._grid_step is None:
                 self.K = self._evaluate(self.grid)
+            else:
+                self.nodes = self._node_rows(self._grid_step)
 
     def _evaluate(self, theta):
         """Read-only ``phi(x - theta)``, built a tile of rows at a time."""
@@ -175,15 +192,35 @@ class MlModel:
         out.flags.writeable = False
         return out
 
-    def _node_rows(self, h):
-        """``(Kc, Kc^2, L, Lmid)`` on a grid that qualifies, else None;
-        ``Lmid`` interpolates at the grid midpoints, times ``exp(-h^2/4)``."""
-        grid, x = self.grid, self.x
-        r = math.ceil(_NODES_PER_UNIT * (grid[-1] - grid[0])) + _NODE_FLOOR
-        up = x.searchsorted(grid).clip(1, self.n - 1)
-        if (grid.size <= _tile_rows(self.n) or 2 * r > grid.size or np.minimum(
-                abs(grid - x[up - 1]), abs(x[up] - grid)).max() > _NODE_GAP):
+    def _node_step(self, theta):
+        """The step ``h`` of ``theta`` if it is a node grid of this sample,
+        else None.
+
+        A node grid is uniform and increasing (:func:`_uniform_step`) with
+        ``h (max x - min(min x, theta_0)) <= _PRODUCT_SPAN``; it holds more
+        points than one tile, and at least ``2 r`` for the node count ``r``
+        of its span; and none of its points lies more than ``_NODE_GAP``
+        from an observation.  A model holds node rows on such a grid, and
+        every exact scan over one takes the shift recurrence (:meth:`_scan`);
+        the test reads only the points and the sample.
+        """
+        x = self.x
+        if theta.size <= _tile_rows(self.n):
             return None
+        h = _uniform_step(theta)
+        if (h is None or h <= 0.0
+                or h * (x[-1] - min(x[0], theta[0])) > _PRODUCT_SPAN):
+            return None
+        up = x.searchsorted(theta).clip(1, self.n - 1)
+        if (2 * _node_count(theta) > theta.size or np.minimum(
+                abs(theta - x[up - 1]), abs(x[up] - theta)).max() > _NODE_GAP):
+            return None
+        return h
+
+    def _node_rows(self, h):
+        """``(Kc, Kc^2, L, Lmid)`` on a node grid of step ``h``; ``Lmid``
+        interpolates at the grid midpoints, times ``exp(-h^2/4)``."""
+        grid, r = self.grid, _node_count(self.grid)
         t = 0.5 * (grid[0] + grid[-1]
                    + np.ptp(grid) * np.cos(np.linspace(0.0, np.pi, r)))
         Kc = self._evaluate(t)
@@ -254,18 +291,63 @@ class MlModel:
         return fx
 
     def _scan(self, theta, ratio):
-        """``K_theta ratio / n``, exactly: one product per tile of
-        ``_tile_rows(n)`` rows from row 0, so every model forms a scan over
-        the same ``theta`` bit for bit alike and holds at most one tile."""
+        """``K_theta ratio / n``, exactly, and the same bit for bit on every
+        model: the path depends on ``theta`` and the sample alone.
+
+        A node grid (:meth:`_node_step`) takes :meth:`_shift_scan`, whether
+        or not the model stores ``K``.  Any other ``theta`` of more than one
+        tile is one product per tile of ``_tile_rows(n)`` rows from row 0,
+        read from a stored ``K`` or evaluated, so the model holds at most
+        one tile.
+        """
         theta = np.asarray(theta, dtype=float)
         flat, step = theta.ravel(), _tile_rows(self.n)
         if flat.size <= step:
             return self.kernels(theta) @ ratio / self.n
-        whole = self.K is not None and isinstance(self.grid_index(theta), slice)
-        out = np.concatenate([
-            (self.K[lo:lo + step] if whole else self.kernels(flat[lo:lo + step]))
-            @ ratio for lo in range(0, flat.size, step)])
+        whole = isinstance(self.grid_index(theta), slice)
+        h = self._grid_step if whole else self._node_step(flat)
+        if h is not None:
+            out = self._shift_scan(flat, h, ratio)
+        else:
+            out = np.concatenate([
+                (self.K[lo:lo + step] if whole and self.K is not None
+                 else self.kernels(flat[lo:lo + step]))
+                @ ratio for lo in range(0, flat.size, step)])
         return (out / self.n).reshape(theta.shape)
+
+    def _shift_scan(self, theta, h, ratio):
+        """``K_theta ratio`` on a node grid of step ``h`` by the Gaussian
+        shift identity ``phi(x - t - j h) = phi(x - t) exp(j h (x - t) - j^2
+        h^2 / 2)``, in blocks of ``_BLOCK_ROWS`` rows by at most a tile's
+        worth of observations, the sample split evenly.
+
+        A block's first row, at ``t = theta_lo``, is evaluated; each later
+        row is the row before times ``exp(h (x - theta_lo))``, which is ``A =
+        exp(h (x - theta_0))``, formed once per scan, times a scalar.  The
+        block's product with ``ratio`` then takes ``exp(-j^2 h^2 / 2)``.
+        Nothing is truncated or interpolated: every row is at most
+        ``_BLOCK_ROWS - 1`` multiplies from an evaluated one, and
+        ``_node_step``'s span bound keeps every factor finite.  On grids
+        near 0 it agrees with the tiled scan to a few 1e-15 of its largest
+        value; a grid's own rounding off ``theta_0 + j h`` adds up to about
+        ``ulp(max |theta|)`` of it (5e-14 at 1e3).
+        """
+        cols = math.ceil(self.n / math.ceil(8 * _BLOCK_ROWS * self.n / _TILE_BYTES))
+        out, part = np.zeros(theta.size), np.empty(theta.size)
+        for c0 in range(0, self.n, cols):
+            x, r = self.x[c0:c0 + cols], ratio[c0:c0 + cols]
+            rows, shift = np.empty((_BLOCK_ROWS, x.size)), np.empty(x.size)
+            A = np.exp(h * (x - theta[0]))
+            for lo in range(0, theta.size, _BLOCK_ROWS):
+                block = rows[:min(_BLOCK_ROWS, theta.size - lo)]
+                self.family.kernel(theta[lo], x, out=block[0])
+                np.multiply(A, math.exp(-h * (theta[lo] - theta[0])), out=shift)
+                for j in range(1, len(block)):
+                    np.multiply(block[j - 1], shift, out=block[j])
+                np.matmul(block, r, out=part[lo:lo + len(block)])
+            out += part
+        decay = np.exp(-0.5 * (h * np.arange(_BLOCK_ROWS)) ** 2)
+        return out * np.resize(decay, theta.size)
 
     def _node_sums(self, weights, square):
         """``Kc w / n`` (``Kc^2`` with ``square``); None without node rows or

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -425,7 +426,8 @@ class TestInputErrors:
                                       "check-tol-inf", "measure-repeated",
                                       "measure-weight-zero", "far-observation",
                                       "grid-min-inf", "grid-max-inf",
-                                      "grid-max-nan", "ls-scale-1e-160"])
+                                      "grid-max-nan", "ls-scale-1e-160",
+                                      "check-ls-scale-1e-160"])
     def test_usage_error_without_traceback(self, runner, tmp_path, case):
         sample = tmp_path / "s.txt"
         sample.write_text("0.5\n1.0\n2.0\n")
@@ -485,15 +487,25 @@ class TestInputErrors:
                                  out], "the directional derivative scan is "
                                        "not finite on data of scale 3.8e-160"
                                        "; rescale the data\n"),
+            # The same scan from check is not a certificate either.
+            "check-ls-scale-1e-160": (["check", str(tmp_path / "m.csv"),
+                                       str(tiny), "--model", "convex-ls"],
+                                      "the directional derivative scan is "
+                                      "not finite on data of scale 3.8e-160"
+                                      "; rescale the data\n"),
         }[case]
         rows = {"atom-below-domain": "-1.0,0.5\n2.0,0.5\n",
                 "atom-on-edge": "0.0,0.5\n2.0,0.5\n",
                 "check-tol-negative": "1.0,0.5\n2.0,0.5\n",
                 "check-tol-inf": "1.0,0.5\n2.0,0.5\n",
                 "measure-repeated": "1,0.5\n1,0.5\n",
-                "measure-weight-zero": "1.0,0.5\n2.0,0\n"}.get(case, "1.0,abc\n")
+                "measure-weight-zero": "1.0,0.5\n2.0,0\n",
+                "check-ls-scale-1e-160": "4e-160,1\n"}.get(case, "1.0,abc\n")
         (tmp_path / "m.csv").write_text("theta,weight\n" + rows)
-        res = _invoke(runner, args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = _invoke(runner, args)
+        assert not [w for w in caught if w.category is RuntimeWarning]
         assert res.exit_code == 2, res.output
         assert message in res.output
         assert "Traceback" not in res.output

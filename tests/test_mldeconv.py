@@ -689,10 +689,20 @@ class TestNewtonSolve:
 
     @pytest.mark.parametrize("gridless", [False, True])
     def test_singular_warm_start_starts_empty(self, monkeypatch, gridless):
-        # A step inside its segment keeps the atoms of both ends, more
-        # than this tied sample's three distinct observations: the next
-        # warm start's system is singular, so that subproblem starts empty.
+        # A support of eight atoms on a tied sample of three distinct
+        # observations: its quadratic model's system has rank 3, so the
+        # warm start on it raises and the fit's first subproblem starts
+        # empty.  A partial step reaches such a support by keeping the
+        # atoms of both ends of its segment.
         x = np.array([-2.9, -2.9, -2.0, -2.0, -2.9, -2.9, -2.0, -0.2])
+        grid = pipeline.build_grid(*pipeline.default_grid_spec("deconv-ml", x),
+                                   GaussianFamily())
+        config = SolverConfig(grid=grid, eta=1e-8, gridless_enabled=gridless)
+        start = MixingMeasure(grid[::grid.size // 8][:8], np.full(8, 0.125))
+        assert np.unique(x).size < start.size
+        with pytest.raises(core.SingularSystem):
+            QuadLocalModel(MlModel(x, grid), start).minimize_over_support(
+                start, config)
         starts = []
         solve = core.solve
 
@@ -702,13 +712,12 @@ class TestNewtonSolve:
             return solve(model, config, start, local)
 
         monkeypatch.setattr(core, "solve", recording)
-        grid = pipeline.build_grid(*pipeline.default_grid_spec("deconv-ml", x),
-                                   GaussianFamily())
-        result = pipeline.fit("deconv-ml", x, SolverConfig(
-            grid=grid, eta=1e-8, gridless_enabled=gridless))
+        monkeypatch.setattr(mldeconv, "starting_iterate", lambda x, grid: start)
+        result = pipeline.fit("deconv-ml", x, config)
         assert result.converged
-        assert 0.0 < result.trace.step_size[1] < 1.0
-        assert [start is None for start in starts].count(True) == 1
+        assert result.trace.support_size[0] == 8
+        assert starts[0] is None
+        assert all(s.size <= np.unique(x).size for s in starts if s is not None)
 
     def test_custom_start(self):
         rng = np.random.default_rng(23)
@@ -1034,6 +1043,104 @@ class TestNodeRows:
         result = pipeline.fit("deconv-ml", x, SolverConfig(grid=grid, eta=1e-8))
         assert result.converged and len(per_check) >= 2
         assert per_check[-1] == []
+
+
+def _tiled_scan(x, theta, ratio):
+    """``K_theta ratio / n`` one product per tile of ``_tile_rows(n)``
+    rows, as exact scans off node grids form it."""
+    step = mldeconv._tile_rows(x.size)
+    return np.concatenate([
+        GaussianFamily().kernel(theta[lo:lo + step, None], x) @ ratio
+        for lo in range(0, theta.size, step)]) / x.size
+
+
+class TestShiftScan:
+    """Exact scans over node grids by the Gaussian shift recurrence, and
+    every other scan as the tiled product, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(40, 600), extra=st.integers(1, 40),
+           reach=st.floats(0.0, 1.0), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_tiled_scan(self, size, extra, reach, ties, seed):
+        # G just above one tile, spans from 0.1 to the node rule's limit
+        # 2 r <= G, and ratios over six decades
+        n = mldeconv._TILE_BYTES // (8 * size) + extra
+        limit = (size // 2 - mldeconv._NODE_FLOOR) / mldeconv._NODES_PER_UNIT
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, max(0.1, reach * limit), n)
+        if ties:
+            x[1::2] = x[::2][:n // 2]
+        grid = np.linspace(x.min(), x.max(), size)
+        ratio = 10.0 ** rng.uniform(0.0, 6.0, n)
+        model = MlModel(x)
+        assert model._node_step(grid) is not None
+        b = model._scan(grid, ratio)
+        exact = _tiled_scan(model.x, grid, ratio)
+        assert np.abs(b - exact).max() <= 1e-13 * np.abs(exact).max()
+        # the node model on the grid forms it bit for bit alike
+        assert np.array_equal(MlModel(x, grid)._scan(grid, ratio), b)
+
+    @pytest.mark.parametrize("n, chunks", [(2000, 1), (40000, 3)])
+    def test_one_row_per_block_and_chunk_is_evaluated(self, monkeypatch, n,
+                                                      chunks):
+        # a block holds at most one tile: 40 000 observations take three
+        x, grid = _node_sample(n)
+        model = MlModel(x)
+        ratio = 1.0 / model.positive_mixture(starting_iterate(x, grid))
+        calls = _kernel_spy(monkeypatch)
+        b = model._scan(grid, ratio)
+        rows = [theta for theta, _, _ in calls]
+        assert np.array_equal(rows, np.tile(grid[::mldeconv._BLOCK_ROWS], chunks))
+        assert sum(shape[0] for _, shape, _ in calls) == len(rows) // chunks * n
+        exact = _tiled_scan(model.x, grid, ratio)
+        assert np.abs(b - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("case", ["gap", "wide", "non-uniform"])
+    def test_other_grids_keep_the_tiled_scan(self, case):
+        x = pipeline.simulate_sample("exp-normal-mixture", 2000, 1)
+        if case == "gap":
+            x = np.append(x, 40.0)
+        elif case == "wide":
+            x[:3] = 300.0, 600.0, 900.0
+        grid = pipeline.build_grid(*pipeline.default_grid_spec("deconv-ml", x),
+                                   GaussianFamily())
+        if case == "non-uniform":
+            grid[1] += 1e-3
+        model = MlModel(x, grid)
+        assert model._node_step(grid) is None and model.K is not None
+        ratio = 1.0 / model.positive_mixture(starting_iterate(x, grid))
+        tiled = _tiled_scan(model.x, grid, ratio)
+        assert np.array_equal(model._scan(grid, ratio), tiled)
+        assert np.array_equal(MlModel(x)._scan(grid, ratio), tiled)
+
+    @pytest.mark.parametrize("case", ["node", "far-start", "stored-K"])
+    def test_fit_certificate_is_the_grid_free_one(self, monkeypatch, case):
+        x, grid = _node_sample()
+        if case == "stored-K":
+            # the CI gap sample: grid points 4.5 noise units from the data
+            x = np.append(x, 40.0)
+            grid = pipeline.build_grid(
+                *pipeline.default_grid_spec("deconv-ml", x), GaussianFamily())
+        elif case == "far-start":
+            # one atom at the left end: the loop builds and keeps K
+            monkeypatch.setattr(mldeconv, "starting_iterate",
+                                lambda x, grid: MixingMeasure([grid[0]], [1.0]))
+        built = []
+        evaluate = MlModel._evaluate
+
+        def recording(self, theta):
+            built.append(theta.size)
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(MlModel, "_evaluate", recording)
+        config = SolverConfig(grid=grid, eta=1e-8)
+        result = pipeline.fit("deconv-ml", x, config)
+        assert result.converged
+        assert (grid.size in built) == (case != "node")
+        assert (MlModel(x)._node_step(grid) is None) == (case == "stored-K")
+        assert result.certificate == check_optimality(
+            MlModel(x), result.measure, grid, config.eta, config.support_tol)
 
 
 class _Unread:
