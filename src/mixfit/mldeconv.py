@@ -55,11 +55,10 @@ _PRODUCT_SPAN = 600.0
 _TILE_BYTES = 1 << 20
 
 #: ``ceil(6 s) + 16`` node rows interpolate ``phi`` and ``phi^2`` to 1e-15
-#: over a span of ``s`` = 0.1 to 50 noise units.  They need every grid point
-#: within ``_NODE_GAP`` of an observation (beyond about 4.7, curvatures turn
-#: negative) and serve a step while ``max Kc (1/f) / n`` and ``max Kc^2 d^2
-#: / n`` stay below ``_NODE_LIMITS``, which a start far from the data breaks.
-_NODES_PER_UNIT, _NODE_FLOOR, _NODE_GAP, _NODE_LIMITS = 6.0, 16, 4.0, (1e3, 1e6)
+#: over a span of ``s`` = 0.1 to 50 noise units.  They serve a step while
+#: its iterate covers the sample, ``f >= 1 / (_NODE_COVER n)`` at every
+#: observation, as the covering start (about ``0.35 / n``) does.
+_NODES_PER_UNIT, _NODE_FLOOR, _NODE_COVER = 6.0, 16, 50.0
 
 #: Rows per block of an exact scan on a node grid: the block's first row is
 #: evaluated, each later one follows from the row before by one multiply.
@@ -126,12 +125,12 @@ class MlModel:
     It stores the grid's kernels ``K[j, i] = phi(x_i - grid_j)``, built
     one tile of rows (about ``_TILE_BYTES``) at a time, or, on a node grid
     (:meth:`_node_step`: ``K`` would outgrow a tile on a uniform grid with
-    ``2 r <= G`` and every point within ``_NODE_GAP`` of an observation),
-    ``nodes``: rows ``Kc[k] = phi(x - t_k)`` at ``r`` Chebyshev points of
-    the grid's span, their squares, and the barycentric matrices ``L`` to
-    the grid and ``Lmid`` to its midpoints; ``K`` is smooth in the grid
-    point.  A node model builds and keeps ``K`` for a step the node sums
-    cannot serve (``_NODE_LIMITS``).  Atoms read their rows of a stored
+    ``2 r <= G``), ``nodes``: rows ``Kc[k] = phi(x - t_k)`` at ``r``
+    Chebyshev points of the grid's span, their squares, and the
+    barycentric matrices ``L`` to the grid and ``Lmid`` to its midpoints;
+    ``K`` is smooth in the grid point.  A node model builds and keeps ``K``
+    for a step whose iterate does not cover the sample (``_NODE_COVER``),
+    which the node sums cannot serve.  Atoms read their rows of a stored
     ``K`` (:meth:`grid_index`) or are evaluated, never interpolated.  An
     exact scan over a node grid runs the Gaussian shift recurrence
     (:meth:`_shift_scan`), which evaluates one row in ``_BLOCK_ROWS`` and
@@ -182,13 +181,14 @@ class MlModel:
             else:
                 self.nodes = self._node_rows(self._grid_step)
 
-    def _evaluate(self, theta):
-        """Read-only ``phi(x - theta)``, built a tile of rows at a time."""
+    def _evaluate(self, theta, x=None):
+        """Read-only ``phi(x - theta)`` for the sample ``x`` unless given,
+        built a tile of rows at a time."""
         out = np.empty((theta.size, self.n))
         step = _tile_rows(self.n)
         for lo in range(0, theta.size, step):
-            self.family.kernel(theta[lo:lo + step, None], self.x,
-                               out=out[lo:lo + step])
+            self.family.kernel(theta[lo:lo + step, None],
+                               self.x if x is None else x, out=out[lo:lo + step])
         out.flags.writeable = False
         return out
 
@@ -199,33 +199,26 @@ class MlModel:
         A node grid is uniform and increasing (:func:`_uniform_step`) with
         ``h (max x - min(min x, theta_0)) <= _PRODUCT_SPAN``; it holds more
         points than one tile, and at least ``2 r`` for the node count ``r``
-        of its span; and none of its points lies more than ``_NODE_GAP``
-        from an observation.  A model holds node rows on such a grid, and
-        every exact scan over one takes the shift recurrence (:meth:`_scan`);
-        the test reads only the points and the sample.
+        of its span.  A model holds node rows on such a grid, and every
+        exact scan over one takes the shift recurrence (:meth:`_scan`).
         """
-        x = self.x
-        if theta.size <= _tile_rows(self.n):
-            return None
-        h = _uniform_step(theta)
-        if (h is None or h <= 0.0
-                or h * (x[-1] - min(x[0], theta[0])) > _PRODUCT_SPAN):
-            return None
-        up = x.searchsorted(theta).clip(1, self.n - 1)
-        if (2 * _node_count(theta) > theta.size or np.minimum(
-                abs(theta - x[up - 1]), abs(x[up] - theta)).max() > _NODE_GAP):
-            return None
-        return h
+        x, h = self.x, _uniform_step(theta)
+        node = (theta.size > _tile_rows(self.n) and h is not None and h > 0.0
+                and h * (x[-1] - min(x[0], theta[0])) <= _PRODUCT_SPAN
+                and 2 * _node_count(theta) <= theta.size)
+        return h if node else None
 
     def _node_rows(self, h):
-        """``(Kc, Kc^2, L, Lmid)`` on a node grid of step ``h``; ``Lmid``
-        interpolates at the grid midpoints, times ``exp(-h^2/4)``."""
-        grid, r = self.grid, _node_count(self.grid)
-        t = 0.5 * (grid[0] + grid[-1]
-                   + np.ptp(grid) * np.cos(np.linspace(0.0, np.pi, r)))
-        Kc = self._evaluate(t)
-        return (Kc, np.square(Kc), _barycentric(grid, t),
-                np.exp(-0.25 * h * h) * _barycentric(0.5 * (grid[:-1] + grid[1:]), t))
+        """``(Kc, Kc^2, L, Lmid)`` on a node grid of step ``h``, formed about
+        its midpoint ``c`` so that the nodes are exact far from 0: ``Kc[k] =
+        phi((x - c) - tau_k)`` at the Chebyshev points ``tau_k`` of ``grid -
+        c``; ``Lmid`` interpolates at the midpoints, times ``exp(-h^2/4)``."""
+        c = 0.5 * (self.grid[0] + self.grid[-1])
+        grid = self.grid - c
+        tau = 0.5 * np.ptp(grid) * np.cos(np.linspace(0.0, np.pi, _node_count(grid)))
+        Kc = self._evaluate(tau, self.x - c)
+        return (Kc, np.square(Kc), _barycentric(grid, tau),
+                np.exp(-0.25 * h * h) * _barycentric(0.5 * (grid[:-1] + grid[1:]), tau))
 
     def on(self, grid):
         """This model if it holds ``grid``, else a model on ``grid`` that
@@ -350,12 +343,13 @@ class MlModel:
         return out * np.resize(decay, theta.size)
 
     def _node_sums(self, weights, square):
-        """``Kc w / n`` (``Kc^2`` with ``square``); None without node rows or
-        above ``_NODE_LIMITS``, where ``K`` is built and kept instead."""
-        u = None if self.nodes is None else self.nodes[square] @ weights / self.n
-        if u is not None and u.max() > _NODE_LIMITS[square]:
-            self.K, u = (self._evaluate(self.grid) if self.K is None else self.K), None
-        return u
+        """``Kc w / n`` for ``w = 1/f`` (``Kc^2 w / n`` for ``w = 1/f^2`` with
+        ``square``); None without node rows or where ``f`` does not cover the
+        sample (``_NODE_COVER``), which the weights tell before any product."""
+        limit = (_NODE_COVER * self.n) ** (1 + square)
+        if self.nodes is not None and weights.max() <= limit:
+            return self.nodes[square] @ weights / self.n
+        return None
 
     def ratio_mean(self, theta, measure, exact=True):
         """``(1/n) sum_i phi(x_i - theta) / f(x_i)`` for the measure's mixture.
@@ -382,7 +376,9 @@ class MlModel:
         product identity, the superdiagonal ``Lmid v``.  Else one pass over
         ``K`` gives it as ``odd * ((K∘K)[:-1] (d2 scale)) / n``: each row
         tile is squared into a reused buffer and multiplied by the weight
-        vectors in one product, so ``K∘K`` is never stored.
+        vectors in one product, so ``K∘K`` is never stored.  A node model
+        builds and keeps ``K`` for the first iterate that does not cover the
+        sample.
         """
         v = self._node_sums(d2, True)
         if v is not None:
@@ -390,6 +386,8 @@ class MlModel:
             W = np.empty(2 * c2.size - 1)
             W[0::2], W[1::2] = c2, self.nodes[3] @ v
             return c2, W
+        if self.K is None:
+            self.K = self._evaluate(self.grid)
         G, n = self.K.shape
         w = d2 if self.product is None else np.array((d2, d2 * self.product[1]))
         step = min(_tile_rows(n), G)
@@ -636,11 +634,11 @@ class QuadLocalModel(core.ConeObjective):
         return self.quad_coefficients(theta, measure)[0]
 
     def alt_dir_deriv_vertex(self, theta, measure):
-        """``c1 / sqrt(c2)``, or ``c1`` where the kernel vanishes at every
-        observation and ``c2`` underflows to 0."""
+        """``c1 / sqrt(c2)``, or ``c1`` where ``c2`` is not positive: where it
+        underflows at every observation, or node rows interpolate it below 0."""
         c1, c2 = self.quad_coefficients(theta, measure)
-        out = np.divide(c1, np.sqrt(c2), out=np.array(c1, dtype=float),
-                        where=c2 > 0.0)
+        out = np.divide(c1, np.sqrt(np.maximum(c2, 0.0)),
+                        out=np.array(c1, dtype=float), where=c2 > 0.0)
         return out if np.ndim(out) else float(out)
 
     def unrestricted_min(self, support):

@@ -929,21 +929,26 @@ def _node_sample(n=2000, seed=1):
 
 
 class TestNodeRows:
-    """Grid sums from Chebyshev node rows where the grid qualifies, the
-    exact rows where a hazard rules them out, and exact certificates."""
+    """Grid sums from Chebyshev node rows where the grid qualifies and the
+    iterate covers the sample, the exact rows elsewhere, and exact
+    certificates."""
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(40, 600), extra=st.integers(1, 40),
            reach=st.floats(0.0, 1.0), ties=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_node_sums_match_exact_sums(self, size, extra, reach, ties, seed):
-        # n just above the size at which K outgrows one tile, and spans up
-        # to the node rule's limit 2 r <= G
+           outlier=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+    def test_node_sums_match_exact_sums(self, size, extra, reach, ties,
+                                        outlier, seed):
+        # n just above the size at which K outgrows one tile, spans up to
+        # the node rule's limit 2 r <= G, and one observation that lies a
+        # share ``outlier`` of the span beyond all others
         n = mldeconv._TILE_BYTES // (8 * size) + extra
         limit = (size // 2 - mldeconv._NODE_FLOOR) / mldeconv._NODES_PER_UNIT
-        x = np.random.default_rng(seed).uniform(0.0, max(0.05, reach * limit), n)
+        span = max(0.05, reach * limit)
+        x = np.random.default_rng(seed).uniform(0.0, (1.0 - outlier) * span, n)
         if ties:
             x[1::2] = x[::2][:n // 2]
+        x[0] = span
         grid = np.linspace(x.min(), x.max(), size)
         model = MlModel(x, grid)
         assert model.nodes is not None and model.K is None
@@ -962,14 +967,10 @@ class TestNodeRows:
                 <= 1e-13 * v.max())
         assert model.K is None
 
-    @pytest.mark.parametrize("case", ["gap", "tiny", "non-uniform", "coarse"])
+    @pytest.mark.parametrize("case", ["tiny", "non-uniform", "coarse"])
     def test_hazards_select_exact_rows(self, case):
         x, grid = _node_sample()
-        if case == "gap":
-            # grid points 4.5 noise units from every observation
-            x = np.append(x, x.max() + 9.0)
-            grid = np.linspace(x.min(), x.max(), grid.size)
-        elif case == "tiny":
+        if case == "tiny":
             x, grid = np.array([0.5, 0.5, 2.0]), np.linspace(0.5, 2.0, 500)
         elif case == "non-uniform":
             grid[1] += 1e-3
@@ -988,13 +989,71 @@ class TestNodeRows:
         x = np.append(x, x.max() + 7.0)
         assert MlModel(x, np.linspace(x.min(), x.max(), grid.size)).nodes is not None
 
+    def test_a_gap_keeps_node_rows(self, monkeypatch):
+        # grid points 4.5 noise units from every observation, where an
+        # interpolated curvature may dip below 0: the fit stays on node rows,
+        # raises no RuntimeWarning, and reaches the exact rows' objective
+        x, grid = _node_sample()
+        x = np.append(x, x.max() + 9.0)
+        grid = np.linspace(x.min(), x.max(), grid.size)
+        model = MlModel(x, grid)
+        assert model.nodes is not None and model.K is None
+        config = SolverConfig(grid=grid, eta=1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f, trace = newton_solve(model, config)
+            assert pipeline.fit("deconv-ml", x, config).converged
+        assert trace.converged and model.K is None
+        monkeypatch.setattr(MlModel, "_node_step", lambda self, theta: None)
+        exact = MlModel(x, grid)
+        g, exact_trace = newton_solve(exact, config)
+        assert exact_trace.converged and exact.nodes is None
+        best = exact.objective(g)
+        assert abs(exact.objective(f) - best) <= 1e-12 * best
+
+    def test_node_sums_serve_an_iterate_that_covers_the_sample(self):
+        # the covering start scaled down until max 1/f = 40 n: within
+        # _NODE_COVER, and Kc^2 d^2 / n exceeds 1e6
+        x, grid = _node_sample(5000, 3)
+        model = MlModel(x, grid)
+        start = starting_iterate(x, grid)
+        d = 1.0 / model.positive_mixture(start)
+        scale = d.max() / (40.0 * x.size)
+        f = MixingMeasure(start.locations, start.weights * scale)
+        d = 1.0 / model.positive_mixture(f)
+        assert 25.0 * x.size < d.max() < 50.0 * x.size
+        v = np.square(model.nodes[0]) @ d**2 / x.size
+        assert v.max() > 1e6
+        c2, W = model.curvatures(d**2)
+        assert model.K is None
+        K = GaussianFamily().kernel(grid[:, None], model.x)
+        assert np.abs(c2 - np.square(K) @ d**2 / x.size).max() <= 1e-13 * v.max()
+        assert (np.abs(W[1::2] - (K[:-1] * K[1:]) @ d**2 / x.size).max()
+                <= 1e-13 * v.max())
+        model.ratio_mean(grid, f, exact=False)
+        assert not model._last[3]             # read from the node rows
+
+    @pytest.mark.parametrize("gridless", [False, True])
+    def test_data_far_from_0_certifies(self, gridless):
+        # at 1e8 the nodes are exact only about the grid's midpoint: placed
+        # at 1e8 + tau_k they are off by rounding, and the support half
+        # reads 1.6e-8 > support_tol
+        x = pipeline.simulate_sample("exp-normal-mixture", 2000, 1) + 1e8
+        grid = pipeline.build_grid(*pipeline.default_grid_spec("deconv-ml", x),
+                                   GaussianFamily())
+        assert MlModel(x, grid).nodes is not None
+        result = pipeline.fit("deconv-ml", x, SolverConfig(
+            grid=grid, eta=1e-8, gridless_enabled=gridless))
+        assert result.converged
+
     def test_far_start_steps_on_exact_rows(self):
         x, grid = _node_sample()
         config = SolverConfig(grid=grid, eta=1e-8)
         covered = MlModel(x, grid)
         f, trace = newton_solve(covered, config)
         assert trace.converged and covered.K is None
-        # one atom at the left end: max Kc (1/f) / n reaches 7e27
+        # one atom at the left end covers no observation far from it:
+        # max Kc (1/f) / n reaches 7e27
         far = MlModel(x, grid)
         g, far_trace = newton_solve(far, config,
                                     start=MixingMeasure([grid[0]], [1.0]))
@@ -1118,7 +1177,8 @@ class TestShiftScan:
     def test_fit_certificate_is_the_grid_free_one(self, monkeypatch, case):
         x, grid = _node_sample()
         if case == "stored-K":
-            # the CI gap sample: grid points 4.5 noise units from the data
+            # the CI gap sample: its span of 43 noise units needs r = 275
+            # node rows, and 2 r exceeds its 500 grid points
             x = np.append(x, 40.0)
             grid = pipeline.build_grid(
                 *pipeline.default_grid_spec("deconv-ml", x), GaussianFamily())
@@ -1129,9 +1189,9 @@ class TestShiftScan:
         built = []
         evaluate = MlModel._evaluate
 
-        def recording(self, theta):
+        def recording(self, theta, *args):
             built.append(theta.size)
-            return evaluate(self, theta)
+            return evaluate(self, theta, *args)
 
         monkeypatch.setattr(MlModel, "_evaluate", recording)
         config = SolverConfig(grid=grid, eta=1e-8)
