@@ -60,9 +60,11 @@ _TILE_BYTES = 1 << 20
 #: observation, as the covering start (about ``0.35 / n``) does.
 _NODES_PER_UNIT, _NODE_FLOOR, _NODE_COVER = 6.0, 16, 50.0
 
-#: Rows per block of an exact scan on a node grid: the block's first row is
-#: evaluated, each later one follows from the row before by one multiply.
-_BLOCK_ROWS = 8
+#: An exact scan on a node grid keeps every factor below ``exp(_SHIFT_EXP)``
+#: and each product within ``_SERIAL_GEMM`` multiply-adds, which OpenBLAS
+#: runs on one thread (65536 times its ``GEMM_MULTITHREAD_THRESHOLD`` of 4),
+#: so its sums are the same bit for bit at any thread count.
+_SHIFT_EXP, _SERIAL_GEMM = 16.0, 1 << 18
 
 
 def _tile_rows(n):
@@ -132,13 +134,13 @@ class MlModel:
     for a step whose iterate does not cover the sample (``_NODE_COVER``),
     which the node sums cannot serve.  Atoms read their rows of a stored
     ``K`` (:meth:`grid_index`) or are evaluated, never interpolated.  An
-    exact scan over a node grid runs the Gaussian shift recurrence
-    (:meth:`_shift_scan`), which evaluates one row in ``_BLOCK_ROWS`` and
-    stays within a few 1e-15 of the tiled product near 0, whether or not
-    ``K`` is stored; every other scan reads or evaluates its rows a tile at
-    a time.  The path depends on the points and the sample alone, so a
-    fit's certificate and one from a model without a grid agree bit for
-    bit (:meth:`_scan`).
+    exact scan over a node grid is one blocked GEMM by the Gaussian shift
+    identity (:meth:`_shift_scan`): it evaluates one row in ``B``, about
+    ``sqrt(G)``, and stays within a few 1e-15 of the tiled product near 0,
+    whether or not ``K`` is stored; every other scan reads or evaluates its
+    rows a tile at a time.  The path depends on the points and the sample
+    alone, so a fit's certificate and one from a model without a grid
+    agree bit for bit (:meth:`_scan`).
 
     The model keeps the last mixture it evaluated, and on a grid also
     that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid,
@@ -200,7 +202,7 @@ class MlModel:
         ``h (max x - min(min x, theta_0)) <= _PRODUCT_SPAN``; it holds more
         points than one tile, and at least ``2 r`` for the node count ``r``
         of its span.  A model holds node rows on such a grid, and every
-        exact scan over one takes the shift recurrence (:meth:`_scan`).
+        exact scan over one takes the blocked GEMM (:meth:`_scan`).
         """
         x, h = self.x, _uniform_step(theta)
         node = (theta.size > _tile_rows(self.n) and h is not None and h > 0.0
@@ -287,11 +289,10 @@ class MlModel:
         """``K_theta ratio / n``, exactly, and the same bit for bit on every
         model: the path depends on ``theta`` and the sample alone.
 
-        A node grid (:meth:`_node_step`) takes :meth:`_shift_scan`, whether
-        or not the model stores ``K``.  Any other ``theta`` of more than one
-        tile is one product per tile of ``_tile_rows(n)`` rows from row 0,
-        read from a stored ``K`` or evaluated, so the model holds at most
-        one tile.
+        A node grid (:meth:`_node_step`) takes :meth:`_shift_scan`, one
+        blocked GEMM, whether or not ``K`` is stored.  Any other ``theta`` of
+        more than one tile is one product per ``_tile_rows(n)`` rows from row
+        0, read from a stored ``K`` or evaluated a tile at a time.
         """
         theta = np.asarray(theta, dtype=float)
         flat, step = theta.ravel(), _tile_rows(self.n)
@@ -309,38 +310,36 @@ class MlModel:
         return (out / self.n).reshape(theta.shape)
 
     def _shift_scan(self, theta, h, ratio):
-        """``K_theta ratio`` on a node grid of step ``h`` by the Gaussian
-        shift identity ``phi(x - t - j h) = phi(x - t) exp(j h (x - t) - j^2
-        h^2 / 2)``, in blocks of ``_BLOCK_ROWS`` rows by at most a tile's
-        worth of observations, the sample split evenly.
-
-        A block's first row, at ``t = theta_lo``, is evaluated; each later
-        row is the row before times ``exp(h (x - theta_lo))``, which is ``A =
-        exp(h (x - theta_0))``, formed once per scan, times a scalar.  The
-        block's product with ``ratio`` then takes ``exp(-j^2 h^2 / 2)``.
-        Nothing is truncated or interpolated: every row is at most
-        ``_BLOCK_ROWS - 1`` multiplies from an evaluated one, and
-        ``_node_step``'s span bound keeps every factor finite.  On grids
-        near 0 it agrees with the tiled scan to a few 1e-15 of its largest
-        value; a grid's own rounding off ``theta_0 + j h`` adds up to about
-        ``ulp(max |theta|)`` of it (5e-14 at 1e3).
+        """``K_theta ratio`` on a node grid of step ``h`` as one blocked GEMM,
+        by the Gaussian shift identity about the grid's midpoint ``c``:
+        ``phi(x - t - j h) = phi(x - t) P[j] F_tj`` with ``P[j] = exp(j h (x -
+        c))`` and ``F_tj = exp(-j h (t - c) - j^2 h^2 / 2)``, for block starts
+        ``t`` in ``theta[::B]``.  Per column chunk ``S = phi(x - theta[::B])
+        ratio`` adds ``S P'`` into a ``ceil(G / B) x B`` sum, which takes ``F``
+        and is read row by row.  ``B`` is the largest block, at most
+        ``ceil(sqrt(G))``, with ``(B - 1) h max(|x - c|, span / 2) <=
+        _SHIFT_EXP``.  Nothing is truncated or interpolated.  Near 0 it is
+        within a few 1e-15 of the tiled scan's largest value; a grid's own
+        rounding off ``theta_0 + j h`` adds about ``ulp(max |theta|)``.
         """
-        cols = math.ceil(self.n / math.ceil(8 * _BLOCK_ROWS * self.n / _TILE_BYTES))
-        out, part = np.zeros(theta.size), np.empty(theta.size)
+        c, G = 0.5 * (theta[0] + theta[-1]), theta.size
+        reach = h * max(self.x[-1] - c, c - self.x[0], theta[-1] - c)
+        B = math.ceil(math.sqrt(G))
+        if (B - 1) * reach > _SHIFT_EXP:
+            B = 1 + int(_SHIFT_EXP / reach)
+        starts, powers, m = theta[::B], h * np.arange(B), math.ceil(G / B)
+        per = min(_TILE_BYTES // (8 * (m + B + 1)), _SERIAL_GEMM // (m * B))
+        cols = math.ceil(self.n / math.ceil(self.n / max(per, 1)))
+        S, P, d, out = np.empty((m, cols)), np.empty((B, cols)), np.empty(cols), 0.0
         for c0 in range(0, self.n, cols):
-            x, r = self.x[c0:c0 + cols], ratio[c0:c0 + cols]
-            rows, shift = np.empty((_BLOCK_ROWS, x.size)), np.empty(x.size)
-            A = np.exp(h * (x - theta[0]))
-            for lo in range(0, theta.size, _BLOCK_ROWS):
-                block = rows[:min(_BLOCK_ROWS, theta.size - lo)]
-                self.family.kernel(theta[lo], x, out=block[0])
-                np.multiply(A, math.exp(-h * (theta[lo] - theta[0])), out=shift)
-                for j in range(1, len(block)):
-                    np.multiply(block[j - 1], shift, out=block[j])
-                np.matmul(block, r, out=part[lo:lo + len(block)])
-            out += part
-        decay = np.exp(-0.5 * (h * np.arange(_BLOCK_ROWS)) ** 2)
-        return out * np.resize(decay, theta.size)
+            x = self.x[c0:c0 + cols]
+            s, p = S[:, :x.size], P[:, :x.size]
+            np.multiply(self.family.kernel(starts[:, None], x, out=s),
+                        ratio[c0:c0 + cols], out=s)
+            np.multiply.outer(powers, np.subtract(x, c, out=d[:x.size]), out=p)
+            out = out + s @ np.exp(p, out=p).T
+        out *= np.exp(-np.multiply.outer(starts - c, powers) - 0.5 * powers ** 2)
+        return out.ravel()[:G]
 
     def _node_sums(self, weights, square):
         """``Kc w / n`` for ``w = 1/f`` (``Kc^2 w / n`` for ``w = 1/f^2`` with

@@ -1113,45 +1113,70 @@ def _tiled_scan(x, theta, ratio):
         for lo in range(0, theta.size, step)]) / x.size
 
 
+def _block_rows(x, grid):
+    """``B`` of an exact node-grid scan: the largest block, at most
+    ``ceil(sqrt(G))``, with ``(B - 1) h max(|x - c|, span / 2) <= 16``."""
+    h, c = (grid[-1] - grid[0]) / (grid.size - 1), 0.5 * (grid[0] + grid[-1])
+    reach = h * max(np.abs(x - c).max(), 0.5 * (grid[-1] - grid[0]))
+    return max(b for b in range(1, math.ceil(math.sqrt(grid.size)) + 1)
+               if (b - 1) * reach <= mldeconv._SHIFT_EXP)
+
+
 class TestShiftScan:
-    """Exact scans over node grids by the Gaussian shift recurrence, and
-    every other scan as the tiled product, bit for bit."""
+    """Exact scans over node grids as one blocked GEMM by the Gaussian shift
+    identity, and every other scan as the tiled product, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(40, 600), extra=st.integers(1, 40),
            reach=st.floats(0.0, 1.0), ties=st.booleans(),
+           decades=st.floats(0.0, 300.0), shift=st.sampled_from([0.0, 1e3]),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_tiled_scan(self, size, extra, reach, ties, seed):
+    def test_matches_the_tiled_scan(self, size, extra, reach, ties, decades,
+                                    shift, seed):
         # G just above one tile, spans from 0.1 to the node rule's limit
-        # 2 r <= G, and ratios over six decades
+        # 2 r <= G, where B falls below ceil(sqrt(G)), ratios over up to 300
+        # decades, and data at 0 or shifted by 1e3
         n = mldeconv._TILE_BYTES // (8 * size) + extra
         limit = (size // 2 - mldeconv._NODE_FLOOR) / mldeconv._NODES_PER_UNIT
         rng = np.random.default_rng(seed)
-        x = rng.uniform(0.0, max(0.1, reach * limit), n)
+        x = shift + rng.uniform(0.0, max(0.1, reach * limit), n)
         if ties:
             x[1::2] = x[::2][:n // 2]
         grid = np.linspace(x.min(), x.max(), size)
-        ratio = 10.0 ** rng.uniform(0.0, 6.0, n)
+        ratio = 10.0 ** rng.uniform(0.0, decades, n)
         model = MlModel(x)
         assert model._node_step(grid) is not None
-        b = model._scan(grid, ratio)
+        kernel = GaussianFamily.kernel
+        with mock.patch.object(GaussianFamily, "kernel", autospec=True,
+                               side_effect=kernel) as spy:
+            b = model._scan(grid, ratio)
+        starts = grid[::_block_rows(model.x, grid)]
+        assert all(np.array_equal(call.args[1].ravel(), starts)
+                   for call in spy.call_args_list)
         exact = _tiled_scan(model.x, grid, ratio)
-        assert np.abs(b - exact).max() <= 1e-13 * np.abs(exact).max()
+        assert np.array_equal(np.isfinite(b), np.isfinite(exact))
+        tol = 1e-13 + 4.0 * np.spacing(np.abs(grid).max())
+        assert np.abs(b - exact).max() <= tol * np.abs(exact).max()
         # the node model on the grid forms it bit for bit alike
         assert np.array_equal(MlModel(x, grid)._scan(grid, ratio), b)
 
-    @pytest.mark.parametrize("n, chunks", [(2000, 1), (40000, 3)])
-    def test_one_row_per_block_and_chunk_is_evaluated(self, monkeypatch, n,
-                                                      chunks):
-        # a block holds at most one tile: 40 000 observations take three
+    @pytest.mark.parametrize("n", [2000, 40000])
+    def test_one_row_per_block_and_chunk_is_evaluated(self, monkeypatch, n):
+        # each column chunk evaluates the block-start rows grid[::B] once;
+        # its buffers stay within a tile and its product within one BLAS
+        # thread's share, so 40 000 observations take several chunks
         x, grid = _node_sample(n)
         model = MlModel(x)
         ratio = 1.0 / model.positive_mixture(starting_iterate(x, grid))
+        B = _block_rows(model.x, grid)
+        starts = grid[::B]
         calls = _kernel_spy(monkeypatch)
         b = model._scan(grid, ratio)
-        rows = [theta for theta, _, _ in calls]
-        assert np.array_equal(rows, np.tile(grid[::mldeconv._BLOCK_ROWS], chunks))
-        assert sum(shape[0] for _, shape, _ in calls) == len(rows) // chunks * n
+        assert all(np.array_equal(theta.ravel(), starts) for theta, _, _ in calls)
+        widths = [shape[1] for _, shape, _ in calls]
+        assert sum(widths) == n and (len(widths) >= 3 or n < 40000)
+        assert 8 * (starts.size + B + 1) * max(widths) <= mldeconv._TILE_BYTES
+        assert starts.size * B * max(widths) <= mldeconv._SERIAL_GEMM
         exact = _tiled_scan(model.x, grid, ratio)
         assert np.abs(b - exact).max() <= 1e-13 * np.abs(exact).max()
 
