@@ -46,8 +46,8 @@ logger = logging.getLogger("mixfit.mldeconv")
 _MAX_HALVINGS = 60
 
 #: Largest ``h * (max x - min(min x, theta_0))`` for which a uniform grid
-#: uses the Gaussian product identity: it keeps the factors ``scale`` in
-#: ``[exp(-600), 1]`` and ``odd`` below ``exp(600)``.
+#: uses the Gaussian product identity: it keeps the factors that
+#: :meth:`MlModel.curvatures` forms from ``h`` within ``exp(+-600)``.
 _PRODUCT_SPAN = 600.0
 
 #: Bytes of rows of a ``G x n`` kernel matrix per tile: the passes the
@@ -98,15 +98,16 @@ class KernelUnderflow(ValueError):
     so no likelihood derivative or quadratic model exists there."""
 
 
-def _uniform_step(grid):
-    """The step ``h`` of a uniform grid ``theta_j = theta_0 + j h``, or None.
-
-    Uniform means every point within 4 ulp of ``theta_0 + j h``, as
-    ``np.linspace`` makes them; grids of one or two points are uniform.
-    """
+def _product_step(grid, x):
+    """The step ``h`` of a grid ``theta_j = theta_0 + j h`` on which the
+    Gaussian product identity serves the sorted sample ``x``, or None: every
+    point within 4 ulp of ``theta_0 + j h``, as ``np.linspace`` makes them,
+    and ``h (max x - min(min x, theta_0)) <= _PRODUCT_SPAN``."""
     h = (grid[-1] - grid[0]) / max(grid.size - 1, 1)
     off = np.abs(grid - (grid[0] + np.arange(grid.size) * h)).max()
-    return h if off <= 4.0 * np.spacing(np.abs(grid).max()) else None
+    ok = (off <= 4.0 * np.spacing(np.abs(grid).max())
+          and h * (x[-1] - min(x[0], grid[0])) <= _PRODUCT_SPAN)
+    return h if ok else None
 
 
 class MlModel:
@@ -124,23 +125,24 @@ class MlModel:
     ``sample`` when that is a model, and at most one grid; every kernel
     value at the observations comes from it, observations on the last
     axis.  A fit holds one model on its grid for every stage (:meth:`on`).
-    It stores the grid's kernels ``K[j, i] = phi(x_i - grid_j)``, built
-    one tile of rows (about ``_TILE_BYTES``) at a time, or, on a node grid
-    (:meth:`_node_step`: ``K`` would outgrow a tile on a uniform grid with
-    ``2 r <= G``), ``nodes``: rows ``Kc[k] = phi(x - t_k)`` at ``r``
+    It holds either the grid's kernels ``K[j, i] = phi(x_i - grid_j)``,
+    built one tile of rows (about ``_TILE_BYTES``) at a time, or, on a node
+    grid (:meth:`_node_step`: ``K`` would outgrow a tile on a uniform grid
+    with ``2 r <= G``), ``nodes``: rows ``Kc[k] = phi(x - t_k)`` at ``r``
     Chebyshev points of the grid's span, their squares, and the
     barycentric matrices ``L`` to the grid and ``Lmid`` to its midpoints;
-    ``K`` is smooth in the grid point.  A node model builds and keeps ``K``
-    for a step whose iterate does not cover the sample (``_NODE_COVER``),
-    which the node sums cannot serve.  Atoms read their rows of a stored
-    ``K`` (:meth:`grid_index`) or are evaluated, never interpolated.  An
-    exact scan over a node grid is one blocked GEMM by the Gaussian shift
-    identity (:meth:`_shift_scan`): it evaluates one row in ``B``, about
-    ``sqrt(G)``, and stays within a few 1e-15 of the tiled product near 0,
-    whether or not ``K`` is stored; every other scan reads or evaluates its
-    rows a tile at a time.  The path depends on the points and the sample
-    alone, so a fit's certificate and one from a model without a grid
-    agree bit for bit (:meth:`_scan`).
+    ``K`` is smooth in the grid point.  Never both: ``K`` is None exactly
+    when ``nodes`` is set.  A step whose iterate does not cover the sample
+    (``_NODE_COVER``), which the node sums cannot serve, reads exact scans
+    instead.  Atoms read their rows of a stored ``K`` (:meth:`grid_index`)
+    or are evaluated, never interpolated.  An exact scan over a node grid
+    is one blocked GEMM by the Gaussian shift identity
+    (:meth:`_shift_scan`): it evaluates one row in ``B``, about
+    ``sqrt(G)``, and stays within a few 1e-15 of the tiled product near 0;
+    every other scan reads or evaluates its rows a tile at a time.  The
+    path depends on the points and the sample alone, so a fit's
+    certificate and one from a model without a grid agree bit for bit
+    (:meth:`_scan`).
 
     The model keeps the last mixture it evaluated, and on a grid also
     that mixture's mean kernel ratio ``b = K (1/f) / n`` over the grid,
@@ -151,13 +153,9 @@ class MlModel:
     Every other sum over ``K`` is formed here too: a quadratic model's
     curvatures (:meth:`curvatures`) and Gram rows (:meth:`gram_rows`).
 
-    On a uniform grid ``theta_j = theta_0 + j h`` the model holds
-    ``product``, the factors of its Gram rows by the Gaussian product
-    identity (see :class:`QuadLocalModel`): ``toep[t] = exp(-(t^2 - t mod
-    2) h^2 / 4)``, ``scale = exp(h (x - max x))`` and ``odd[j] = exp(h (max
-    x - theta_j) - h^2 / 2)``, so that ``phi(x - theta_j) phi(x -
-    theta_{j+1}) = K[j]^2 * scale * odd[j]``.  It is None on grids that
-    are not uniform or span more than ``_PRODUCT_SPAN`` allows.
+    ``step`` is the grid's step ``h`` where the Gaussian product identity
+    serves its Gram rows (:func:`_product_step`, :class:`QuadLocalModel`),
+    else None; :meth:`curvatures` and :meth:`gram_rows` form its factors.
     """
 
     family = GaussianFamily()
@@ -168,20 +166,14 @@ class MlModel:
         self.n = x.size
         self.domain = (float(x[0]), float(x[-1]))
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
-        self.K = self.product = self.nodes = self._grid_step = None
+        self.K = self.nodes = self.step = None
         self._last = (None, None, None, True)   # measure, f(x), b, b exact
         if grid is not None:
-            h, top = _uniform_step(self.grid), x[-1]
-            if h is not None and h * (top - min(x[0], self.grid[0])) <= _PRODUCT_SPAN:
-                t = np.arange(self.grid.size)
-                self.product = (np.exp(-0.25 * h * h * (t * t - t % 2)),
-                                np.exp(h * (x - top)),
-                                np.exp(h * (top - self.grid[:-1]) - 0.5 * h * h))
-            self._grid_step = self._node_step(self.grid)
-            if self._grid_step is None:
+            self.step = _product_step(self.grid, x)
+            if self._node_step(self.grid) is None:
                 self.K = self._evaluate(self.grid)
             else:
-                self.nodes = self._node_rows(self._grid_step)
+                self.nodes = self._node_rows(self.step)
 
     def _evaluate(self, theta, x=None):
         """Read-only ``phi(x - theta)`` for the sample ``x`` unless given,
@@ -198,15 +190,14 @@ class MlModel:
         """The step ``h`` of ``theta`` if it is a node grid of this sample,
         else None.
 
-        A node grid is uniform and increasing (:func:`_uniform_step`) with
-        ``h (max x - min(min x, theta_0)) <= _PRODUCT_SPAN``; it holds more
-        points than one tile, and at least ``2 r`` for the node count ``r``
-        of its span.  A model holds node rows on such a grid, and every
-        exact scan over one takes the blocked GEMM (:meth:`_scan`).
+        A node grid is increasing and serves the product identity
+        (:func:`_product_step`); it holds more points than one tile, and at
+        least ``2 r`` for the node count ``r`` of its span.  A model holds
+        node rows on such a grid, and every exact scan over one takes the
+        blocked GEMM (:meth:`_scan`).
         """
-        x, h = self.x, _uniform_step(theta)
+        h = _product_step(theta, self.x)
         node = (theta.size > _tile_rows(self.n) and h is not None and h > 0.0
-                and h * (x[-1] - min(x[0], theta[0])) <= _PRODUCT_SPAN
                 and 2 * _node_count(theta) <= theta.size)
         return h if node else None
 
@@ -290,55 +281,57 @@ class MlModel:
         model: the path depends on ``theta`` and the sample alone.
 
         A node grid (:meth:`_node_step`) takes :meth:`_shift_scan`, one
-        blocked GEMM, whether or not ``K`` is stored.  Any other ``theta`` of
-        more than one tile is one product per ``_tile_rows(n)`` rows from row
-        0, read from a stored ``K`` or evaluated a tile at a time.
+        blocked GEMM.  Any other ``theta`` of more than one tile is one
+        product per ``_tile_rows(n)`` rows from row 0, read from a stored
+        ``K`` or evaluated a tile at a time.
         """
         theta = np.asarray(theta, dtype=float)
         flat, step = theta.ravel(), _tile_rows(self.n)
         if flat.size <= step:
             return self.kernels(theta) @ ratio / self.n
-        whole = isinstance(self.grid_index(theta), slice)
-        h = self._grid_step if whole else self._node_step(flat)
+        whole, h = isinstance(self.grid_index(theta), slice), self._node_step(flat)
         if h is not None:
             out = self._shift_scan(flat, h, ratio)
         else:
             out = np.concatenate([
-                (self.K[lo:lo + step] if whole and self.K is not None
-                 else self.kernels(flat[lo:lo + step]))
+                (self.K[lo:lo + step] if whole else self.kernels(flat[lo:lo + step]))
                 @ ratio for lo in range(0, flat.size, step)])
         return (out / self.n).reshape(theta.shape)
 
-    def _shift_scan(self, theta, h, ratio):
-        """``K_theta ratio`` on a node grid of step ``h`` as one blocked GEMM,
-        by the Gaussian shift identity about the grid's midpoint ``c``:
-        ``phi(x - t - j h) = phi(x - t) P[j] F_tj`` with ``P[j] = exp(j h (x -
-        c))`` and ``F_tj = exp(-j h (t - c) - j^2 h^2 / 2)``, for block starts
-        ``t`` in ``theta[::B]``.  Per column chunk ``S = phi(x - theta[::B])
-        ratio`` adds ``S P'`` into a ``ceil(G / B) x B`` sum, which takes ``F``
-        and is read row by row.  ``B`` is the largest block, at most
-        ``ceil(sqrt(G))``, with ``(B - 1) h max(|x - c|, span / 2) <=
-        _SHIFT_EXP``.  Nothing is truncated or interpolated.  Near 0 it is
-        within a few 1e-15 of the tiled scan's largest value; a grid's own
-        rounding off ``theta_0 + j h`` adds about ``ulp(max |theta|)``.
+    def _shift_scan(self, theta, h, ratio, square=False):
+        """``K_theta ratio`` (``(K_theta∘K_theta) ratio`` with ``square``) on
+        a grid of step ``h`` that spans a node grid, as one blocked GEMM, by
+        the Gaussian shift identity about the grid's midpoint ``c``: ``phi(x
+        - t - j h) = phi(x - t) P[j] F_tj`` with ``P[j] = exp(j h (x - c))``
+        and ``F_tj = exp(-j h (t - c) - j^2 h^2 / 2)``, for block starts ``t``
+        in ``theta[::B]``; ``square`` squares those rows and doubles both
+        exponents.  Per column chunk ``S = phi(x - theta[::B]) ratio`` adds
+        ``S P'`` into a ``ceil(G / B) x B`` sum, which takes ``F`` and is
+        read row by row.  ``B`` is the largest block, at most
+        ``ceil(sqrt(G))``, with every exponent, ``(B - 1) h max(|x - c|,
+        span / 2)`` or twice that, within ``_SHIFT_EXP``.  Nothing is
+        truncated or interpolated.  Near 0 it is within a few 1e-15 of the
+        tiled scan's largest value; a grid's own rounding off ``theta_0 + j
+        h`` adds about ``ulp(max |theta|)``.
         """
-        c, G = 0.5 * (theta[0] + theta[-1]), theta.size
-        reach = h * max(self.x[-1] - c, c - self.x[0], theta[-1] - c)
+        c, G, e = 0.5 * (theta[0] + theta[-1]), theta.size, 1 + square
+        reach = e * h * max(self.x[-1] - c, c - self.x[0], theta[-1] - c)
         B = math.ceil(math.sqrt(G))
         if (B - 1) * reach > _SHIFT_EXP:
             B = 1 + int(_SHIFT_EXP / reach)
-        starts, powers, m = theta[::B], h * np.arange(B), math.ceil(G / B)
+        starts, powers, m = theta[::B], e * h * np.arange(B), math.ceil(G / B)
         per = min(_TILE_BYTES // (8 * (m + B + 1)), _SERIAL_GEMM // (m * B))
         cols = math.ceil(self.n / math.ceil(self.n / max(per, 1)))
         S, P, d, out = np.empty((m, cols)), np.empty((B, cols)), np.empty(cols), 0.0
         for c0 in range(0, self.n, cols):
             x = self.x[c0:c0 + cols]
             s, p = S[:, :x.size], P[:, :x.size]
-            np.multiply(self.family.kernel(starts[:, None], x, out=s),
+            k = self.family.kernel(starts[:, None], x, out=s)
+            np.multiply(np.square(k, out=k) if square else k,
                         ratio[c0:c0 + cols], out=s)
             np.multiply.outer(powers, np.subtract(x, c, out=d[:x.size]), out=p)
             out = out + s @ np.exp(p, out=p).T
-        out *= np.exp(-np.multiply.outer(starts - c, powers) - 0.5 * powers ** 2)
+        out *= np.exp(-np.multiply.outer(starts - c, powers) - 0.5 / e * powers ** 2)
         return out.ravel()[:G]
 
     def _node_sums(self, weights, square):
@@ -368,38 +361,43 @@ class MlModel:
 
     def curvatures(self, d2):
         """``c2 = (K∘K) d2 / n`` over the grid, and ``W``, which interleaves
-        ``c2`` and the superdiagonal ``K[j] diag(d2) K[j + 1]' / n`` on a
-        uniform grid and is None on others.
+        ``c2`` and the superdiagonal ``K[j] diag(d2) K[j + 1]' / n`` where
+        the model has a product ``step`` and is None elsewhere.
 
-        From node rows, ``v = Kc^2 d2 / n`` gives ``c2 = L v`` and, by the
-        product identity, the superdiagonal ``Lmid v``.  Else one pass over
-        ``K`` gives it as ``odd * ((K∘K)[:-1] (d2 scale)) / n``: each row
-        tile is squared into a reused buffer and multiplied by the weight
-        vectors in one product, so ``K∘K`` is never stored.  A node model
-        builds and keeps ``K`` for the first iterate that does not cover the
-        sample.
+        By the product identity the superdiagonal is ``exp(-h^2 / 4)`` times
+        ``phi^2`` at the midpoints.  From node rows, ``v = Kc^2 d2 / n``
+        gives ``c2 = L v`` and the superdiagonal ``Lmid v``; where the node
+        sums refuse ``d2``, one exact :meth:`_shift_scan` of ``phi^2`` over
+        the grid and its midpoints, ``2 G - 1`` points, gives ``W``.  Else
+        one pass over ``K`` gives it as ``exp(h (max x - theta_j) - h^2 / 2)
+        ((K∘K)[:-1] (d2 exp(h (x - max x)))) / n``: each row tile is squared
+        into a reused buffer and multiplied by the weight vectors in one
+        product, so ``K∘K`` is never stored.
         """
-        v = self._node_sums(d2, True)
-        if v is not None:
-            c2 = self.nodes[2] @ v
-            W = np.empty(2 * c2.size - 1)
-            W[0::2], W[1::2] = c2, self.nodes[3] @ v
-            return c2, W
-        if self.K is None:
-            self.K = self._evaluate(self.grid)
+        if self.nodes is not None:
+            v, h = self._node_sums(d2, True), self.step
+            W = np.empty(2 * self.grid.size - 1)
+            if v is None:
+                W[0::2], W[1::2] = self.grid, 0.5 * (self.grid[:-1] + self.grid[1:])
+                W = self._shift_scan(W, 0.5 * h, d2, square=True) / self.n
+                W[1::2] *= np.exp(-0.25 * h * h)
+            else:
+                W[0::2], W[1::2] = self.nodes[2] @ v, self.nodes[3] @ v
+            return W[0::2], W
         G, n = self.K.shape
-        w = d2 if self.product is None else np.array((d2, d2 * self.product[1]))
+        h, top = self.step, self.x[-1]
+        w = d2 if h is None else np.array((d2, d2 * np.exp(h * (self.x - top))))
         step = min(_tile_rows(n), G)
         buf = np.empty((step, n))
         sums = np.empty(w.shape[:-1] + (G,))
         for lo in range(0, G, step):
             tile = np.square(self.K[lo:lo + step], out=buf[:min(step, G - lo)])
             np.matmul(w, tile.T, out=sums[..., lo:lo + step])
-        if self.product is None:
+        if h is None:
             return sums / n, None
         W = np.empty(2 * G - 1)
         W[0::2] = c2 = sums[0] / n
-        W[1::2] = self.product[2] * sums[1, :-1] / n
+        W[1::2] = np.exp(h * (top - self.grid[:-1]) - 0.5 * h * h) * sums[1, :-1] / n
         return c2, W
 
     def gram_rows(self, new, d2, W):
@@ -408,8 +406,9 @@ class MlModel:
         pass over ``K`` for any count."""
         if W is None:
             return (self.K[new] * d2) @ self.K.T / self.n
-        j = np.arange(self.grid.size)
-        return self.product[0][np.abs(new[:, None] - j)] * W[new[:, None] + j]
+        t, h = np.arange(self.grid.size), self.step
+        toep = np.exp(-0.25 * h * h * (t * t - t % 2))
+        return toep[np.abs(new[:, None] - t)] * W[new[:, None] + t]
 
     def objective(self, measure):
         """``-(1/n) sum log f(x_i) + mass``; +inf when f vanishes at a point."""
@@ -553,14 +552,14 @@ class QuadLocalModel(core.ConeObjective):
     others.  The model holds only this algebra and reads no ``K``: on the
     grid the likelihood model forms ``b`` (its vector at the center),
     ``c2 = (K∘K) d^2 / n`` and ``W`` (:meth:`MlModel.curvatures`), from
-    node rows where it holds them and in one pass over ``K`` otherwise,
-    and the Gram rows of the grid atoms that enter the support, each when
-    first needed (:meth:`MlModel.gram_rows`).  ``M`` is read from that
-    store of rows, so a solver call reads nothing of length n.  Other
-    atoms, and models without a grid, evaluate their kernels.
+    node rows or exact scans when it holds no ``K``, and in one pass over
+    ``K`` otherwise, and the Gram rows of the grid atoms that enter the
+    support, each when first needed (:meth:`MlModel.gram_rows`).  ``M`` is
+    read from that store of rows, so a solver call reads nothing of length
+    n.  Other atoms, and models without a grid, evaluate their kernels.
 
-    On a uniform grid (the likelihood model's ``product``) the rows come from the
-    Gaussian product identity ``phi(x - a) phi(x - b) = exp(-(a - b)^2 / 4)
+    On a grid with the likelihood model's ``step`` ``h`` the rows come from
+    the Gaussian product identity ``phi(x - a) phi(x - b) = exp(-(a - b)^2 / 4)
     phi(x - (a + b)/2)^2``: entries with the same midpoint differ by a
     factor.  With ``t = |a - b|`` that gives ``M[a, b] = exp(-(t^2 - t
     mod 2) h^2 / 4) W[a + b]``, where ``W`` interleaves the diagonal

@@ -405,32 +405,53 @@ class TestGridPathAgreement:
             q.unrestricted_min(grid)
 
 
+def _product_factors(model):
+    """``exp(h (x - max x))`` and ``exp(h (max x - theta_j) - h^2 / 2)`` of
+    the model's product step ``h``, so that ``phi(x - theta_j) phi(x -
+    theta_{j+1}) = K[j]^2 * scale * odd[j]``."""
+    h, top = model.step, model.x[-1]
+    return (np.exp(h * (model.x - top)),
+            np.exp(h * (top - model.grid[:-1]) - 0.5 * h * h))
+
+
 class TestSquaredProducts:
     """The model's curvatures, squared tile by tile, match the products
     over the stored square of ``K``."""
 
     @settings(max_examples=80, deadline=None)
     @given(x=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30),
-           center=_atoms(-1.0, 1.0, 1),
            size=st.integers(1, 12),
            jitter=st.booleans(),
-           tile_rows=st.integers(1, 13))
-    def test_property(self, x, center, size, jitter, tile_rows):
-        x = np.array(x)
-        grid = np.linspace(-2.0, 2.0, size)
+           tile_rows=st.integers(1, 13),
+           decades=st.floats(0.0, 3.0))
+    def test_property(self, x, size, jitter, tile_rows, decades):
+        # data and grid scaled by up to 1e3, so the product span crosses
+        # _PRODUCT_SPAN both ways; the center holds an atom at every
+        # observation, so it covers the sample at any scale
+        scale = 10.0 ** decades
+        x = scale * np.array(x)
+        grid = scale * np.linspace(-2.0, 2.0, size)
         if jitter and size > 2:
-            grid[1] += 1e-3          # not uniform: no product identity
-        with mock.patch.object(mldeconv, "_TILE_BYTES", tile_rows * 8 * x.size):
+            grid[1] += 1e-3 * scale  # not uniform: no product identity
+        center = MixingMeasure.from_atoms(x, np.full(x.size, 1.0 / x.size))
+        with (mock.patch.object(mldeconv, "_TILE_BYTES", tile_rows * 8 * x.size),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error", RuntimeWarning)
             model = MlModel(x, grid)
             d2 = (1.0 / model.mixture(center))**2
             c2, W = model.curvatures(d2)
         K2 = model.K * model.K
         assert_allclose(c2, K2 @ d2 / x.size, rtol=1e-13)
-        assert (model.product is None) == (jitter and size > 2) == (W is None)
-        if model.product is not None:
-            _, scale, odd = model.product
-            assert_allclose(W[1::2], odd * (K2[:-1] @ (d2 * scale)) / x.size,
+        h = (grid[-1] - grid[0]) / max(size - 1, 1)
+        wide = h * (x.max() - min(x.min(), grid[0])) > mldeconv._PRODUCT_SPAN
+        assert (W is None) == (jitter and size > 2 or wide)
+        assert (model.step is None) == (W is None)
+        if W is not None:
+            factor, odd = _product_factors(model)
+            assert_allclose(W[1::2], odd * (K2[:-1] @ (d2 * factor)) / x.size,
                             rtol=1e-13)
+            adjacent = (model.K[:-1] * model.K[1:]) @ d2 / x.size
+            assert np.abs(W[1::2] - adjacent).max(initial=0.0) <= 1e-13 * c2.max()
             assert_allclose(W[0::2], c2, rtol=0.0)
 
     @pytest.mark.parametrize("size, jitter", [(1, False), (2, False), (9, False),
@@ -445,15 +466,15 @@ class TestSquaredProducts:
         assert mldeconv._tile_rows(x.size) >= size
         d2 = (1.0 / model.mixture(MixingMeasure([0.0], [1.0])))**2
         c2, W = model.curvatures(d2)
-        w = d2 if model.product is None else np.array((d2, d2 * model.product[1]))
-        sums = w @ np.square(model.K).T
         if jitter:
-            assert W is None
-            assert np.array_equal(c2, sums / x.size)
+            assert W is None and model.step is None
+            assert np.array_equal(c2, d2 @ np.square(model.K).T / x.size)
         else:
+            scale, odd = _product_factors(model)
+            sums = np.array((d2, d2 * scale)) @ np.square(model.K).T
             assert np.array_equal(c2, sums[0] / x.size)
             assert np.array_equal(W[0::2], c2)
-            assert np.array_equal(W[1::2], model.product[2] * sums[1, :-1] / x.size)
+            assert np.array_equal(W[1::2], odd * sums[1, :-1] / x.size)
 
 
 class TestObservations:
@@ -1046,19 +1067,20 @@ class TestNodeRows:
             grid=grid, eta=1e-8, gridless_enabled=gridless))
         assert result.converged
 
-    def test_far_start_steps_on_exact_rows(self):
+    def test_far_start_steps_on_exact_rows(self, monkeypatch):
         x, grid = _node_sample()
         config = SolverConfig(grid=grid, eta=1e-8)
         covered = MlModel(x, grid)
         f, trace = newton_solve(covered, config)
         assert trace.converged and covered.K is None
         # one atom at the left end covers no observation far from it:
-        # max Kc (1/f) / n reaches 7e27
+        # max Kc (1/f) / n reaches 7e27, and the steps read exact scans
         far = MlModel(x, grid)
+        calls = _kernel_spy(monkeypatch)
         g, far_trace = newton_solve(far, config,
                                     start=MixingMeasure([grid[0]], [1.0]))
-        assert far_trace.converged and far.K is not None
-        assert np.array_equal(far.K, GaussianFamily().kernel(grid[:, None], far.x))
+        assert far_trace.converged and far.K is None and far.nodes is not None
+        assert all(np.prod(shape) < grid.size * x.size for _, shape, _ in calls)
         best = covered.objective(f)
         assert abs(far.objective(g) - best) <= 4.0 * np.spacing(best)
 
@@ -1113,11 +1135,12 @@ def _tiled_scan(x, theta, ratio):
         for lo in range(0, theta.size, step)]) / x.size
 
 
-def _block_rows(x, grid):
+def _block_rows(x, grid, square=False):
     """``B`` of an exact node-grid scan: the largest block, at most
-    ``ceil(sqrt(G))``, with ``(B - 1) h max(|x - c|, span / 2) <= 16``."""
+    ``ceil(sqrt(G))``, with ``(B - 1) h max(|x - c|, span / 2) <= 16``, or
+    twice that for the scan of ``phi^2``."""
     h, c = (grid[-1] - grid[0]) / (grid.size - 1), 0.5 * (grid[0] + grid[-1])
-    reach = h * max(np.abs(x - c).max(), 0.5 * (grid[-1] - grid[0]))
+    reach = (1 + square) * h * max(np.abs(x - c).max(), 0.5 * (grid[-1] - grid[0]))
     return max(b for b in range(1, math.ceil(math.sqrt(grid.size)) + 1)
                if (b - 1) * reach <= mldeconv._SHIFT_EXP)
 
@@ -1159,6 +1182,45 @@ class TestShiftScan:
         assert np.abs(b - exact).max() <= tol * np.abs(exact).max()
         # the node model on the grid forms it bit for bit alike
         assert np.array_equal(MlModel(x, grid)._scan(grid, ratio), b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(40, 600), extra=st.integers(1, 40),
+           reach=st.floats(0.0, 1.0), ties=st.booleans(),
+           decades=st.floats(0.0, 300.0), shift=st.sampled_from([0.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_squared_scan_matches_the_tiled_products(
+            self, size, extra, reach, ties, decades, shift, seed):
+        # the curvatures of a node model for weights the node sums refuse:
+        # one exact scan of phi^2 over the grid and its midpoints, on the
+        # draws of test_matches_the_tiled_scan
+        n = mldeconv._TILE_BYTES // (8 * size) + extra
+        limit = (size // 2 - mldeconv._NODE_FLOOR) / mldeconv._NODES_PER_UNIT
+        rng = np.random.default_rng(seed)
+        x = shift + rng.uniform(0.0, max(0.1, reach * limit), n)
+        if ties:
+            x[1::2] = x[::2][:n // 2]
+        grid = np.linspace(x.min(), x.max(), size)
+        d2 = 10.0 ** rng.uniform(0.0, decades, n)
+        model = MlModel(x, grid)
+        assert model.nodes is not None
+        kernel = GaussianFamily.kernel
+        with (mock.patch.object(mldeconv, "_NODE_COVER", 0.0),
+              mock.patch.object(GaussianFamily, "kernel", autospec=True,
+                                side_effect=kernel) as spy):
+            c2, W = model.curvatures(d2)
+        assert model.K is None and np.array_equal(W[0::2], c2)
+        # the block-start rows of the grid and its midpoints
+        points = np.empty(2 * size - 1)
+        points[0::2], points[1::2] = grid, 0.5 * (grid[:-1] + grid[1:])
+        starts = points[::_block_rows(model.x, points, square=True)]
+        assert all(np.array_equal(call.args[1].ravel(), starts)
+                   for call in spy.call_args_list)
+        K = GaussianFamily().kernel(grid[:, None], model.x)
+        tol = 1e-13 + 4.0 * np.spacing(np.abs(grid).max())
+        for scan, exact in ((c2, np.square(K) @ d2 / n),
+                            (W[1::2], (K[:-1] * K[1:]) @ d2 / n)):
+            assert np.array_equal(np.isfinite(scan), np.isfinite(exact))
+            assert np.abs(scan - exact).max() <= tol * np.abs(exact).max()
 
     @pytest.mark.parametrize("n", [2000, 40000])
     def test_one_row_per_block_and_chunk_is_evaluated(self, monkeypatch, n):
@@ -1208,21 +1270,29 @@ class TestShiftScan:
             grid = pipeline.build_grid(
                 *pipeline.default_grid_spec("deconv-ml", x), GaussianFamily())
         elif case == "far-start":
-            # one atom at the left end: the loop builds and keeps K
+            # one atom at the left end: the loop reads exact scans, no K
             monkeypatch.setattr(mldeconv, "starting_iterate",
                                 lambda x, grid: MixingMeasure([grid[0]], [1.0]))
-        built = []
-        evaluate = MlModel._evaluate
+        built, models = [], []
+        evaluate, init = MlModel._evaluate, MlModel.__init__
 
         def recording(self, theta, *args):
             built.append(theta.size)
             return evaluate(self, theta, *args)
 
+        def keep(self, *args):
+            init(self, *args)
+            models.append(self)
+
         monkeypatch.setattr(MlModel, "_evaluate", recording)
+        monkeypatch.setattr(MlModel, "__init__", keep)
         config = SolverConfig(grid=grid, eta=1e-8)
         result = pipeline.fit("deconv-ml", x, config)
         assert result.converged
-        assert (grid.size in built) == (case != "node")
+        assert (grid.size in built) == (case == "stored-K")
+        # a grid model holds K or node rows, never both, after any step
+        assert all((m.K is None) == (m.nodes is not None)
+                   for m in models if m.grid is not None)
         assert (MlModel(x)._node_step(grid) is None) == (case == "stored-K")
         assert result.certificate == check_optimality(
             MlModel(x), result.measure, grid, config.eta, config.support_tol)
@@ -1256,14 +1326,23 @@ class TestGramStore:
         rows = quad._gram_block(grid[new], new, grid, slice(None))
         return model, rows, (model.K[new] * quad.d**2) @ model.K.T / x.size
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 40])
+    @pytest.mark.parametrize("size", [1, 2, 3, 40, "gap"])
     def test_identity_rows_match_the_k_pass(self, size):
         x, _ = TestSharedKernelMatrix()._problem()
-        grid = np.linspace(x[0], x[-1], size)
+        if size != "gap":
+            grid = np.linspace(x[0], x[-1], size)
+        else:
+            # the CI gap sample: K stored on a uniform grid of many tiles,
+            # since its 43 noise units need 2 r = 550 > 500 grid points
+            x = np.append(pipeline.simulate_sample("exp-normal-mixture", 2000, 1), 40.0)
+            grid = pipeline.build_grid(
+                *pipeline.default_grid_spec("deconv-ml", x), GaussianFamily())
+            size = grid.size
+            assert size > mldeconv._tile_rows(x.size)
         for new in ([0], [size - 1], np.unique([0, size // 3, size // 2, size - 1])):
             new = np.asarray(new)
             model, rows, reference = self._rows(x, grid, new)
-            assert model.product is not None
+            assert model.step is not None and model.nodes is None
             assert_allclose(rows, reference, rtol=1e-12, atol=0.0)
 
     def test_other_grids_take_the_k_pass(self):
@@ -1275,7 +1354,7 @@ class TestGramStore:
                       np.linspace(-3000.0, 3000.0, 61)):
             new = np.array([0, other.size // 2, other.size - 1])
             model, rows, reference = self._rows(x, other, new)
-            assert model.product is None
+            assert model.step is None
             assert_allclose(rows, reference, rtol=1e-12, atol=0.0)
 
     def test_fit_is_the_same_without_the_identity(self, monkeypatch):
@@ -1283,10 +1362,10 @@ class TestGramStore:
         lo, hi, _ = pipeline.default_grid_spec("deconv-ml", x)
         config = SolverConfig(
             grid=pipeline.build_grid(lo, hi, 200, GaussianFamily()), eta=1e-8)
-        assert MlModel(x, config.grid).product is not None
+        assert MlModel(x, config.grid).step is not None
         fast = pipeline.fit("deconv-ml", x, config)
-        monkeypatch.setattr(mldeconv, "_uniform_step", lambda grid: None)
-        assert MlModel(x, config.grid).product is None
+        monkeypatch.setattr(mldeconv, "_product_step", lambda grid, x: None)
+        assert MlModel(x, config.grid).step is None
         slow = pipeline.fit("deconv-ml", x, config)
         assert fast.converged and slow.converged
         assert fast.trace.n_iterations == slow.trace.n_iterations
@@ -1300,7 +1379,7 @@ class TestGramStore:
         model = MlModel(x, grid)
         quad = QuadLocalModel(model, MixingMeasure(grid[[10, 25]], [0.5, 0.5]))
         # on the uniform grid the rows come from the product identity
-        assert model.product is not None
+        assert model.step is not None
         monkeypatch.setattr(model, "K", _Unread())
         formed = []
         original = MlModel.gram_rows
