@@ -60,6 +60,15 @@ _TILE_BYTES = 1 << 20
 #: observation, as the covering start (about ``0.35 / n``) does.
 _NODES_PER_UNIT, _NODE_FLOOR, _NODE_COVER = 6.0, 16, 50.0
 
+#: The sample side of a node sum: cells ``_CELL`` noise units wide, each
+#: with ``_PROXIES`` second-kind Chebyshev points, interpolate ``phi`` and
+#: ``phi^2`` in ``x`` to 8e-16 of their peak, the rounding of one value
+#: (13 points leave 4e-15 on ``phi^2``).  A cell of fewer observations
+#: keeps them as its proxies, so the proxies never outnumber the sample;
+#: they hold less than the ``r x n`` node rows where the cells hold more
+#: than ``_PROXIES`` observations each.
+_CELL, _PROXIES = 0.5, 14
+
 #: An exact scan on a node grid keeps every factor below ``exp(_SHIFT_EXP)``
 #: and each product within ``_SERIAL_GEMM`` multiply-adds, which OpenBLAS
 #: runs on one thread (65536 times its ``GEMM_MULTITHREAD_THRESHOLD`` of 4),
@@ -79,16 +88,17 @@ def _node_count(grid):
 
 
 def _barycentric(theta, nodes):
-    """The matrix of barycentric interpolation from the Chebyshev points
-    ``nodes`` to ``theta`` (Berrut & Trefethen 2004)."""
+    """The transposed matrix of barycentric interpolation from the Chebyshev
+    points ``nodes`` to ``theta`` (Berrut & Trefethen 2004): one row per
+    node, so each column sums down a short axis."""
     w = (-1.0) ** np.arange(nodes.size)
     w[[0, -1]] *= 0.5
-    diff = theta[:, None] - nodes
+    diff = theta - nodes[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        L = w / diff
-        L /= L.sum(axis=1, keepdims=True)
-    hit = (diff == 0.0).any(axis=1)
-    L[hit] = diff[hit] == 0.0
+        L = w[:, None] / diff
+        L /= L.sum(axis=0)
+    hit = (diff == 0.0).any(axis=0)
+    L[:, hit] = diff[:, hit] == 0.0
     return L
 
 
@@ -128,10 +138,14 @@ class MlModel:
     It holds either the grid's kernels ``K[j, i] = phi(x_i - grid_j)``,
     built one tile of rows (about ``_TILE_BYTES``) at a time, or, on a node
     grid (:meth:`_node_step`: ``K`` would outgrow a tile on a uniform grid
-    with ``2 r <= G``), ``nodes``: rows ``Kc[k] = phi(x - t_k)`` at ``r``
-    Chebyshev points of the grid's span, their squares, and the
-    barycentric matrices ``L`` to the grid and ``Lmid`` to its midpoints;
-    ``K`` is smooth in the grid point.  Never both: ``K`` is None exactly
+    with ``2 r <= G``), ``nodes`` (:meth:`_node_rows`): the kernel is
+    smooth in both arguments, so sums over the sample at ``r`` Chebyshev
+    points ``t_k`` of the grid's span come from ``_PROXIES`` Chebyshev
+    proxies per cell of ``_CELL`` noise units, ``phi(xi - t_k)``, and each
+    observation's barycentric weights at its cell's proxies (a sparser
+    cell's observations are their own proxies), and reach the grid and its
+    midpoints through barycentric matrices ``L`` and ``Lmid``; no array of
+    more than ``r x n`` values is held.  Never both: ``K`` is None exactly
     when ``nodes`` is set.  A step whose iterate does not cover the sample
     (``_NODE_COVER``), which the node sums cannot serve, reads exact scans
     instead.  Atoms read their rows of a stored ``K`` (:meth:`grid_index`)
@@ -169,20 +183,22 @@ class MlModel:
         self.K = self.nodes = self.step = None
         self._last = (None, None, None, True)   # measure, f(x), b, b exact
         if grid is not None:
-            self.step = _product_step(self.grid, x)
+            self.step = h = _product_step(self.grid, x)
+            if h is not None:
+                t = np.arange(self.grid.size)
+                self._toep = np.exp(-0.25 * h * h * (t * t - t % 2))
             if self._node_step(self.grid) is None:
                 self.K = self._evaluate(self.grid)
             else:
                 self.nodes = self._node_rows(self.step)
 
-    def _evaluate(self, theta, x=None):
-        """Read-only ``phi(x - theta)`` for the sample ``x`` unless given,
-        built a tile of rows at a time."""
+    def _evaluate(self, theta):
+        """Read-only ``phi(x - theta)`` for the sample ``x``, built a tile of
+        rows at a time."""
         out = np.empty((theta.size, self.n))
         step = _tile_rows(self.n)
         for lo in range(0, theta.size, step):
-            self.family.kernel(theta[lo:lo + step, None],
-                               self.x if x is None else x, out=out[lo:lo + step])
+            self.family.kernel(theta[lo:lo + step, None], self.x, out=out[lo:lo + step])
         out.flags.writeable = False
         return out
 
@@ -202,16 +218,37 @@ class MlModel:
         return h if node else None
 
     def _node_rows(self, h):
-        """``(Kc, Kc^2, L, Lmid)`` on a node grid of step ``h``, formed about
-        its midpoint ``c`` so that the nodes are exact far from 0: ``Kc[k] =
-        phi((x - c) - tau_k)`` at the Chebyshev points ``tau_k`` of ``grid -
-        c``; ``Lmid`` interpolates at the midpoints, times ``exp(-h^2/4)``."""
+        """``(ell, starts, dense, Kp, Kp^2, L, Lmid)`` on a node grid of step
+        ``h``, formed about its midpoint ``c`` so that they are exact far
+        from 0.
+
+        The sorted ``x - c`` falls into cells ``[j, j + 1) _CELL``.  A cell
+        of at least ``_PROXIES`` observations (``dense``) is served by its
+        Chebyshev points, the proxies ``xi``: ``ell`` holds each of its
+        observations' barycentric weights at them, the cells opening at
+        ``starts`` in ``ell``'s columns.  A sparser cell's observations are
+        their own proxies, so ``Kp`` never has more columns than ``x``.
+        ``Kp[k] = phi(xi - tau_k)`` at the Chebyshev points ``tau_k`` of
+        ``grid - c``, the dense cells' proxies first.  ``L`` interpolates from
+        the ``tau_k`` to the grid, ``Lmid`` to its midpoints, times
+        ``exp(-h^2/4)``.
+        """
         c = 0.5 * (self.grid[0] + self.grid[-1])
-        grid = self.grid - c
+        grid, x = self.grid - c, self.x - c
         tau = 0.5 * np.ptp(grid) * np.cos(np.linspace(0.0, np.pi, _node_count(grid)))
-        Kc = self._evaluate(tau, self.x - c)
-        return (Kc, np.square(Kc), _barycentric(grid, tau),
-                np.exp(-0.25 * h * h) * _barycentric(0.5 * (grid[:-1] + grid[1:]), tau))
+        cell = np.floor(x / _CELL)
+        starts = np.flatnonzero(np.diff(cell, prepend=-np.inf))
+        counts = np.diff(starts, append=self.n)
+        full = counts >= _PROXIES
+        dense = np.repeat(full, counts)
+        t = 0.5 * _CELL * (1.0 + np.cos(np.linspace(0.0, np.pi, _PROXIES)))
+        xi = np.concatenate(((t[:, None] + _CELL * cell[starts[full]]).ravel(),
+                             x[~dense]))
+        Kp = self.family.kernel(tau[:, None], xi)
+        mid = np.exp(-0.25 * h * h) * _barycentric(0.5 * (grid[:-1] + grid[1:]), tau)
+        return (_barycentric((x - _CELL * cell)[dense], t),
+                np.cumsum(counts[full]) - counts[full], dense, Kp, np.square(Kp),
+                _barycentric(grid, tau).T, mid.T)
 
     def on(self, grid):
         """This model if it holds ``grid``, else a model on ``grid`` that
@@ -335,27 +372,33 @@ class MlModel:
         return out.ravel()[:G]
 
     def _node_sums(self, weights, square):
-        """``Kc w / n`` for ``w = 1/f`` (``Kc^2 w / n`` for ``w = 1/f^2`` with
-        ``square``); None without node rows or where ``f`` does not cover the
-        sample (``_NODE_COVER``), which the weights tell before any product."""
+        """``sum_i phi(x_i - c - tau_k) w_i / n`` at the nodes ``tau_k`` for
+        ``w = 1/f`` (``phi^2`` for ``w = 1/f^2`` with ``square``), from the
+        proxies: ``Kp (M, w_s) / n`` with ``M`` the sums of ``ell w`` over
+        each dense cell and ``w_s`` the weights in the sparse ones.
+        None without node rows or where ``f`` does not cover the sample
+        (``_NODE_COVER``), which the weights tell before any product."""
         limit = (_NODE_COVER * self.n) ** (1 + square)
-        if self.nodes is not None and weights.max() <= limit:
-            return self.nodes[square] @ weights / self.n
-        return None
+        if self.nodes is None or weights.max() > limit:
+            return None
+        ell, starts, dense, *rows = self.nodes
+        M = np.add.reduceat(ell * weights[dense], starts, axis=1)
+        return rows[square] @ np.concatenate((M.ravel(), weights[~dense])) / self.n
 
     def ratio_mean(self, theta, measure, exact=True):
         """``(1/n) sum_i phi(x_i - theta) / f(x_i)`` for the measure's mixture.
 
         The vector ``b`` over the whole grid is kept with the last mixture;
-        with ``exact`` false it may be ``L (Kc (1/f) / n)``, for a Newton
-        step.  Every other value is :meth:`_scan`'s.
+        with ``exact`` false it may be ``L u`` from the node sums ``u`` of
+        ``1/f`` (:meth:`_node_sums`), for a Newton step.  Every other value
+        is :meth:`_scan`'s.
         """
         fx = self.positive_mixture(measure)
         if not isinstance(self.grid_index(theta), slice):
             return self._scan(theta, 1.0 / fx)
         if self._last[2] is None or (exact and not self._last[3]):
             u = None if exact else self._node_sums(1.0 / fx, False)
-            b = self._scan(self.grid, 1.0 / fx) if u is None else self.nodes[2] @ u
+            b = self._scan(self.grid, 1.0 / fx) if u is None else self.nodes[-2] @ u
             self._last = (measure, fx, b, u is None)
         return self._last[2]
 
@@ -365,10 +408,12 @@ class MlModel:
         the model has a product ``step`` and is None elsewhere.
 
         By the product identity the superdiagonal is ``exp(-h^2 / 4)`` times
-        ``phi^2`` at the midpoints.  From node rows, ``v = Kc^2 d2 / n``
-        gives ``c2 = L v`` and the superdiagonal ``Lmid v``; where the node
-        sums refuse ``d2``, one exact :meth:`_shift_scan` of ``phi^2`` over
-        the grid and its midpoints, ``2 G - 1`` points, gives ``W``.  Else
+        ``phi^2`` at the midpoints.  From node rows, the node sums ``v`` of
+        ``phi^2`` and ``d2`` (:meth:`_node_sums`, from the proxy rows
+        ``Kp^2``) give ``c2 = L v`` and the superdiagonal ``Lmid v``; where
+        the node sums refuse ``d2``, one exact :meth:`_shift_scan` of
+        ``phi^2`` over the grid and its midpoints, ``2 G - 1`` points, gives
+        ``W``.  Else
         one pass over ``K`` gives it as ``exp(h (max x - theta_j) - h^2 / 2)
         ((K∘K)[:-1] (d2 exp(h (x - max x)))) / n``: each row tile is squared
         into a reused buffer and multiplied by the weight vectors in one
@@ -382,7 +427,7 @@ class MlModel:
                 W = self._shift_scan(W, 0.5 * h, d2, square=True) / self.n
                 W[1::2] *= np.exp(-0.25 * h * h)
             else:
-                W[0::2], W[1::2] = self.nodes[2] @ v, self.nodes[3] @ v
+                W[0::2], W[1::2] = self.nodes[-2] @ v, self.nodes[-1] @ v
             return W[0::2], W
         G, n = self.K.shape
         h, top = self.step, self.x[-1]
@@ -406,9 +451,8 @@ class MlModel:
         pass over ``K`` for any count."""
         if W is None:
             return (self.K[new] * d2) @ self.K.T / self.n
-        t, h = np.arange(self.grid.size), self.step
-        toep = np.exp(-0.25 * h * h * (t * t - t % 2))
-        return toep[np.abs(new[:, None] - t)] * W[new[:, None] + t]
+        t = np.arange(self.grid.size)
+        return self._toep[np.abs(new[:, None] - t)] * W[new[:, None] + t]
 
     def objective(self, measure):
         """``-(1/n) sum log f(x_i) + mass``; +inf when f vanishes at a point."""

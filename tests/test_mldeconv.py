@@ -957,36 +957,78 @@ class TestNodeRows:
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(40, 600), extra=st.integers(1, 40),
            reach=st.floats(0.0, 1.0), ties=st.booleans(),
-           outlier=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+           outlier=st.floats(0.0, 0.9), shift=st.sampled_from([0.0, 1e3]),
+           proxy=st.integers(0, mldeconv._PROXIES - 1),
+           seed=st.integers(0, 2**32 - 1))
     def test_node_sums_match_exact_sums(self, size, extra, reach, ties,
-                                        outlier, seed):
+                                        outlier, shift, proxy, seed):
         # n just above the size at which K outgrows one tile, spans up to
         # the node rule's limit 2 r <= G, and one observation that lies a
-        # share ``outlier`` of the span beyond all others
+        # share ``outlier`` of the span beyond all others.  Unshifted, the
+        # grid's midpoint is 0, so one observation lies exactly on a proxy
+        # point of its cell and one on a cell edge, both inside the span.
+        # The limit is a hair short, so that a shift's rounding of the span
+        # keeps 2 r <= G.
         n = mldeconv._TILE_BYTES // (8 * size) + extra
-        limit = (size // 2 - mldeconv._NODE_FLOOR) / mldeconv._NODES_PER_UNIT
-        span = max(0.05, reach * limit)
-        x = np.random.default_rng(seed).uniform(0.0, (1.0 - outlier) * span, n)
+        limit = ((1.0 - 1e-9) * (size // 2 - mldeconv._NODE_FLOOR)
+                 / mldeconv._NODES_PER_UNIT)
+        half = 0.5 * max(0.05, reach * limit)
+        x = np.random.default_rng(seed).uniform(-half, (1.0 - 2.0 * outlier) * half, n)
         if ties:
             x[1::2] = x[::2][:n // 2]
-        x[0] = span
+        x[:2] = half, -half
+        cell = mldeconv._CELL
+        t = 0.5 * cell * (1.0 + np.cos(np.linspace(0.0, np.pi, mldeconv._PROXIES)))
+        inside = cell * np.floor(x[2] / cell) + t
+        inside = inside[np.abs(inside) <= half]
+        x[2] = inside[proxy % inside.size]
+        edge = cell * np.floor(x[3] / cell)
+        x[3] = edge if edge >= -half else edge + cell
+        x += shift
         grid = np.linspace(x.min(), x.max(), size)
         model = MlModel(x, grid)
         assert model.nodes is not None and model.K is None
         f = starting_iterate(x, grid)
         d = 1.0 / model.positive_mixture(f)
         K = GaussianFamily().kernel(grid[:, None], model.x)
-        Kc = model.nodes[0]
-        u, v = Kc @ d / n, np.square(Kc) @ d**2 / n
+        u, v = K @ d / n, np.square(K) @ d**2 / n
         b = model.ratio_mean(grid, f, exact=False)
-        assert not model._last[3]             # read from the node rows
-        assert np.abs(b - K @ d / n).max() <= 1e-13 * np.abs(u).max()
+        assert not model._last[3]             # read from the proxies
+        assert np.abs(b - u).max() <= 1e-13 * u.max()
         c2, W = model.curvatures(d**2)
         assert np.array_equal(W[0::2], c2)
-        assert np.abs(c2 - np.square(K) @ d**2 / n).max() <= 1e-13 * v.max()
+        assert np.abs(c2 - v).max() <= 1e-13 * v.max()
         assert (np.abs(W[1::2] - (K[:-1] * K[1:]) @ d**2 / n).max()
                 <= 1e-13 * v.max())
         assert model.K is None
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_proxies_hold_less_than_node_rows(self, sparse):
+        # a dense cell's sample side is _PROXIES weights per observation,
+        # fewer than the r >= _NODE_FLOOR node rows over the sample it
+        # replaces.  About 13 observations a cell over 38 noise units:
+        # _PROXIES points in every cell would outnumber the observations,
+        # so the sparse cells keep their observations as proxies.
+        if sparse:
+            x = np.sort(np.random.default_rng(5).uniform(0.0, 38.0, 1000))
+            grid = np.linspace(x[0], x[-1], 500)
+        else:
+            x, grid = _node_sample()
+        model = MlModel(x, grid)
+        assert model.nodes is not None and model.K is None
+        rows = mldeconv._node_count(grid) * x.size
+        ell, starts, dense, Kp, Kp2 = model.nodes[:5]
+        assert ell.shape == (mldeconv._PROXIES, dense.sum())
+        assert Kp.shape[1] == mldeconv._PROXIES * starts.size + (~dense).sum()
+        assert Kp.shape[1] < x.size
+        assert ell.size + Kp.size + Kp2.size < 2 * rows
+        if sparse:
+            assert 0 < dense.sum() < x.size
+        else:
+            held = [a for v in vars(model).values()
+                    for a in (v if isinstance(v, tuple) else (v,))
+                    if isinstance(a, np.ndarray)]
+            assert max(a.size for a in held) == ell.size < rows
 
     @pytest.mark.parametrize("case", ["tiny", "non-uniform", "coarse"])
     def test_hazards_select_exact_rows(self, case):
@@ -1043,12 +1085,12 @@ class TestNodeRows:
         f = MixingMeasure(start.locations, start.weights * scale)
         d = 1.0 / model.positive_mixture(f)
         assert 25.0 * x.size < d.max() < 50.0 * x.size
-        v = np.square(model.nodes[0]) @ d**2 / x.size
+        K = GaussianFamily().kernel(grid[:, None], model.x)
+        v = np.square(K) @ d**2 / x.size
         assert v.max() > 1e6
         c2, W = model.curvatures(d**2)
         assert model.K is None
-        K = GaussianFamily().kernel(grid[:, None], model.x)
-        assert np.abs(c2 - np.square(K) @ d**2 / x.size).max() <= 1e-13 * v.max()
+        assert np.abs(c2 - v).max() <= 1e-13 * v.max()
         assert (np.abs(W[1::2] - (K[:-1] * K[1:]) @ d**2 / x.size).max()
                 <= 1e-13 * v.max())
         model.ratio_mean(grid, f, exact=False)
